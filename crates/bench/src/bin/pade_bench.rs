@@ -318,19 +318,11 @@ fn run_popcount_scenario(quick: bool, mode: &str, out: Option<PathBuf>) {
     }
     let fr = &sweep.fused;
     println!(
-        "\nfused dispatch ({} heads, s{}, h{}): per-head {:.4}s vs fused {:.4}s ({:.2}x); \
-         parallel per-head {:.4}s vs fused {:.4}s",
-        fr.heads,
-        fr.seq_len,
-        fr.head_dim,
-        fr.per_head_wall_s,
-        fr.fused_wall_s,
-        fr.speedup,
-        fr.per_head_par_wall_s,
-        fr.fused_par_wall_s
+        "\nfused dispatch ({} heads, s{}, h{}): per-head {:.4}s vs fused {:.4}s ({:.2}x)",
+        fr.heads, fr.seq_len, fr.head_dim, fr.per_head_wall_s, fr.fused_wall_s, fr.speedup
     );
     println!(
-        "all shapes bit-identical across both scoring paths, all dispatch variants and the \
+        "all shapes bit-identical across both scoring paths, both dispatch variants and the \
          seed oracle"
     );
 

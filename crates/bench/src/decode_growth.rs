@@ -21,7 +21,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_block, run_qk_block_cached, run_qk_block_reference};
+use pade_core::engine::{run_qk_block, run_qk_block_reference};
 use pade_quant::{BitPlaneMatrix, GrowableKeyCache, KeyCacheSnapshot, PlaneSource};
 use pade_workload::trace::{AttentionTrace, RequestKind, TraceConfig};
 
@@ -193,7 +193,7 @@ pub fn run_growth_shape(spec: &GrowthShapeSpec, config: &PadeConfig) -> GrowthSh
         if step % check_every == 0 || step + 1 == spec.steps {
             let queries: Vec<&[i8]> = vec![trace.queries().row(step)];
             let scale = trace.logit_scale();
-            let cached = run_qk_block_cached(config, &queries, &snapshots[step], scale);
+            let cached = run_qk_block(config, &queries, &snapshots[step], scale);
             let from_scratch = run_qk_block(config, &queries, &scratch[step], scale);
             let oracle = run_qk_block_reference(config, &queries, &scratch[step], scale);
             assert!(

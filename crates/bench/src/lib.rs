@@ -5,8 +5,9 @@
 //!
 //! * **sequential seed path** — [`run_qk_block_reference`] (the original
 //!   hash-map/per-bit engine) looped block by block, and
-//! * **parallel engine** — the allocation-lean [`run_qk_blocks_par`]
-//!   fan-out over `pade-par` worker threads,
+//! * **parallel engine** — the allocation-lean [`run_qk_batch`] over one
+//!   job of every query row, tiled into blocks and fanned out over
+//!   `pade-par` worker threads,
 //!
 //! asserts the two produce **bit-identical** results, and records
 //! wall-clock, simulated cycles and speedup. [`write_json`] serializes a
@@ -121,7 +122,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_block_reference, run_qk_blocks_par, QkBlockResult};
+use pade_core::engine::{run_qk_batch, run_qk_block_reference, QkBatchJob, QkBlockResult};
 use pade_quant::BitPlaneMatrix;
 use pade_workload::trace::{AttentionTrace, TraceConfig};
 
@@ -230,6 +231,8 @@ pub fn run_shape(spec: &ShapeSpec, config: &PadeConfig) -> ShapeResult {
         .expect("key bit planes");
     let queries: Vec<&[i8]> = (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
     let scale = trace.logit_scale();
+    let job =
+        QkBatchJob { queries: queries.clone(), keys: keys.clone().into(), logit_scale: scale };
 
     // Small shapes are timed best-of-3 to squeeze out scheduler noise;
     // the 4k shapes run long enough that one measurement is stable.
@@ -242,7 +245,7 @@ pub fn run_shape(spec: &ShapeSpec, config: &PadeConfig) -> ShapeResult {
             .collect()
     });
     let (par_results, par_wall_s) =
-        time_best_of(iters, || run_qk_blocks_par(config, &queries, &keys, scale));
+        time_best_of(iters, || run_qk_batch(config, std::slice::from_ref(&job)));
 
     assert_eq!(
         seq_results,
@@ -310,7 +313,7 @@ pub fn write_json(
     writeln!(
         f,
         "  \"paths\": {{\"sequential\": \"run_qk_block_reference per block\", \
-         \"parallel\": \"run_qk_blocks_par (allocation-lean engine + thread fan-out)\"}},"
+         \"parallel\": \"run_qk_batch (allocation-lean engine + thread fan-out)\"}},"
     )?;
     writeln!(f, "  \"shapes\": [")?;
     for (i, r) in results.iter().enumerate() {

@@ -14,14 +14,13 @@
 //! against the seed oracle [`run_qk_block_reference`] at every shape.
 //!
 //! The fused sweep dispatches one decode step across `H` heads twice:
-//! as `H` separate [`run_qk_blocks`] calls (one scheduling round-trip
-//! per head) and as one [`run_qk_fused`] job (one shared query
-//! decomposition, one fan-out), hard-checking byte-identity between the
-//! two and against their parallel variants.
+//! as `H` separate [`run_qk_batch`] calls of one job each (one scheduling
+//! round-trip per head) and as one [`run_qk_batch`] over all `H` jobs
+//! (one shared query decomposition, one fan-out), hard-checking
+//! byte-identity between the two.
 //!
 //! [`run_qk_block_reference`]: pade_core::engine::run_qk_block_reference
-//! [`run_qk_blocks`]: pade_core::engine::run_qk_blocks
-//! [`run_qk_fused`]: pade_core::engine::run_qk_fused
+//! [`run_qk_batch`]: pade_core::engine::run_qk_batch
 //! [`QRowLut`]: pade_core::bitserial::QRowLut
 
 use std::io::Write as _;
@@ -30,10 +29,7 @@ use pade_core::bitserial::{
     plane_contribution_lut, plane_contribution_planes, QRowLut, QRowPlanes,
 };
 use pade_core::config::PadeConfig;
-use pade_core::engine::{
-    run_qk_block_reference, run_qk_blocks, run_qk_fused, run_qk_fused_par, KeySource, QkBatchJob,
-    QkFusedJob,
-};
+use pade_core::engine::{run_qk_batch, run_qk_block_reference, QkBatchJob};
 use pade_core::gsat::{Gsat, PlaneAbsorb};
 use pade_quant::BitPlaneMatrix;
 use pade_workload::trace::{AttentionTrace, TraceConfig};
@@ -70,21 +66,15 @@ pub struct FusedResult {
     pub seq_len: usize,
     /// Per-head hidden dimension.
     pub head_dim: usize,
-    /// Wall-clock seconds of the per-head loop (one `run_qk_blocks` call
-    /// per head, sequential).
+    /// Wall-clock seconds of the per-head loop (one `run_qk_batch` call
+    /// per head).
     pub per_head_wall_s: f64,
-    /// Wall-clock seconds of the fused dispatch (`run_qk_fused`,
-    /// sequential).
+    /// Wall-clock seconds of the fused dispatch (one `run_qk_batch` call
+    /// over every head).
     pub fused_wall_s: f64,
-    /// Wall-clock seconds of the parallel per-head loop (one
-    /// `run_qk_blocks_par` fan-out per head).
-    pub per_head_par_wall_s: f64,
-    /// Wall-clock seconds of the parallel fused dispatch (one fan-out
-    /// total).
-    pub fused_par_wall_s: f64,
     /// `per_head_wall_s / fused_wall_s`.
     pub speedup: f64,
-    /// Whether all four dispatches produced byte-identical results
+    /// Whether both dispatches produced byte-identical results
     /// (hard-checked).
     pub bit_identical: bool,
 }
@@ -213,7 +203,9 @@ pub fn run_kernel_shape(spec: &ShapeSpec, config: &PadeConfig) -> KernelShapeRes
     // Engine outputs at this measured point: popcount engine vs the seed
     // oracle, block by block.
     let scale = trace.logit_scale();
-    let engine = run_qk_blocks(config, &queries, &keys, scale);
+    let job =
+        QkBatchJob { queries: queries.clone(), keys: keys.clone().into(), logit_scale: scale };
+    let engine = run_qk_batch(config, &[job]);
     for (i, block) in queries.chunks(config.pe_rows).enumerate() {
         let oracle = run_qk_block_reference(config, block, &keys, scale);
         assert_eq!(engine[i], oracle, "{}: engine block {i} diverged from the oracle", spec.id());
@@ -231,7 +223,7 @@ pub fn run_kernel_shape(spec: &ShapeSpec, config: &PadeConfig) -> KernelShapeRes
 }
 
 /// Dispatches one decode step across `heads` heads as a per-head loop and
-/// as one fused job, cross-checking byte-identity all four ways.
+/// as one fused batch, cross-checking byte-identity.
 ///
 /// # Panics
 ///
@@ -256,48 +248,23 @@ pub fn run_fused_point(
             })
         })
         .collect();
-    let sources: Vec<KeySource> = traces
+    let jobs: Vec<QkBatchJob> = traces
         .iter()
-        .map(|t| {
-            BitPlaneMatrix::from_rows(t.keys().as_slice(), t.keys().cols(), config.bits)
+        .map(|t| QkBatchJob {
+            queries: vec![t.queries().row(0)],
+            keys: BitPlaneMatrix::from_rows(t.keys().as_slice(), t.keys().cols(), config.bits)
                 .expect("key bit planes")
-                .into()
+                .into(),
+            logit_scale: t.logit_scale(),
         })
         .collect();
-    let job = QkFusedJob {
-        heads: traces
-            .iter()
-            .zip(&sources)
-            .map(|(t, keys)| QkBatchJob {
-                queries: vec![t.queries().row(0)],
-                keys: keys.clone(),
-                logit_scale: t.logit_scale(),
-            })
-            .collect(),
-    };
 
     let iters = if seq_len >= 4096 { 2 } else { 5 };
     let (loop_results, per_head_wall_s) = time_best_of(iters, || {
-        job.heads
-            .iter()
-            .map(|h| run_qk_blocks_on_source(config, &h.queries, &h.keys, h.logit_scale))
-            .collect::<Vec<_>>()
+        jobs.iter().flat_map(|h| run_qk_batch(config, std::slice::from_ref(h))).collect::<Vec<_>>()
     });
-    let (fused_results, fused_wall_s) = time_best_of(iters, || run_qk_fused(config, &job));
-    let (loop_par_results, per_head_par_wall_s) = time_best_of(iters, || {
-        job.heads
-            .iter()
-            .map(|h| {
-                pade_core::engine::run_qk_blocks_par_on(config, &h.queries, &h.keys, h.logit_scale)
-            })
-            .collect::<Vec<_>>()
-    });
-    let (fused_par_results, fused_par_wall_s) =
-        time_best_of(iters, || run_qk_fused_par(config, &job));
-
+    let (fused_results, fused_wall_s) = time_best_of(iters, || run_qk_batch(config, &jobs));
     assert_eq!(fused_results, loop_results, "fused dispatch diverged from the per-head loop");
-    assert_eq!(loop_par_results, loop_results, "parallel per-head loop diverged");
-    assert_eq!(fused_par_results, loop_results, "parallel fused dispatch diverged");
 
     FusedResult {
         heads,
@@ -305,20 +272,9 @@ pub fn run_fused_point(
         head_dim,
         per_head_wall_s,
         fused_wall_s,
-        per_head_par_wall_s,
-        fused_par_wall_s,
         speedup: per_head_wall_s / fused_wall_s.max(f64::MIN_POSITIVE),
         bit_identical: true,
     }
-}
-
-fn run_qk_blocks_on_source(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeySource,
-    scale: f32,
-) -> Vec<pade_core::engine::QkBlockResult> {
-    pade_core::engine::run_qk_blocks_on(config, queries, keys, scale)
 }
 
 /// Runs the whole popcount sweep under the standard configuration: the
@@ -385,8 +341,6 @@ pub fn write_popcount_json(
     writeln!(f, "    \"head_dim\": {},", fr.head_dim)?;
     writeln!(f, "    \"per_head_wall_s\": {:.6},", fr.per_head_wall_s)?;
     writeln!(f, "    \"fused_wall_s\": {:.6},", fr.fused_wall_s)?;
-    writeln!(f, "    \"per_head_par_wall_s\": {:.6},", fr.per_head_par_wall_s)?;
-    writeln!(f, "    \"fused_par_wall_s\": {:.6},", fr.fused_par_wall_s)?;
     writeln!(f, "    \"speedup\": {:.3},", fr.speedup)?;
     writeln!(f, "    \"bit_identical\": {}", fr.bit_identical)?;
     writeln!(f, "  }},")?;

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use pade_cache::{CacheBudget, CacheConfig, KvCacheManager};
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_block_cached, run_qk_block_reference};
+use pade_core::engine::{run_qk_block, run_qk_block_reference};
 use pade_quant::BitPlaneMatrix;
 use pade_workload::prompt::{generate_shared_prefix_arrivals, SharedPrefixConfig};
 
@@ -310,7 +310,7 @@ pub fn run_prefix_cache_shape(
             let queries = check_queries(spec.head_dim, 0xBE7C_0000 + i as u64);
             let q: Vec<&[i8]> = vec![&queries];
             let scale = 0.015_f32;
-            let cached_out = run_qk_block_cached(engine, &q, &snapshot, scale);
+            let cached_out = run_qk_block(engine, &q, &snapshot, scale);
             let oracle = run_qk_block_reference(engine, &q, &scratch[i], scale);
             assert!(
                 cached_out == oracle,

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use pade_cache::CacheConfig;
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_blocks_par, run_qk_blocks_par_traced};
+use pade_core::engine::{run_qk_batch, run_qk_batch_traced, QkBatchJob};
 use pade_quant::BitPlaneMatrix;
 use pade_router::{
     route, route_traced, verify_partial_merge, RoutePolicy, RouterConfig, RouterReport,
@@ -162,12 +162,15 @@ fn measure_engine_overhead(quick: bool) -> (String, f64, f64) {
     let trace = trace_for(&spec);
     let keys = BitPlaneMatrix::from_rows(trace.keys().as_slice(), trace.keys().cols(), config.bits)
         .expect("key bit planes");
-    let queries: Vec<&[i8]> = (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
-    let scale = trace.logit_scale();
+    let job = QkBatchJob {
+        queries: (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect(),
+        keys: keys.into(),
+        logit_scale: trace.logit_scale(),
+    };
+    let jobs = std::slice::from_ref(&job);
     let iters = if quick { 3 } else { 5 };
 
-    let (base, untraced_wall_s) =
-        time_best_of(iters, || run_qk_blocks_par(&config, &queries, &keys, scale));
+    let (base, untraced_wall_s) = time_best_of(iters, || run_qk_batch(&config, jobs));
     let recorder = Arc::new(Recorder::new());
     let tracer = Tracer::new(Arc::clone(&recorder) as Arc<dyn pade_trace::TraceSink>);
     let base_track = trace_track::id(trace_track::ENGINE, 0, 0);
@@ -175,7 +178,7 @@ fn measure_engine_overhead(quick: bool) -> (String, f64, f64) {
         // Each iteration records into an empty sink, so every run pays
         // the same submission cost.
         recorder.clear();
-        run_qk_blocks_par_traced(&config, &queries, &keys, scale, &tracer, base_track)
+        run_qk_batch_traced(&config, jobs, &tracer, base_track)
     });
     assert_eq!(base, traced, "tracing changed engine results on {}", spec.id());
     (spec.id(), untraced_wall_s, recorder_wall_s)

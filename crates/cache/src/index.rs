@@ -318,7 +318,7 @@ pub(crate) struct ExportedChunk<'a> {
 /// routing hash a cache-aware request router uses to co-locate requests
 /// that would share index chunks.
 ///
-/// The key folds the same path-dependent [`chunk_key`] hash the
+/// The key folds the same path-dependent `chunk_key` hash the
 /// [`PrefixIndex`] addresses its nodes with over the first
 /// `min(affinity_chunks, ⌊ids.len() / chunk_tokens⌋)` chunks, so two
 /// prompts map to the same shard key exactly when their leading indexed

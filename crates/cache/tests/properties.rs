@@ -14,7 +14,7 @@
 
 use pade_cache::{CacheBudget, CacheConfig, CacheStats, KvCacheManager};
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_block, run_qk_block_cached, run_qk_block_reference};
+use pade_core::engine::{run_qk_block, run_qk_block_reference};
 use pade_quant::{BitPlaneMatrix, PlaneSource};
 use pade_workload::prompt::{generate_shared_prefix_arrivals, PromptTokens, SharedPrefixConfig};
 use proptest::prelude::*;
@@ -195,8 +195,8 @@ proptest! {
     }
 
     /// (c′) Identical engine outputs with the cache on vs off: for every
-    /// request of a seeded shared-prefix workload, `run_qk_block_cached`
-    /// over the manager-attached planes equals the same block over a
+    /// request of a seeded shared-prefix workload, `run_qk_block` over
+    /// the manager-attached snapshot equals the same block over a
     /// from-scratch decomposition **and** the seed oracle
     /// `run_qk_block_reference` — under an unlimited and a tight budget
     /// alike.
@@ -229,7 +229,7 @@ proptest! {
 
             let queries: Vec<i8> = rows_for(&ids(1, seed ^ r.id as u64))[..DIMS].to_vec();
             let q: Vec<&[i8]> = vec![&queries];
-            let cached = run_qk_block_cached(&config, &q, &snap, 0.02);
+            let cached = run_qk_block(&config, &q, &snap, 0.02);
             let off = run_qk_block(&config, &q, &scratch, 0.02);
             let oracle = run_qk_block_reference(&config, &q, &scratch, 0.02);
             prop_assert!(cached == oracle, "request {}: cache-on diverged from oracle", r.id);

@@ -82,31 +82,13 @@ enum PlaneState {
     Present,
 }
 
-/// Runs the QK-PU over one block of query rows.
+/// Runs the QK-PU over one tile of up to `config.pe_rows` query rows
+/// against any [`PlaneSource`]: a from-scratch [`BitPlaneMatrix`], an
+/// `Arc`-shared tensor, a [`KeySource`] or a chunked [`KeyCacheSnapshot`]
+/// of a growable per-session cache.
 ///
 /// `queries[r]` is the r-th query row (all rows share the key tensor);
 /// `logit_scale` maps integer scores to logits for the guard margin.
-///
-/// Delegates to the generic [`run_qk_block_on`]; see there for the
-/// allocation-lean hot-path details.
-///
-/// # Panics
-///
-/// Panics if `queries` is empty, exceeds `config.pe_rows`, or any row's
-/// length differs from the key dimension.
-#[must_use]
-pub fn run_qk_block(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &BitPlaneMatrix,
-    logit_scale: f32,
-) -> QkBlockResult {
-    run_qk_block_on(config, queries, keys, logit_scale)
-}
-
-/// The optimized engine over any [`PlaneSource`] — a from-scratch
-/// [`BitPlaneMatrix`], an `Arc`-shared tensor or a chunked
-/// [`KeyCacheSnapshot`] of a growable per-session cache.
 ///
 /// This is the allocation-lean hot path: the shared K-buffer state lives
 /// in a flat `Vec` indexed by `(token, plane)` instead of a hash map, each
@@ -121,68 +103,33 @@ pub fn run_qk_block(
 /// arithmetic — only the per-token
 /// [`TokenPlanes`](pade_quant::TokenPlanes) do.
 ///
+/// Batches of tiles — many jobs, more than `pe_rows` rows, threads or a
+/// tracer — go through [`run_qk_batch`] / [`run_qk_batch_traced`].
+///
 /// # Panics
 ///
 /// Panics if `queries` is empty, exceeds `config.pe_rows`, or any row's
 /// length differs from the key dimension.
 #[must_use]
-pub fn run_qk_block_on<K: PlaneSource + ?Sized>(
+pub fn run_qk_block<K: PlaneSource + ?Sized>(
     config: &PadeConfig,
     queries: &[&[i8]],
     keys: &K,
     logit_scale: f32,
 ) -> QkBlockResult {
-    run_qk_block_on_traced(config, queries, keys, logit_scale, &Tracer::disabled(), 0)
-}
-
-/// [`run_qk_block_on`] with telemetry: the query-decompose and block stage
-/// spans plus kernel counters (plane-AND words, popcounts, LUT lookups,
-/// bytes touched) are recorded through `tracer` onto
-/// [`DISPATCH_STRIDE`](pade_trace::track::DISPATCH_STRIDE) consecutive
-/// tracks starting at `track`. Telemetry never feeds back into the
-/// simulation: the returned [`QkBlockResult`] is byte-identical to the
-/// untraced call (and to [`run_qk_block_reference`]) whether `tracer` is
-/// recording, disabled, or compiled out.
-///
-/// # Panics
-///
-/// As [`run_qk_block_on`].
-#[must_use]
-pub fn run_qk_block_on_traced<K: PlaneSource + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-    tracer: &Tracer,
-    track: u64,
-) -> QkBlockResult {
-    let q_wall = tracer.is_active().then(std::time::Instant::now);
     let qplanes: Vec<QRowPlanes> = queries.iter().map(|q| QRowPlanes::new(q)).collect();
     let borrowed: Vec<&QRowPlanes> = qplanes.iter().collect();
-    if let Some(t0) = q_wall {
-        tracer.span_at(
-            track,
-            "engine.q_decompose",
-            Cycle::ZERO,
-            Cycle::ZERO,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
+    let tracer = Tracer::disabled();
     run_qk_block_prepared(
         config,
         queries,
         &borrowed,
         keys,
         logit_scale,
-        BlockTrace { tracer, track },
+        BlockTrace { tracer: &tracer, track: 0 },
     )
 }
 
-/// [`run_qk_block_on`] with the per-row query decompositions already
-/// built. The fused dispatch uses this to share one decomposition across
-/// every head (and layer) scoring the same query rows; `qplanes[r]` must
-/// be the decomposition of `queries[r]`.
-///
 /// Telemetry hookup of one engine block dispatch: a tracer handle plus the
 /// dispatch's base track id. Recording is a pure side channel — nothing
 /// here reaches the simulated arithmetic or timing.
@@ -192,9 +139,19 @@ struct BlockTrace<'a> {
     track: u64,
 }
 
+/// [`run_qk_block`] with the per-row query decompositions already built —
+/// the one code path that scores a tile. [`run_qk_batch_traced`] uses it
+/// to share one decomposition across every job (head, layer) scoring the
+/// same query rows; `qplanes[r]` must be the decomposition of
+/// `queries[r]`. An active tracer records the block span, its per-stage
+/// subtracks and the kernel counters (plane-AND words, popcounts, GSAT
+/// sweeps, bytes touched) onto
+/// [`DISPATCH_STRIDE`](pade_trace::track::DISPATCH_STRIDE) consecutive
+/// tracks starting at `trace.track`.
+///
 /// # Panics
 ///
-/// As [`run_qk_block_on`]; additionally if `qplanes.len() != queries.len()`
+/// As [`run_qk_block`]; additionally if `qplanes.len() != queries.len()`
 /// or any decomposition's width differs from its query row's.
 fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     config: &PadeConfig,
@@ -240,8 +197,8 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let mut plane_cache: Vec<SlotState> = vec![SlotState::Unfetched; n_keys * bits as usize];
     let mut planes_fetched = 0u64;
 
-    // Per-row pruning state; the QRowLuts are the per-row read-only plane
-    // tables every lane of the row borrows.
+    // Per-row pruning state; every lane of a row borrows the row's
+    // read-only `qplanes` decomposition.
     let mut filters: Vec<GuardFilter> = queries
         .iter()
         .map(|_| {
@@ -512,7 +469,6 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         t.count(tk, "engine.plane_and_words", horizon, tr_and_words);
         t.count(tk, "engine.gsat_sweeps", horizon, tr_gsat_sweeps);
         t.count(tk, "engine.gsat_memo_hits", horizon, tr_memo_hits);
-        t.count(tk, "engine.lut_lookups", horizon, ops.lut_lookup);
         t.count(tk, "engine.planes_fetched", horizon, planes_fetched);
         t.count(tk, "engine.dram_read_bytes", horizon, traffic.dram_read_bytes);
         t.count(tk, "engine.sram_read_bytes", horizon, traffic.sram_read_bytes);
@@ -539,158 +495,6 @@ enum SlotState {
     Present,
 }
 
-/// Runs a batch of query rows as a sequence of independent
-/// `config.pe_rows`-sized blocks (how a prefill of many query rows maps
-/// onto one QK-PU): block `i` covers `queries[i·pe_rows ..]`.
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[must_use]
-pub fn run_qk_blocks(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &BitPlaneMatrix,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks`] over any [`PlaneSource`].
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[must_use]
-pub fn run_qk_blocks_on<K: PlaneSource + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    queries
-        .chunks(config.pe_rows)
-        .map(|block| run_qk_block_on(config, block, keys, logit_scale))
-        .collect()
-}
-
-/// Parallel variant of [`run_qk_blocks`]: blocks fan out across worker
-/// threads and are merged back in block order. Each block simulates its
-/// own HBM/SRAM instances (exactly as in the sequential loop), so the
-/// returned vector is **bit-identical** to [`run_qk_blocks`] regardless
-/// of thread count.
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &BitPlaneMatrix,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_par_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks_par`] over any [`PlaneSource`].
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par_on<K: PlaneSource + Sync + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    let blocks: Vec<&[&[i8]]> = queries.chunks(config.pe_rows).collect();
-    pade_par::par_map(&blocks, |block| run_qk_block_on(config, block, keys, logit_scale))
-}
-
-/// [`run_qk_blocks_par_on`] with telemetry: block `i` records onto tracks
-/// `base_track + i·DISPATCH_STRIDE`. Block indices — not worker identity —
-/// assign the tracks, so recorded traces are identical at any
-/// `PADE_THREADS`. Results stay byte-identical to the untraced call.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks_par`].
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par_traced<K: PlaneSource + Sync + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<QkBlockResult> {
-    let blocks: Vec<&[&[i8]]> = queries.chunks(config.pe_rows).collect();
-    pade_par::par_map_indexed(blocks.len(), |i| {
-        run_qk_block_on_traced(
-            config,
-            blocks[i],
-            keys,
-            logit_scale,
-            tracer,
-            base_track + i as u64 * trace_track::DISPATCH_STRIDE,
-        )
-    })
-}
-
-/// [`run_qk_block`] over a [`KeyCacheSnapshot`] — one engine block against
-/// the frozen prefix of a growable per-session key cache (prefix planes +
-/// fresh tail), without materializing a contiguous tensor.
-///
-/// # Panics
-///
-/// As [`run_qk_block`].
-#[must_use]
-pub fn run_qk_block_cached(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeyCacheSnapshot,
-    logit_scale: f32,
-) -> QkBlockResult {
-    run_qk_block_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks`] over a [`KeyCacheSnapshot`].
-///
-/// # Panics
-///
-/// As [`run_qk_blocks`].
-#[must_use]
-pub fn run_qk_blocks_cached(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeyCacheSnapshot,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks_par`] over a [`KeyCacheSnapshot`]: worker threads
-/// borrow the snapshot's `Arc`-shared chunks instead of cloning planes.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks_par`].
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_cached_par(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeyCacheSnapshot,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_par_on(config, queries, keys, logit_scale)
-}
-
 /// A key bit-plane tensor shared across blocks, sessions and worker
 /// threads without cloning.
 ///
@@ -701,59 +505,7 @@ pub fn run_qk_blocks_cached_par(
 /// plane memory alive exactly as long as any in-flight block needs it.
 pub type SharedKeyPlanes = Arc<BitPlaneMatrix>;
 
-/// [`run_qk_block`] over an [`Arc`]-shared key tensor.
-///
-/// Delegates to [`run_qk_block`]; results are identical. Exists so
-/// session-style callers holding [`SharedKeyPlanes`] don't have to spell
-/// the double deref at every call site.
-///
-/// # Panics
-///
-/// As [`run_qk_block`].
-#[must_use]
-pub fn run_qk_block_shared(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &SharedKeyPlanes,
-    logit_scale: f32,
-) -> QkBlockResult {
-    run_qk_block(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks`] over an [`Arc`]-shared key tensor.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks`].
-#[must_use]
-pub fn run_qk_blocks_shared(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &SharedKeyPlanes,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks_par`] over an [`Arc`]-shared key tensor: worker
-/// threads borrow the one plane allocation instead of the caller cloning
-/// key planes per block.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks_par`].
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par_shared(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &SharedKeyPlanes,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_par(config, queries, keys, logit_scale)
-}
-
-/// The key planes one batched engine block attends over: either a whole
+/// The key planes one batch job attends over: either a whole
 /// [`Arc`]-shared tensor (decomposed once at admission, the prefill path)
 /// or a [`KeyCacheSnapshot`] of a growable per-session cache (the
 /// multi-step decode path, where each step appends one token).
@@ -820,50 +572,71 @@ impl From<KeyCacheSnapshot> for KeySource {
     }
 }
 
-/// One engine block of a heterogeneous batch: its query rows, the
-/// [`KeySource`] it attends over and the logit scale mapping its integer
-/// scores.
+/// One job of a heterogeneous batch: its query rows, the [`KeySource`] it
+/// attends over and the logit scale mapping its integer scores.
 ///
-/// Unlike [`run_qk_blocks`], a batch may mix blocks from *different*
-/// requests with different key tensors — and mix whole shared tensors
-/// with growable-cache snapshots — the unit of work the serving layer's
-/// iteration-level scheduler dispatches.
+/// A batch may mix jobs from *different* requests with different key
+/// tensors — and mix whole shared tensors with growable-cache snapshots —
+/// the unit of work the serving layer's iteration-level scheduler
+/// dispatches. A job may carry any number of query rows: [`run_qk_batch`]
+/// tiles them into `config.pe_rows`-row blocks, which is how a prefill of
+/// many rows maps onto one QK-PU.
 #[derive(Debug, Clone)]
 pub struct QkBatchJob<'a> {
-    /// Query rows of this block (at most `config.pe_rows`).
+    /// Query rows of this job, tiled by `config.pe_rows`.
     pub queries: Vec<&'a [i8]>,
-    /// Key planes of this block (cheap to clone: refcounts only).
+    /// Key planes of this job (cheap to clone: refcounts only).
     pub keys: KeySource,
-    /// Logit scale of this block's operands.
+    /// Logit scale of this job's operands.
     pub logit_scale: f32,
 }
 
-/// Runs a heterogeneous batch of engine blocks sequentially.
+/// Runs a heterogeneous batch of engine jobs and returns one result per
+/// tile, flattened in job-then-tile order: job `j` contributes one result
+/// per `jobs[j].queries.chunks(config.pe_rows)` tile, and a job without
+/// rows contributes none.
 ///
-/// Each job simulates its own HBM/SRAM instances (exactly as
-/// [`run_qk_blocks`] does per block), so `results[i]` is **bit-identical**
-/// to running job `i` alone through [`run_qk_block`] — and therefore to
-/// the seed oracle [`run_qk_block_reference`]. Batching changes wall-clock
-/// and scheduling, never outputs; this is the property the serving
-/// layer's bit-identity tests pin down.
+/// Each tile simulates its own HBM/SRAM instances, so every result is
+/// **bit-identical** to running that tile alone through [`run_qk_block`] —
+/// and therefore to the seed oracle [`run_qk_block_reference`]. Batching,
+/// tiling and the worker count change wall-clock and scheduling, never
+/// outputs; this is the property the serving layer's bit-identity tests
+/// pin down.
 ///
 /// # Panics
 ///
-/// As [`run_qk_block`], per job.
+/// As [`run_qk_block`], per tile.
 #[must_use]
 pub fn run_qk_batch(config: &PadeConfig, jobs: &[QkBatchJob<'_>]) -> Vec<QkBlockResult> {
-    jobs.iter()
-        .map(|job| run_qk_block_on(config, &job.queries, &job.keys, job.logit_scale))
-        .collect()
+    run_qk_batch_traced(config, jobs, &Tracer::disabled(), 0)
 }
 
-/// [`run_qk_batch`] with telemetry: job `i` records onto tracks
-/// `base_track + i·DISPATCH_STRIDE`. Results stay byte-identical to the
-/// untraced call.
+/// One tile of a batch dispatch: its job, its query rows and per-row
+/// indices into the dispatch's shared [`QRowPlanes`] pool.
+type Tile<'j, 'q> = (&'j QkBatchJob<'q>, &'j [&'q [i8]], Vec<usize>);
+
+/// [`run_qk_batch`] with telemetry — the engine's one batch dispatch:
+///
+/// 1. a prepass decomposes every distinct query row **once** (rows are
+///    deduplicated by slice identity, so jobs sharing a row — the
+///    multi-head, multi-layer and grouped-query cases — share one
+///    [`QRowPlanes`]);
+/// 2. every tile of every job fans out in **one** `pade-par` round-trip
+///    when the `parallel` feature is built (`PADE_THREADS` sets the worker
+///    count, and one worker runs inline), or in a plain loop when it is
+///    not.
+///
+/// The prepass and fan-out spans record onto the dispatcher track
+/// `base_track`; tile `u` (in job-then-tile order) records onto tracks
+/// `base_track + (1 + u)·DISPATCH_STRIDE`, so a dispatch occupies
+/// `1 + tiles` units of [`DISPATCH_STRIDE`](pade_trace::track::DISPATCH_STRIDE)
+/// tracks. Tile indices — not worker identity — assign the tracks, so the
+/// recorded trace is identical at any `PADE_THREADS`, and the results are
+/// byte-identical to the untraced call.
 ///
 /// # Panics
 ///
-/// As [`run_qk_block`], per job.
+/// As [`run_qk_block`], per tile.
 #[must_use]
 pub fn run_qk_batch_traced(
     config: &PadeConfig,
@@ -871,103 +644,13 @@ pub fn run_qk_batch_traced(
     tracer: &Tracer,
     base_track: u64,
 ) -> Vec<QkBlockResult> {
-    jobs.iter()
-        .enumerate()
-        .map(|(i, job)| {
-            run_qk_block_on_traced(
-                config,
-                &job.queries,
-                &job.keys,
-                job.logit_scale,
-                tracer,
-                base_track + i as u64 * trace_track::DISPATCH_STRIDE,
-            )
-        })
-        .collect()
-}
-
-/// Parallel variant of [`run_qk_batch`]: jobs fan out across worker
-/// threads and are merged back in job order, bit-identical to the
-/// sequential loop regardless of thread count.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per job.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_batch_par(config: &PadeConfig, jobs: &[QkBatchJob<'_>]) -> Vec<QkBlockResult> {
-    pade_par::par_map(jobs, |job| run_qk_block_on(config, &job.queries, &job.keys, job.logit_scale))
-}
-
-/// [`run_qk_batch_par`] with telemetry; job indices (not worker identity)
-/// assign tracks, so traces are identical at any `PADE_THREADS`.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per job.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_batch_par_traced(
-    config: &PadeConfig,
-    jobs: &[QkBatchJob<'_>],
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<QkBlockResult> {
-    pade_par::par_map_indexed(jobs.len(), |i| {
-        let job = &jobs[i];
-        run_qk_block_on_traced(
-            config,
-            &job.queries,
-            &job.keys,
-            job.logit_scale,
-            tracer,
-            base_track + i as u64 * trace_track::DISPATCH_STRIDE,
-        )
-    })
-}
-
-/// Every head (and, stacked across layers, every layer-head) of one token
-/// step, fused into a single kernel dispatch.
-///
-/// The serving layer's per-step work is `H` (or `L·H`) engine blocks that
-/// all score the *same* step's query rows against per-head key planes.
-/// Dispatching them one by one costs one scheduling round-trip — and one
-/// query bit-plane decomposition per row — per head. A fused job instead:
-///
-/// 1. decomposes every distinct query row **once** (rows are deduplicated
-///    by slice identity, so heads sharing a row — the multi-layer and
-///    grouped-query cases — share one [`QRowPlanes`]), and
-/// 2. fans all blocks of all heads out in **one** `pade-par` round-trip.
-///
-/// Results are byte-identical to running each head through
-/// [`run_qk_blocks`] on its own — fusion changes scheduling, never
-/// outputs.
-#[derive(Debug, Clone)]
-pub struct QkFusedJob<'a> {
-    /// One entry per head (or layer-head): its query rows, key planes and
-    /// logit scale. Unlike [`QkBatchJob`], entries may carry more than
-    /// `config.pe_rows` rows; each entry is chunked into engine blocks
-    /// exactly as [`run_qk_blocks`] would.
-    pub heads: Vec<QkBatchJob<'a>>,
-}
-
-/// One (head, block) unit of a fused dispatch: the head index, the
-/// block's query rows, and per-row indices into the shared
-/// [`QRowPlanes`] pool.
-type FusedUnit<'a> = (usize, &'a [&'a [i8]], Vec<usize>);
-
-/// Shared prepass of the fused dispatch: decompose every distinct query
-/// row once and hand each (head, block) unit borrowed decompositions.
-fn fused_prepass<'a>(
-    config: &PadeConfig,
-    job: &'a QkFusedJob<'a>,
-) -> (Vec<QRowPlanes>, Vec<FusedUnit<'a>>) {
+    let prep_wall = tracer.is_active().then(std::time::Instant::now);
     let mut dedup: HashMap<(usize, usize), usize> = HashMap::new();
     let mut qplanes: Vec<QRowPlanes> = Vec::new();
-    let mut units: Vec<FusedUnit<'a>> = Vec::new();
-    for (head, entry) in job.heads.iter().enumerate() {
-        for block in entry.queries.chunks(config.pe_rows) {
-            let plane_ids = block
+    let mut tiles: Vec<Tile<'_, '_>> = Vec::new();
+    for job in jobs {
+        for rows in job.queries.chunks(config.pe_rows) {
+            let plane_ids = rows
                 .iter()
                 .map(|q| {
                     *dedup.entry((q.as_ptr() as usize, q.len())).or_insert_with(|| {
@@ -976,44 +659,9 @@ fn fused_prepass<'a>(
                     })
                 })
                 .collect();
-            units.push((head, block, plane_ids));
+            tiles.push((job, rows, plane_ids));
         }
     }
-    (qplanes, units)
-}
-
-/// Runs a fused multi-head job sequentially: one shared query-decomposition
-/// prepass, then every block of every head in submission order.
-///
-/// `results[h]` is byte-identical to
-/// `run_qk_blocks_on(config, &job.heads[h].queries, …)`.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per block.
-#[must_use]
-pub fn run_qk_fused(config: &PadeConfig, job: &QkFusedJob<'_>) -> Vec<Vec<QkBlockResult>> {
-    run_qk_fused_traced(config, job, &Tracer::disabled(), 0)
-}
-
-/// [`run_qk_fused`] with telemetry: the shared query-decompose prepass and
-/// the fan-out span record onto the dispatcher track `base_track`; unit
-/// `u` (in deterministic prepass order) records onto tracks
-/// `base_track + (1 + u)·DISPATCH_STRIDE`. Results stay byte-identical to
-/// the untraced call.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per block.
-#[must_use]
-pub fn run_qk_fused_traced(
-    config: &PadeConfig,
-    job: &QkFusedJob<'_>,
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<Vec<QkBlockResult>> {
-    let prep_wall = tracer.is_active().then(std::time::Instant::now);
-    let (qplanes, units) = fused_prepass(config, job);
     if let Some(t0) = prep_wall {
         tracer.span_at(
             base_track,
@@ -1024,101 +672,27 @@ pub fn run_qk_fused_traced(
         );
     }
     let fan_wall = tracer.is_active().then(std::time::Instant::now);
-    let mut results: Vec<Vec<QkBlockResult>> = job.heads.iter().map(|_| Vec::new()).collect();
-    for (u, (head, block, plane_ids)) in units.iter().enumerate() {
+    let score = |u: usize| {
+        let (job, rows, plane_ids) = &tiles[u];
         let borrowed: Vec<&QRowPlanes> = plane_ids.iter().map(|&i| &qplanes[i]).collect();
-        let entry = &job.heads[*head];
-        results[*head].push(run_qk_block_prepared(
+        let track = base_track + (1 + u as u64) * trace_track::DISPATCH_STRIDE;
+        run_qk_block_prepared(
             config,
-            block,
+            rows,
             &borrowed,
-            &entry.keys,
-            entry.logit_scale,
-            BlockTrace {
-                tracer,
-                track: base_track + (1 + u as u64) * trace_track::DISPATCH_STRIDE,
-            },
-        ));
-    }
-    emit_fanout_span(tracer, base_track, fan_wall, &results);
-    results
-}
-
-/// Parallel variant of [`run_qk_fused`]: all blocks of all heads fan out
-/// in **one** `pade-par` round-trip (instead of one spawn round per head),
-/// sharing the one query-decomposition prepass. Byte-identical to
-/// [`run_qk_fused`] and to the per-head loop regardless of thread count.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per block.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_fused_par(config: &PadeConfig, job: &QkFusedJob<'_>) -> Vec<Vec<QkBlockResult>> {
-    run_qk_fused_par_traced(config, job, &Tracer::disabled(), 0)
-}
-
-/// [`run_qk_fused_par`] with telemetry, laid out exactly as
-/// [`run_qk_fused_traced`]: unit indices from the deterministic prepass —
-/// not worker identity — assign tracks, so the recorded trace is identical
-/// at any `PADE_THREADS`.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per block.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_fused_par_traced(
-    config: &PadeConfig,
-    job: &QkFusedJob<'_>,
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<Vec<QkBlockResult>> {
-    let prep_wall = tracer.is_active().then(std::time::Instant::now);
-    let (qplanes, units) = fused_prepass(config, job);
-    if let Some(t0) = prep_wall {
-        tracer.span_at(
-            base_track,
-            "engine.q_decompose",
-            Cycle::ZERO,
-            Cycle::ZERO,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    let fan_wall = tracer.is_active().then(std::time::Instant::now);
-    let flat = pade_par::par_map_indexed(units.len(), |u| {
-        let (head, block, plane_ids) = &units[u];
-        let borrowed: Vec<&QRowPlanes> = plane_ids.iter().map(|&i| &qplanes[i]).collect();
-        let entry = &job.heads[*head];
-        (
-            *head,
-            run_qk_block_prepared(config, block, &borrowed, &entry.keys, entry.logit_scale, {
-                BlockTrace {
-                    tracer,
-                    track: base_track + (1 + u as u64) * trace_track::DISPATCH_STRIDE,
-                }
-            }),
+            &job.keys,
+            job.logit_scale,
+            BlockTrace { tracer, track },
         )
-    });
-    let mut results: Vec<Vec<QkBlockResult>> = job.heads.iter().map(|_| Vec::new()).collect();
-    for (head, result) in flat {
-        results[head].push(result);
-    }
-    emit_fanout_span(tracer, base_track, fan_wall, &results);
-    results
-}
-
-/// Closes the fused-dispatch fan-out span: logical length = the longest
-/// block horizon of the dispatch (blocks run concurrently on hardware),
-/// wall annotation = measured fan-out time.
-fn emit_fanout_span(
-    tracer: &Tracer,
-    base_track: u64,
-    fan_wall: Option<std::time::Instant>,
-    results: &[Vec<QkBlockResult>],
-) {
+    };
+    #[cfg(feature = "parallel")]
+    let results = pade_par::par_map_indexed(tiles.len(), score);
+    #[cfg(not(feature = "parallel"))]
+    let results: Vec<QkBlockResult> = (0..tiles.len()).map(score).collect();
     if let Some(t0) = fan_wall {
-        let horizon = results.iter().flatten().map(|r| r.cycles).max().unwrap_or(Cycle::ZERO);
+        // Logical length: the longest tile horizon (tiles run concurrently
+        // on hardware); wall annotation: the measured fan-out time.
+        let horizon = results.iter().map(|r| r.cycles).max().unwrap_or(Cycle::ZERO);
         tracer.span_at(
             base_track,
             "engine.fused_fanout",
@@ -1127,6 +701,7 @@ fn emit_fanout_span(
             t0.elapsed().as_nanos() as u64,
         );
     }
+    results
 }
 
 /// The seed's hash-map-based implementation, kept verbatim as the
@@ -1663,49 +1238,36 @@ mod tests {
     }
 
     #[test]
-    fn batched_blocks_partition_the_rows() {
+    fn batch_tiles_a_long_job_into_pe_row_blocks() {
         let trace = AttentionTrace::generate(&pade_workload::trace::TraceConfig {
             n_queries: 20, // 3 blocks of 8, 8, 4 under the standard config
             ..pade_workload::trace::TraceConfig::small_demo()
         });
         let config = PadeConfig::standard();
-        let keys =
+        let keys: SharedKeyPlanes = Arc::new(
             BitPlaneMatrix::from_rows(trace.keys().as_slice(), trace.keys().cols(), config.bits)
-                .unwrap();
+                .unwrap(),
+        );
         let queries: Vec<&[i8]> =
             (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
-        let blocks = run_qk_blocks(&config, &queries, &keys, trace.logit_scale());
+        let job = QkBatchJob {
+            queries: queries.clone(),
+            keys: Arc::clone(&keys).into(),
+            logit_scale: trace.logit_scale(),
+        };
+        let blocks = run_qk_batch(&config, &[job]);
         assert_eq!(blocks.len(), 3);
         let rows: usize = blocks.iter().map(|b| b.retained.len()).sum();
         assert_eq!(rows, 20);
         // Each block is exactly the standalone block run.
         for (i, chunk) in queries.chunks(config.pe_rows).enumerate() {
-            let solo = run_qk_block(&config, chunk, &keys, trace.logit_scale());
+            let solo = run_qk_block(&config, chunk, &*keys, trace.logit_scale());
             assert_eq!(blocks[i], solo, "block {i}");
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
-    fn parallel_blocks_are_bit_identical_to_sequential() {
-        let trace = AttentionTrace::generate(&pade_workload::trace::TraceConfig {
-            n_queries: 20,
-            seq_len: 512,
-            ..pade_workload::trace::TraceConfig::small_demo()
-        });
-        let config = PadeConfig::standard();
-        let keys =
-            BitPlaneMatrix::from_rows(trace.keys().as_slice(), trace.keys().cols(), config.bits)
-                .unwrap();
-        let queries: Vec<&[i8]> =
-            (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
-        let seq = run_qk_blocks(&config, &queries, &keys, trace.logit_scale());
-        let par = run_qk_blocks_par(&config, &queries, &keys, trace.logit_scale());
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn shared_plane_entries_match_borrowed_entries() {
+    fn shared_plane_tiles_match_borrowed_tiles() {
         let trace = small_trace();
         let config = PadeConfig::standard();
         let keys: SharedKeyPlanes = Arc::new(
@@ -1716,12 +1278,8 @@ mod tests {
             (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
         let scale = trace.logit_scale();
         assert_eq!(
-            run_qk_block_shared(&config, &queries, &keys, scale),
-            run_qk_block(&config, &queries, &keys, scale)
-        );
-        assert_eq!(
-            run_qk_blocks_shared(&config, &queries, &keys, scale),
-            run_qk_blocks(&config, &queries, &keys, scale)
+            run_qk_block(&config, &queries, &keys, scale),
+            run_qk_block(&config, &queries, &*keys, scale)
         );
         // The Arc is genuinely shared, not cloned per call.
         assert_eq!(Arc::strong_count(&keys), 1);
@@ -1770,36 +1328,14 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_batch_matches_sequential_batch() {
-        let config = PadeConfig::standard();
-        let traces: Vec<AttentionTrace> = (0..4u64)
-            .map(|seed| {
-                AttentionTrace::generate(&TraceConfig {
-                    seed,
-                    ..pade_workload::trace::TraceConfig::small_demo()
-                })
-            })
-            .collect();
-        let jobs: Vec<QkBatchJob> = traces
-            .iter()
-            .map(|t| QkBatchJob {
-                queries: (0..t.queries().rows()).map(|i| t.queries().row(i)).collect(),
-                keys: BitPlaneMatrix::from_rows(t.keys().as_slice(), t.keys().cols(), config.bits)
-                    .unwrap()
-                    .into(),
-                logit_scale: t.logit_scale(),
-            })
-            .collect();
-        assert_eq!(run_qk_batch(&config, &jobs), run_qk_batch_par(&config, &jobs));
-    }
-
-    /// A fused "token step": H heads sharing one set of query rows, each
-    /// head with its own key tensor (mixing whole tensors and growable
+    /// A multi-head "token step": H jobs sharing one set of query rows,
+    /// each with its own key tensor (mixing whole tensors and growable
     /// cache snapshots so both `KeySource` variants flow through the
-    /// fused path).
-    fn fused_fixture(n_heads: usize, n_queries: usize) -> (AttentionTrace, Vec<KeySource>, f32) {
+    /// shared-row prepass).
+    fn multi_head_fixture(
+        n_heads: usize,
+        n_queries: usize,
+    ) -> (AttentionTrace, Vec<KeySource>, f32) {
         let trace =
             AttentionTrace::generate(&TraceConfig { n_queries, ..TraceConfig::small_demo() });
         let config = PadeConfig::standard();
@@ -1824,62 +1360,56 @@ mod tests {
         (trace, sources, 0.01)
     }
 
-    #[test]
-    fn fused_dispatch_is_byte_identical_to_per_head_loop() {
-        let config = PadeConfig::standard();
-        // 12 query rows → two engine blocks per head under pe_rows = 8.
-        let (trace, sources, scale) = fused_fixture(3, 12);
-        let queries: Vec<&[i8]> =
-            (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
-        let job = QkFusedJob {
-            heads: sources
-                .iter()
-                .map(|keys| QkBatchJob {
-                    queries: queries.clone(),
-                    keys: keys.clone(),
-                    logit_scale: scale,
-                })
-                .collect(),
-        };
-        let fused = run_qk_fused(&config, &job);
-        assert_eq!(fused.len(), sources.len());
-        for (h, keys) in sources.iter().enumerate() {
-            let solo = run_qk_blocks_on(&config, &queries, keys, scale);
-            assert_eq!(fused[h], solo, "head {h} diverged from its per-head loop");
-        }
-        #[cfg(feature = "parallel")]
-        assert_eq!(run_qk_fused_par(&config, &job), fused);
+    fn heads_over<'a>(
+        sources: &[KeySource],
+        queries: &[&'a [i8]],
+        scale: f32,
+    ) -> Vec<QkBatchJob<'a>> {
+        sources
+            .iter()
+            .map(|keys| QkBatchJob {
+                queries: queries.to_vec(),
+                keys: keys.clone(),
+                logit_scale: scale,
+            })
+            .collect()
     }
 
     #[test]
-    fn fused_single_head_decode_step_matches_solo_block() {
+    fn shared_row_batch_is_byte_identical_to_per_head_tiles() {
+        let config = PadeConfig::standard();
+        // 12 query rows → two engine blocks per head under pe_rows = 8.
+        let (trace, sources, scale) = multi_head_fixture(3, 12);
+        let queries: Vec<&[i8]> =
+            (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
+        let batch = run_qk_batch(&config, &heads_over(&sources, &queries, scale));
+        let tiles = queries.chunks(config.pe_rows).count();
+        assert_eq!(batch.len(), sources.len() * tiles);
+        for (h, keys) in sources.iter().enumerate() {
+            for (t, rows) in queries.chunks(config.pe_rows).enumerate() {
+                let solo = run_qk_block(&config, rows, keys, scale);
+                assert_eq!(batch[h * tiles + t], solo, "head {h} tile {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_head_decode_step_matches_solo_block_and_oracle() {
         // The decode shape: one query row, several heads, one block each.
         let config = PadeConfig::standard();
-        let (trace, sources, scale) = fused_fixture(4, 1);
+        let (trace, sources, scale) = multi_head_fixture(4, 1);
         let row: Vec<&[i8]> = vec![trace.queries().row(0)];
-        let job = QkFusedJob {
-            heads: sources
-                .iter()
-                .map(|keys| QkBatchJob {
-                    queries: row.clone(),
-                    keys: keys.clone(),
-                    logit_scale: scale,
-                })
-                .collect(),
-        };
-        let fused = run_qk_fused(&config, &job);
+        let batch = run_qk_batch(&config, &heads_over(&sources, &row, scale));
+        assert_eq!(batch.len(), sources.len());
         for (h, keys) in sources.iter().enumerate() {
-            assert_eq!(fused[h].len(), 1);
-            let solo = run_qk_block_on(&config, &row, keys, scale);
-            assert_eq!(fused[h][0], solo, "head {h}");
+            let solo = run_qk_block(&config, &row, keys, scale);
+            assert_eq!(batch[h], solo, "head {h}");
             let oracle = match keys {
                 KeySource::Planes(p) => run_qk_block_reference(&config, &row, p, scale),
                 KeySource::Cache(_) => solo.clone(),
             };
-            assert_eq!(fused[h][0], oracle, "head {h} vs seed oracle");
+            assert_eq!(batch[h], oracle, "head {h} vs seed oracle");
         }
-        #[cfg(feature = "parallel")]
-        assert_eq!(run_qk_fused_par(&config, &job), fused);
     }
 
     #[test]
@@ -1900,21 +1430,12 @@ mod tests {
         let queries: Vec<&[i8]> =
             (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
         let scale = trace.logit_scale();
-        let cached = run_qk_block_cached(&config, &queries, &snap, scale);
+        let cached = run_qk_block(&config, &queries, &snap, scale);
         assert_eq!(cached, run_qk_block(&config, &queries, &scratch, scale));
         assert_eq!(cached, run_qk_block_reference(&config, &queries, &scratch, scale));
-        assert_eq!(
-            run_qk_blocks_cached(&config, &queries, &snap, scale),
-            run_qk_blocks(&config, &queries, &scratch, scale)
-        );
         // A KeySource wrapping the snapshot reads the same planes.
-        let source = KeySource::from(snap.clone());
-        assert_eq!(run_qk_block_on(&config, &queries, &source, scale), cached);
-        #[cfg(feature = "parallel")]
-        assert_eq!(
-            run_qk_blocks_cached_par(&config, &queries, &snap, scale),
-            run_qk_blocks(&config, &queries, &scratch, scale)
-        );
+        let job = QkBatchJob { queries, keys: snap.into(), logit_scale: scale };
+        assert_eq!(run_qk_batch(&config, &[job]), vec![cached]);
     }
 
     #[test]

@@ -2,20 +2,20 @@
 //! (`run_qk_block`) must be **bit-identical** to the seed oracle
 //! (`run_qk_block_reference`) over seeded random operands — not just the
 //! workload generator's friendly traces — and a growable cache snapshot
-//! must be indistinguishable from a from-scratch tensor through every
-//! engine entry (solo, batched, heterogeneous batch, and the `parallel`
-//! fan-out when enabled).
+//! must be indistinguishable from a from-scratch tensor through both
+//! engine entries (one tile via `run_qk_block`, a tiled heterogeneous
+//! batch via `run_qk_batch`, which fans out over `pade-par` when the
+//! `parallel` feature is built).
 //!
 //! The convention (see README § Testing): the reference kernel stays
-//! verbatim; optimizations live in `run_qk_block`/`run_qk_block_on` and
+//! verbatim; optimizations live behind `run_qk_block`/`run_qk_batch` and
 //! must keep these properties green.
 
 use std::sync::Arc;
 
 use pade_core::config::PadeConfig;
 use pade_core::engine::{
-    run_qk_batch, run_qk_block, run_qk_block_cached, run_qk_block_reference, run_qk_blocks,
-    run_qk_blocks_cached, KeySource, QkBatchJob,
+    run_qk_batch, run_qk_batch_traced, run_qk_block, run_qk_block_reference, KeySource, QkBatchJob,
 };
 use pade_mem::KeyLayout;
 use pade_quant::{BitPlaneMatrix, GrowableKeyCache, PlaneSource};
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let config = config_for(bits, knobs);
         let keys_data = vec_i8_bits(s * dims, seed, bits);
-        let scratch = BitPlaneMatrix::from_rows(&keys_data, dims, bits).unwrap();
+        let scratch = Arc::new(BitPlaneMatrix::from_rows(&keys_data, dims, bits).unwrap());
         let mut cache = GrowableKeyCache::new(dims, bits, chunk).unwrap();
         let split = split.min(s);
         cache.append_rows(&keys_data[..split * dims]).unwrap();
@@ -98,30 +98,28 @@ proptest! {
         let scale = 1.0 / 64.0;
         // Solo block (first pe_rows-bounded chunk of rows).
         let head = &queries[..queries.len().min(config.pe_rows)];
-        let cached = run_qk_block_cached(&config, head, &snap, scale);
+        let cached = run_qk_block(&config, head, &snap, scale);
         prop_assert_eq!(&cached, &run_qk_block(&config, head, &scratch, scale));
         prop_assert_eq!(&cached, &run_qk_block_reference(&config, head, &scratch, scale));
         // Batched rows (may span several blocks).
+        let job =
+            |keys: KeySource| QkBatchJob { queries: queries.clone(), keys, logit_scale: scale };
         prop_assert_eq!(
-            run_qk_blocks_cached(&config, &queries, &snap, scale),
-            run_qk_blocks(&config, &queries, &scratch, scale)
+            run_qk_batch(&config, &[job(KeySource::Cache(snap.clone()))]),
+            run_qk_batch(&config, &[job(KeySource::Planes(Arc::clone(&scratch)))])
         );
-        #[cfg(feature = "parallel")]
-        {
-            prop_assert_eq!(
-                pade_core::engine::run_qk_blocks_cached_par(&config, &queries, &snap, scale),
-                run_qk_blocks(&config, &queries, &scratch, scale)
-            );
-        }
     }
 
     /// A heterogeneous batch mixing shared-tensor jobs with cache-snapshot
-    /// jobs over the *same* operands yields identical results for both
-    /// storage forms — and matches the oracle.
+    /// jobs over the *same* operands, each job longer than `pe_rows` rows,
+    /// yields one result per tile in job-then-tile order; every tile
+    /// equals `run_qk_block` over its rows and the seed oracle, for both
+    /// storage forms.
     #[test]
-    fn mixed_key_sources_are_indistinguishable(
+    fn mixed_key_source_batch_matches_per_tile_blocks_and_oracle(
         s in 1usize..32,
         dims in 1usize..24,
+        rows in 1usize..20,
         chunk in 1usize..9,
         seed in any::<u64>(),
     ) {
@@ -131,30 +129,29 @@ proptest! {
         let scratch = Arc::new(BitPlaneMatrix::from_rows(&keys_data, dims, bits).unwrap());
         let mut cache = GrowableKeyCache::new(dims, bits, chunk).unwrap();
         cache.append_rows(&keys_data).unwrap();
-        let q = vec_i8_bits(dims, seed ^ 0xBEEF, bits);
-        let queries: Vec<&[i8]> = vec![&q];
+        let query_data: Vec<Vec<i8>> =
+            (0..rows).map(|r| vec_i8_bits(dims, seed ^ mix(0xBEEF, r), bits)).collect();
+        let queries: Vec<&[i8]> = query_data.iter().map(Vec::as_slice).collect();
         let scale = 1.0 / 64.0;
-        let jobs = vec![
-            QkBatchJob {
+        let sources =
+            [KeySource::Planes(Arc::clone(&scratch)), KeySource::Cache(cache.snapshot())];
+        let jobs: Vec<QkBatchJob> = sources
+            .iter()
+            .map(|keys| QkBatchJob {
                 queries: queries.clone(),
-                keys: KeySource::Planes(Arc::clone(&scratch)),
+                keys: keys.clone(),
                 logit_scale: scale,
-            },
-            QkBatchJob {
-                queries: queries.clone(),
-                keys: KeySource::Cache(cache.snapshot()),
-                logit_scale: scale,
-            },
-        ];
+            })
+            .collect();
         let results = run_qk_batch(&config, &jobs);
-        prop_assert_eq!(&results[0], &results[1]);
-        let oracle = run_qk_block_reference(&config, &queries, &scratch, scale);
-        prop_assert_eq!(&results[0], &oracle);
-        #[cfg(feature = "parallel")]
-        {
-            let par = pade_core::engine::run_qk_batch_par(&config, &jobs);
-            prop_assert_eq!(&par[0], &results[0]);
-            prop_assert_eq!(&par[1], &results[1]);
+        let tiles: Vec<&[&[i8]]> = queries.chunks(config.pe_rows).collect();
+        prop_assert_eq!(results.len(), jobs.len() * tiles.len());
+        for (j, keys) in sources.iter().enumerate() {
+            for (t, rows) in tiles.iter().enumerate() {
+                let got = &results[j * tiles.len() + t];
+                prop_assert_eq!(got, &run_qk_block(&config, rows, keys, scale));
+                prop_assert_eq!(got, &run_qk_block_reference(&config, rows, &scratch, scale));
+            }
         }
     }
 
@@ -167,7 +164,7 @@ proptest! {
         bits in prop_oneof![Just(2u32), Just(4), Just(8)],
         s in 1usize..40,
         dims in 1usize..32,
-        rows in 1usize..6,
+        rows in 1usize..12,
         knobs in any::<u64>(),
         seed in any::<u64>(),
     ) {
@@ -182,14 +179,16 @@ proptest! {
         let tracer =
             pade_trace::Tracer::new(Arc::clone(&recorder) as Arc<dyn pade_trace::TraceSink>);
         let track = pade_trace::track::id(pade_trace::track::ENGINE, 7, 0);
-        let head = &queries[..queries.len().min(config.pe_rows)];
-        let traced = pade_core::engine::run_qk_block_on_traced(
-            &config, head, &keys, scale, &tracer, track,
-        );
-        let oracle = run_qk_block_reference(&config, head, &keys, scale);
+        let job =
+            QkBatchJob { queries: queries.clone(), keys: keys.clone().into(), logit_scale: scale };
+        let oracle: Vec<_> = queries
+            .chunks(config.pe_rows)
+            .map(|rows| run_qk_block_reference(&config, rows, &keys, scale))
+            .collect();
+        let traced = run_qk_batch_traced(&config, std::slice::from_ref(&job), &tracer, track);
         prop_assert_eq!(&traced, &oracle);
-        let inert = pade_core::engine::run_qk_block_on_traced(
-            &config, head, &keys, scale, &pade_trace::Tracer::disabled(), track,
+        let inert = run_qk_batch_traced(
+            &config, &[job], &pade_trace::Tracer::disabled(), track,
         );
         prop_assert_eq!(&inert, &oracle);
         let snap = recorder.snapshot();
@@ -199,16 +198,6 @@ proptest! {
             prop_assert!(snap.stage_names().contains("engine.qk_block"));
         } else {
             prop_assert_eq!(snap.event_count(), 0);
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let par = pade_core::engine::run_qk_blocks_par_traced(
-                &config, &queries, &keys, scale, &tracer, track,
-            );
-            prop_assert_eq!(
-                par,
-                pade_core::engine::run_qk_blocks_par(&config, &queries, &keys, scale)
-            );
         }
     }
 }

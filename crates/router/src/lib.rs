@@ -12,26 +12,25 @@
 //!   loop) — each worker owns its own scheduler, engine slots and
 //!   [`KvCacheManager`](pade_cache::KvCacheManager), stepped in
 //!   simulated lockstep cycles,
-//! * [`route`](router::route) — one global clock: every arrival advances
+//! * [`route`] — one global clock: every arrival advances
 //!   the fleet to its cycle, then lands on a node chosen by
-//!   [`RoutePolicy`](policy::RoutePolicy) — **affinity** (returning
+//!   [`RoutePolicy`] — **affinity** (returning
 //!   sessions go home; new sessions follow their prompt's
 //!   [`prefix_shard_key`](pade_cache::prefix_shard_key) to the node that
 //!   first ingested that shard; cold requests take deterministic
 //!   least-loaded placement) against the **round-robin** and
 //!   **least-loaded** cache-blind baselines,
-//! * [`FleetTierConfig`](router::FleetTierConfig) /
-//!   [`DrainPlan`](router::DrainPlan) — the warm state itself moves:
+//! * [`FleetTierConfig`] / [`DrainPlan`] — the warm state itself moves:
 //!   hot shards replicate their content-addressed chunk records to a
 //!   second node (placement then balances across residents), and a
 //!   drained node's shards migrate to wherever its traffic re-homes,
 //!   with every transfer costed against the `pade-dist` interconnect
 //!   model (accounting only — outputs stay byte-identical),
-//! * [`RouterSummary`](metrics::RouterSummary) — per-node
+//! * [`RouterSummary`] — per-node
 //!   [`MetricsSummary`](pade_serve::metrics::MetricsSummary) digests
 //!   merged exactly: pooled latency percentiles, fleet cache hit rates,
 //!   per-node load imbalance,
-//! * [`verify_partial_merge`](merge::verify_partial_merge) — reuses
+//! * [`verify_partial_merge`] — reuses
 //!   `pade-dist`'s mergeable `(m, l, O)` online-softmax states to prove
 //!   the fleet's reduction step is bitwise-lossless: per query row, the
 //!   owning node's state merged against every other node's neutral

@@ -1,5 +1,6 @@
-//! Fleet-level metrics: per-node [`MetricsSummary`] digests merged into
-//! one [`RouterSummary`].
+//! Fleet-level metrics: per-node
+//! [`MetricsSummary`](pade_serve::metrics::MetricsSummary) digests merged
+//! into one [`RouterSummary`].
 //!
 //! Latency percentiles cannot be merged from per-node percentiles, so
 //! the merge pools the raw per-node [`LatencyStats`] samples (the

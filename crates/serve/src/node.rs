@@ -108,7 +108,7 @@ pub struct Node {
     /// id — the multi-node router assigns them).
     node_id: u32,
     /// Engine dispatch units handed out so far; each dispatched block
-    /// (plus the fused dispatcher) claims [`trace_track::DISPATCH_STRIDE`]
+    /// (plus the batch dispatcher) claims [`trace_track::DISPATCH_STRIDE`]
     /// consecutive track ids, so worker-thread emission lands on
     /// caller-assigned, index-keyed tracks.
     dispatch_units: u32,
@@ -498,61 +498,24 @@ impl Node {
         let batch_tokens: usize = jobs.iter().map(|j| j.queries.len()).sum();
         // Caller-assigned engine tracks, keyed by dispatch-unit index —
         // never by worker identity — so the recorded streams are
-        // deterministic at any `PADE_THREADS`. The fused path spends one
-        // extra unit on the dispatcher (prepass + fan-out spans).
+        // deterministic at any `PADE_THREADS`. One dispatch spends one
+        // unit on the dispatcher (prepass + fan-out spans) plus one per
+        // tile; every job holds at most `pe_rows` rows, so each job is
+        // exactly one tile and yields exactly one result.
         let dispatch_begin = self.now;
         let base_track = trace_track::id(
             trace_track::ENGINE,
             self.node_id,
             self.dispatch_units.wrapping_mul(trace_track::DISPATCH_STRIDE as u32),
         );
-        let results = if self.config.fused_dispatch {
-            // One fused multi-head dispatch per iteration: a shared query
-            // decomposition prepass and a single worker fan-out instead of
-            // one per block. Every job holds at most `pe_rows` rows, so
-            // each fused head yields exactly one block result.
-            let fused_job = pade_core::engine::QkFusedJob { heads: jobs.clone() };
-            let fused = if self.config.parallel_dispatch {
-                pade_core::engine::run_qk_fused_par_traced(
-                    &self.config.engine,
-                    &fused_job,
-                    &self.tracer,
-                    base_track,
-                )
-            } else {
-                pade_core::engine::run_qk_fused_traced(
-                    &self.config.engine,
-                    &fused_job,
-                    &self.tracer,
-                    base_track,
-                )
-            };
-            self.dispatch_units = self.dispatch_units.wrapping_add(1 + chosen.len() as u32);
-            fused
-                .into_iter()
-                .map(|mut head| {
-                    debug_assert_eq!(head.len(), 1);
-                    head.remove(0)
-                })
-                .collect()
-        } else {
-            self.dispatch_units = self.dispatch_units.wrapping_add(chosen.len() as u32);
-            if self.config.parallel_dispatch {
-                pade_core::engine::run_qk_batch_par_traced(
-                    &self.config.engine,
-                    &jobs,
-                    &self.tracer,
-                    base_track,
-                )
-            } else {
-                pade_core::engine::run_qk_batch_traced(
-                    &self.config.engine,
-                    &jobs,
-                    &self.tracer,
-                    base_track,
-                )
-            }
-        };
+        let results = pade_core::engine::run_qk_batch_traced(
+            &self.config.engine,
+            &jobs,
+            &self.tracer,
+            base_track,
+        );
+        debug_assert_eq!(results.len(), jobs.len(), "one tile per job");
+        self.dispatch_units = self.dispatch_units.wrapping_add(1 + results.len() as u32);
         drop(jobs);
 
         let slots = if self.mode == ScheduleMode::Solo { 1 } else { self.limits.engine_slots };
@@ -573,11 +536,7 @@ impl Node {
             // not the node track, where same-instant siblings would break
             // strict nesting. Clocked at the iteration's dispatch window.
             for (j, result) in results.iter().enumerate() {
-                let unit = if self.config.fused_dispatch {
-                    base_track + (1 + j as u64) * trace_track::DISPATCH_STRIDE
-                } else {
-                    base_track + j as u64 * trace_track::DISPATCH_STRIDE
-                };
+                let unit = base_track + (1 + j as u64) * trace_track::DISPATCH_STRIDE;
                 let (name, hop_name) = match self.active[chosen[j]].spec().kind {
                     RequestKind::Prefill { .. } => ("serve.prefill", hop::PREFILL),
                     RequestKind::Decode { .. } => ("serve.decode", hop::DECODE),

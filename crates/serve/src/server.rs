@@ -5,10 +5,12 @@
 //!
 //! 1. **admit** every request whose arrival time has passed (FCFS),
 //! 2. **form** a batch — at most one block per active session, capped by
-//!    slots and max-batch-tokens ([`form_batch`]),
-//! 3. **dispatch** the blocks through the engine
-//!    ([`run_qk_batch`]/[`run_qk_batch_par`]); the iteration advances the
-//!    clock by the *slowest* block in the batch (lockstep slots),
+//!    slots and max-batch-tokens
+//!    ([`form_batch`](crate::scheduler::form_batch)),
+//! 3. **dispatch** the blocks through the engine in one
+//!    [`run_qk_batch_traced`](pade_core::engine::run_qk_batch_traced)
+//!    call; the iteration advances the clock by the *slowest* block in
+//!    the batch (lockstep slots),
 //! 4. **retire** finished sessions, recording completion time and
 //!    latency.
 //!
@@ -46,18 +48,6 @@ pub struct ServeConfig {
     /// cache (storage granularity only — outputs are byte-identical for
     /// any positive value).
     pub kv_chunk_tokens: usize,
-    /// Dispatch batches across worker threads ([`run_qk_batch_par`])
-    /// instead of a sequential loop. Results are bit-identical either
-    /// way; this only changes host wall-clock.
-    pub parallel_dispatch: bool,
-    /// Fuse each iteration's blocks into one multi-head kernel dispatch
-    /// ([`run_qk_fused`](pade_core::engine::run_qk_fused)): one shared
-    /// query-decomposition prepass and — with
-    /// [`parallel_dispatch`](ServeConfig::parallel_dispatch) — one worker
-    /// fan-out per iteration instead of one per block. Results are
-    /// bit-identical with the flag on or off (property-tested); only host
-    /// wall-clock changes.
-    pub fused_dispatch: bool,
     /// Budget of the cross-request prefix cache, or `None` to disable
     /// it. Only prompt-carrying requests (shared-prefix / multi-turn
     /// workloads) consult the cache; outputs are byte-identical with the
@@ -111,7 +101,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// The standard serving device: 4 lockstep engine slots, a 64-token
-    /// iteration cap, threaded dispatch, an unbounded prefix cache.
+    /// iteration cap, an unbounded prefix cache.
     #[must_use]
     pub fn standard() -> Self {
         Self {
@@ -119,8 +109,6 @@ impl ServeConfig {
             engine_slots: 4,
             max_batch_tokens: 64,
             kv_chunk_tokens: 64,
-            parallel_dispatch: true,
-            fused_dispatch: true,
             prefix_cache: Some(CacheBudget::unlimited()),
             hit_aware: false,
             cache_file: None,
@@ -311,21 +299,6 @@ mod tests {
         // Batching overlaps blocks, so summed engine time exceeds the time
         // the device spends busy (makespan minus idle arrival gaps).
         assert!(report.metrics.engine_cycles > 0);
-    }
-
-    #[test]
-    fn sequential_and_threaded_dispatch_agree() {
-        let arrivals = arrivals();
-        let threaded = serve(&ServeConfig::standard(), &arrivals, ScheduleMode::Batched);
-        let sequential = serve(
-            &ServeConfig { parallel_dispatch: false, ..ServeConfig::standard() },
-            &arrivals,
-            ScheduleMode::Batched,
-        );
-        assert_eq!(threaded.completion_order(), sequential.completion_order());
-        for (a, b) in threaded.completions.iter().zip(&sequential.completions) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

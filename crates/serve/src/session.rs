@@ -16,8 +16,8 @@
 //! from-scratch oracle below.
 //!
 //! Blocks are the scheduling quantum: a prefill request of `R` rows
-//! yields `⌈R / pe_rows⌉` blocks (exactly the chunking of
-//! [`pade_core::engine::run_qk_blocks`]), a decode request of `T` steps
+//! yields `⌈R / pe_rows⌉` blocks (exactly the tiling of
+//! [`pade_core::engine::run_qk_batch`]), a decode request of `T` steps
 //! yields `T` single-row blocks. Because each block simulates its own
 //! HBM/SRAM instances — and because incremental appends decompose tokens
 //! exactly as [`BitPlaneMatrix::from_rows`] does — the session's outputs
@@ -96,13 +96,12 @@ impl Session {
     ///
     /// `prefill_chunk_tokens` caps the query rows per prefill block
     /// (chunked prefill): `None` chunks by PE-row height exactly as
-    /// [`run_qk_blocks`](pade_core::engine::run_qk_blocks), `Some(c)`
-    /// uses `c.clamp(1, pe_rows)` rows per block (the fused dispatcher
-    /// requires at most `pe_rows` rows per job). The slices are a
-    /// scheduling/timing quantum only: the guard-filter's prune/retain
-    /// decisions depend on the block-shared memory system, so a session
-    /// sliced off the native tile height re-runs its request through the
-    /// canonical `pe_rows` tiling once, at completion
+    /// [`run_qk_batch`] tiles a job, `Some(c)` uses `c.clamp(1, pe_rows)`
+    /// rows per block (so every dispatched job is exactly one tile). The
+    /// slices are a scheduling/timing quantum only: the guard-filter's
+    /// prune/retain decisions depend on the block-shared memory system,
+    /// so a session sliced off the native tile height re-runs its request
+    /// through the canonical `pe_rows` tiling once, at completion
     /// ([`absorb`](Self::absorb)) — per-request output bytes are
     /// therefore identical for every chunk size (property-tested in
     /// `tests/`).
@@ -127,7 +126,7 @@ impl Session {
         let seq_len = trace.keys().rows();
         let (rows_per_block, blocks_total) = match spec.kind {
             // Prefill chunks by PE-row height (or the configured chunk),
-            // exactly as run_qk_blocks when unset.
+            // exactly as run_qk_batch tiles a job when unset.
             RequestKind::Prefill { rows } => {
                 let chunk =
                     prefill_chunk_tokens.map_or(config.pe_rows, |c| c.clamp(1, config.pe_rows));
@@ -223,8 +222,7 @@ impl Session {
 
     /// Blocks already executed. Tracked by dispatch progress, not
     /// `results.len()`: a chunk-sliced prefill session's results collapse
-    /// to the canonical tiling at completion
-    /// ([`canonicalize_results`](Self::canonicalize_results)).
+    /// to the canonical `pe_rows` tiling at completion.
     #[must_use]
     pub fn blocks_done(&self) -> usize {
         self.next_block
@@ -345,12 +343,12 @@ impl Session {
 
     /// Replaces a chunk-sliced prefill session's per-slice results with
     /// the request run through the engine's **native** `pe_rows` tiling —
-    /// the grouping [`run_qk_blocks`](pade_core::engine::run_qk_blocks)
-    /// and the seed oracle use. The guard filter's prune/retain decisions
-    /// depend on the order key planes arrive through the block-shared
-    /// memory system, so slice-grouped blocks are a timing model only;
-    /// the session's *outputs* are always the canonical tiling's, which
-    /// is what makes `prefill_chunk_tokens` output-invariant. A no-op for
+    /// the grouping [`run_qk_batch`] and the seed oracle use. The guard
+    /// filter's prune/retain decisions depend on the order key planes
+    /// arrive through the block-shared memory system, so slice-grouped
+    /// blocks are a timing model only; the session's *outputs* are always
+    /// the canonical tiling's, which is what makes `prefill_chunk_tokens`
+    /// output-invariant. A no-op for
     /// decode sessions and for prefill at the native tile height (their
     /// dispatched blocks already are canonical).
     fn canonicalize_results(&mut self) {
@@ -365,17 +363,12 @@ impl Session {
             SessionKeys::Grown(cache) => KeySource::Cache(cache.snapshot()),
             SessionKeys::Detached => unreachable!("results are canonicalized before detach"),
         };
-        self.results = (0..total.div_ceil(pe_rows))
-            .map(|b| {
-                let rows = (b * pe_rows)..((b + 1) * pe_rows).min(total);
-                let job = QkBatchJob {
-                    queries: rows.map(|i| self.trace.queries().row(i)).collect(),
-                    keys: keys.clone(),
-                    logit_scale: self.trace.logit_scale(),
-                };
-                run_qk_batch(&self.config, &[job]).pop().expect("one job in, one result out")
-            })
-            .collect();
+        let job = QkBatchJob {
+            queries: (0..total).map(|i| self.trace.queries().row(i)).collect(),
+            keys,
+            logit_scale: self.trace.logit_scale(),
+        };
+        self.results = run_qk_batch(&self.config, &[job]);
     }
 
     /// Hands a finished cache-managed session's grown planes back to the
@@ -499,7 +492,6 @@ pub fn reference_outputs(spec: &RequestArrival, config: &PadeConfig) -> Vec<QkBl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pade_core::engine::run_qk_batch;
     use pade_quant::PlaneSource;
     use pade_workload::trace::{generate_arrivals, ArrivalConfig};
 

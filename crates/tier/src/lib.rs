@@ -1,5 +1,5 @@
 //! Tiered KV plane store — the second cache tier behind
-//! [`pade-cache`]'s budgeted resident tier.
+//! `pade-cache`'s budgeted resident tier.
 //!
 //! PR 5's `CacheBudget` eviction simply *drops* decomposed bit planes:
 //! under memory pressure a node re-decomposes work it already paid for,
