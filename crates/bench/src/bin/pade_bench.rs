@@ -8,7 +8,6 @@
 //! cargo run --release -p pade-bench --bin pade-bench -- --scenario decode-growth  # -> BENCH_3.json
 //! cargo run --release -p pade-bench --bin pade-bench -- --scenario prefix-cache  # -> BENCH_4.json
 //! cargo run --release -p pade-bench --bin pade-bench -- --scenario route  # -> BENCH_5.json
-//! cargo run --release -p pade-bench --bin pade-bench -- --scenario popcount  # -> BENCH_6.json
 //! cargo run --release -p pade-bench --features trace --bin pade-bench -- \
 //!     --scenario route --out BENCH_7.json --trace-out route_trace.json
 //! cargo run --release -p pade-bench --bin pade-bench -- --scenario preempt  # -> BENCH_8.json
@@ -32,11 +31,7 @@
 //! `BENCH_4.json`. The `route` scenario sweeps prefix-affinity vs
 //! round-robin vs least-loaded placement across 1/2/4/8 `pade-router`
 //! nodes (byte-identity against the single-node run and the seed oracle
-//! hard-checked) and writes `BENCH_5.json`. The `popcount` scenario times
-//! bit-plane QK scoring via weighted `popcount(q_plane & k_plane)`
-//! against the PR-1 `QRowLut` byte-LUT path on a single worker thread,
-//! plus the fused multi-head dispatch against a per-head loop (all
-//! byte-identity hard-checked), and writes `BENCH_6.json`. Under
+//! hard-checked) and writes `BENCH_5.json`. Under
 //! `--features trace` the `route` scenario also replays the workload
 //! with a `pade-trace` recorder attached (byte-checking that telemetry
 //! changes nothing), embeds the per-stage breakdown and tracing-overhead
@@ -61,7 +56,6 @@
 use std::path::PathBuf;
 
 use pade_bench::decode_growth::{run_growth_matrix, write_growth_json};
-use pade_bench::popcount::{run_popcount_matrix, write_popcount_json};
 use pade_bench::preempt::{run_preempt_matrix, write_preempt_json};
 use pade_bench::prefix_cache::{run_prefix_cache_matrix, write_prefix_cache_json};
 use pade_bench::route::{run_route_matrix, write_route_json};
@@ -97,7 +91,7 @@ fn main() {
                 scenario = args.next().unwrap_or_else(|| {
                     eprintln!(
                         "--scenario requires qk, serve, decode-growth, prefix-cache, route, \
-                         popcount, preempt, tier or soak"
+                         preempt, tier or soak"
                     );
                     std::process::exit(2);
                 });
@@ -106,7 +100,7 @@ fn main() {
                 println!(
                     "usage: pade-bench [--quick] \
                      [--scenario \
-                     qk|serve|decode-growth|prefix-cache|route|popcount|preempt|tier|soak] \
+                     qk|serve|decode-growth|prefix-cache|route|preempt|tier|soak] \
                      [--out FILE.json] [--trace-out TRACE.json (route scenario)]"
                 );
                 return;
@@ -129,14 +123,13 @@ fn main() {
         "decode-growth" => run_growth_scenario(quick, mode, out),
         "prefix-cache" => run_prefix_cache_scenario(quick, mode, out),
         "route" => run_route_scenario(quick, mode, out, trace_out),
-        "popcount" => run_popcount_scenario(quick, mode, out),
         "preempt" => run_preempt_scenario(quick, mode, out),
         "tier" => run_tier_scenario(quick, mode, out),
         "soak" => run_soak_scenario(quick, mode, out),
         other => {
             eprintln!(
                 "unknown scenario: {other} (expected qk, serve, decode-growth, prefix-cache, \
-                 route, popcount, preempt, tier or soak)"
+                 route, preempt, tier or soak)"
             );
             std::process::exit(2);
         }
@@ -291,48 +284,6 @@ fn run_growth_scenario(quick: bool, mode: &str, out: Option<PathBuf>) {
     };
     if let Some(path) = path {
         write_growth_json(&path, &results, mode).unwrap_or_else(|e| {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        println!("wrote {}", path.display());
-    }
-}
-
-fn run_popcount_scenario(quick: bool, mode: &str, out: Option<PathBuf>) {
-    println!("pade-bench popcount: weighted AND+popcount scoring vs QRowLut byte-LUT (1 thread)\n");
-    println!(
-        "{:<22} {:>12} {:>12} {:>12} {:>9} {:>8}",
-        "shape", "absorptions", "lut wall", "pop wall", "speedup", "planes"
-    );
-    let sweep = run_popcount_matrix(quick);
-    for r in &sweep.kernels {
-        println!(
-            "{:<22} {:>12} {:>11.4}s {:>11.4}s {:>8.2}x {:>8}",
-            r.spec.id(),
-            r.absorptions,
-            r.lut_wall_s,
-            r.popcount_wall_s,
-            r.speedup,
-            r.query_planes
-        );
-    }
-    let fr = &sweep.fused;
-    println!(
-        "\nfused dispatch ({} heads, s{}, h{}): per-head {:.4}s vs fused {:.4}s ({:.2}x)",
-        fr.heads, fr.seq_len, fr.head_dim, fr.per_head_wall_s, fr.fused_wall_s, fr.speedup
-    );
-    println!(
-        "all shapes bit-identical across both scoring paths, both dispatch variants and the \
-         seed oracle"
-    );
-
-    let path = match (&out, quick) {
-        (Some(p), _) => Some(p.clone()),
-        (None, false) => Some(PathBuf::from("BENCH_6.json")),
-        (None, true) => None,
-    };
-    if let Some(path) = path {
-        write_popcount_json(&path, &sweep, mode).unwrap_or_else(|e| {
             eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);
         });

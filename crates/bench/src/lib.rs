@@ -30,12 +30,7 @@
 //! `BENCH_4.json`. The [`route`] module adds the multi-node routing
 //! scenario (`pade-bench --scenario route`): prefix-affinity vs
 //! round-robin vs least-loaded placement across 1/2/4/8 `pade-router`
-//! nodes, recorded to `BENCH_5.json`. The [`popcount`] module adds the
-//! popcount-kernel scenario (`pade-bench --scenario popcount`): bit-plane
-//! QK scoring via weighted `popcount(q_plane & k_plane)` vs the PR-1
-//! `QRowLut` byte-LUT path on a single worker thread, plus the fused
-//! multi-head dispatch vs a per-head loop, recorded to `BENCH_6.json`.
-//! The [`preempt`] module adds the SLO-aware preemptive-scheduling
+//! nodes, recorded to `BENCH_5.json`. The [`preempt`] module adds the SLO-aware preemptive-scheduling
 //! scenario (`pade-bench --scenario preempt`): a background tenant
 //! flooding long prefills against a foreground decode tenant under a
 //! p99 SLO, non-preemptive FCFS vs chunked-prefill SLO-aware
@@ -55,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod decode_growth;
-pub mod popcount;
 pub mod preempt;
 pub mod prefix_cache;
 pub mod route;

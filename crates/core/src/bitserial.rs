@@ -6,7 +6,7 @@
 //! whichever bit value is *rarer*, bounding the number of selected lanes by
 //! 50 % of the vector width and with it the PE load imbalance.
 
-use pade_quant::{plane_weight, PlaneRow, TokenPlanes};
+use pade_quant::{plane_weight, PlaneRow};
 
 /// Which bit value was treated as "sparse" (selected for accumulation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,17 +100,17 @@ pub fn q_sum(q: &[i8]) -> i64 {
 /// 256 possible key-bit bytes, the partial sum `Σ_{bit set} q_j`. A
 /// plane's masked sum is then the sum of one lookup per byte of the
 /// packed plane — ~8× fewer adds than walking set bits, and free of
-/// data-dependent branches. Built once per query row (cost `⌈H/8⌉ × 256`
-/// adds) and shared read-only by every lane of that row, this is the
-/// plane-cache the parallel engine borrows per row worker.
+/// data-dependent branches. The engine builds one per distinct query row
+/// of a dispatch (cost `⌈H/8⌉ × 256` adds) and shares it read-only with
+/// every lane, head and layer scoring that row.
 ///
 /// Integer addition is associative, so the lookup-based sum is *equal*
 /// (not just close) to [`PlaneRow::masked_sum`]; the property tests below
 /// pin this down.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QRowLut {
-    /// `chunks × 256` partial sums, chunk-major.
-    sums: Vec<i32>,
+    /// One 256-entry table per 8-dimension chunk, in chunk order.
+    tables: Vec<[i32; 256]>,
     len: usize,
 }
 
@@ -118,18 +118,20 @@ impl QRowLut {
     /// Builds the tables for one query row.
     #[must_use]
     pub fn new(q: &[i8]) -> Self {
-        let chunks = q.len().div_ceil(8);
-        let mut sums = vec![0i32; chunks * 256];
-        for (c, chunk) in q.chunks(8).enumerate() {
-            let table = &mut sums[c * 256..(c + 1) * 256];
-            for mask in 1usize..256 {
-                let low_bit = mask.trailing_zeros() as usize;
-                let rest = mask & (mask - 1);
-                let q_val = if low_bit < chunk.len() { i32::from(chunk[low_bit]) } else { 0 };
-                table[mask] = table[rest] + q_val;
-            }
-        }
-        Self { sums, len: q.len() }
+        let tables = q
+            .chunks(8)
+            .map(|chunk| {
+                let mut table = [0i32; 256];
+                for mask in 1usize..256 {
+                    let low_bit = mask.trailing_zeros() as usize;
+                    let rest = mask & (mask - 1);
+                    let q_val = chunk.get(low_bit).map_or(0, |&v| i32::from(v));
+                    table[mask] = table[rest] + q_val;
+                }
+                table
+            })
+            .collect();
+        Self { tables, len: q.len() }
     }
 
     /// Query width the tables were built for.
@@ -153,114 +155,12 @@ impl QRowLut {
     pub fn masked_sum(&self, plane: &PlaneRow) -> i32 {
         assert_eq!(plane.len(), self.len, "query length must match plane length");
         let mut acc = 0i32;
-        for (w, tables) in plane.words().iter().zip(self.sums.chunks(8 * 256)) {
-            let mut word = *w;
-            for table in tables.chunks_exact(256) {
-                acc += table[(word & 0xFF) as usize];
-                word >>= 8;
+        for (&word, tables) in plane.words().iter().zip(self.tables.chunks(8)) {
+            for (byte, table) in word.to_le_bytes().into_iter().zip(tables) {
+                acc += table[usize::from(byte)];
             }
         }
         acc
-    }
-}
-
-/// The query row itself decomposed into signed bit planes packed as `u64`
-/// words, so a bit-plane dot product collapses to weighted
-/// `popcount(q_plane & k_plane)` per plane.
-///
-/// Writing the query in `w`-bit two's complement,
-/// `q_i = Σ_r plane_weight(r, w) · q_i^r`, and substituting into the masked
-/// sum gives
-/// `Σ_{k_j=1} q_j = Σ_r plane_weight(r, w) · |{j : q_j^r = 1 ∧ k_j = 1}|`
-/// — each inner term one AND+`count_ones` sweep over the packed words.
-/// Integer addition is associative, so this equals [`PlaneRow::masked_sum`]
-/// and [`QRowLut::masked_sum`] *exactly*, not approximately.
-///
-/// The decomposition width is trimmed to the smallest `w ∈ 2..=8` that
-/// holds every query value, so a small-magnitude row costs proportionally
-/// fewer AND+popcount sweeps. Built once per query row and shared
-/// read-only by every lane (and, in the fused dispatch, every head) that
-/// scores with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QRowPlanes {
-    planes: Vec<PlaneRow>,
-    weights: Vec<i64>,
-    len: usize,
-}
-
-impl QRowPlanes {
-    /// Decomposes one query row at the minimal width holding all values.
-    #[must_use]
-    pub fn new(q: &[i8]) -> Self {
-        let mut width = 2u32;
-        for &v in q {
-            let mut w = 2u32;
-            while i32::from(v) < -(1i32 << (w - 1)) || i32::from(v) > (1i32 << (w - 1)) - 1 {
-                w += 1;
-            }
-            width = width.max(w);
-        }
-        let token = TokenPlanes::from_values(q, width);
-        let planes: Vec<PlaneRow> = (0..width).map(|r| token.plane(r).clone()).collect();
-        let weights = (0..width).map(|r| i64::from(plane_weight(r, width))).collect();
-        Self { planes, weights, len: q.len() }
-    }
-
-    /// Query width the planes were built for.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` for a zero-width query row.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of query bit planes (the trimmed decomposition width).
-    #[must_use]
-    pub fn planes(&self) -> usize {
-        self.planes.len()
-    }
-
-    /// `Σ_{bit_i=1} q_i` over a packed key plane, as weighted AND+popcounts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane's width differs from the query row's.
-    #[must_use]
-    pub fn masked_sum(&self, plane: &PlaneRow) -> i64 {
-        assert_eq!(plane.len(), self.len, "query length must match plane length");
-        self.weights
-            .iter()
-            .zip(&self.planes)
-            .map(|(&w, qp)| w * i64::from(qp.and_popcount(plane)))
-            .sum()
-    }
-}
-
-/// Popcount variant of [`plane_contribution`]: same integer sums, same mode
-/// selection, but the accumulation is weighted `popcount(q_plane & k_plane)`
-/// via [`QRowPlanes::masked_sum`]. This is the engine's hot loop;
-/// [`plane_contribution`] stays as the oracle and [`plane_contribution_lut`]
-/// as the PR-1 byte-LUT path both are differential-tested against.
-#[must_use]
-pub fn plane_contribution_planes(
-    qp: &QRowPlanes,
-    plane: &PlaneRow,
-    r: u32,
-    bits: u32,
-    bidirectional: bool,
-) -> PlaneContribution {
-    let w = i64::from(plane_weight(r, bits));
-    let ones = plane.count_ones();
-    let zeros = plane.count_zeros();
-    let value = w * qp.masked_sum(plane);
-    if bidirectional && zeros < ones {
-        PlaneContribution { value, selected: zeros, mode: BsMode::Zeros }
-    } else {
-        PlaneContribution { value, selected: ones, mode: BsMode::Ones }
     }
 }
 
@@ -268,6 +168,12 @@ pub fn plane_contribution_planes(
 /// (same integer sums, same mode selection), but the accumulation runs
 /// through [`QRowLut::masked_sum`] instead of a per-bit scan. The engine's
 /// hot loop uses this; [`plane_contribution`] stays as the oracle.
+///
+/// A weighted `popcount(q_plane & k_plane)` kernel lost to it on every
+/// repository workload: the default x86-64 target has no hardware
+/// `popcnt`, so one byte lookup beats one software popcount per query
+/// plane, and a single decode row never amortizes the query's bit
+/// decomposition.
 ///
 /// # Panics
 ///
@@ -294,6 +200,7 @@ pub fn plane_contribution_lut(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pade_quant::TokenPlanes;
     use proptest::prelude::*;
 
     #[test]
@@ -342,27 +249,6 @@ mod tests {
         fn prop_lut_contribution_matches_oracle(
             q in proptest::collection::vec(any::<i8>(), 1..150),
             seed in any::<u64>(),
-            r in 0u32..8,
-            bidirectional in any::<bool>(),
-        ) {
-            let k: Vec<i8> = q.iter().enumerate()
-                .map(|(i, _)| {
-                    let h = seed.wrapping_add((i as u64).wrapping_mul(0xD6E8FEB86659FD93));
-                    (h >> 17) as u8 as i8
-                })
-                .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
-            let lut = QRowLut::new(&q);
-            let qs = q_sum(&q);
-            let oracle = plane_contribution(&q, planes.plane(r), r, 8, qs, bidirectional);
-            let fast = plane_contribution_lut(&lut, planes.plane(r), r, 8, bidirectional);
-            prop_assert_eq!(oracle, fast);
-        }
-
-        #[test]
-        fn prop_popcount_contribution_matches_oracle_and_lut(
-            q in proptest::collection::vec(any::<i8>(), 1..150),
-            seed in any::<u64>(),
             r_seed in any::<u64>(),
             kbits_idx in 0usize..4,
             bidirectional in any::<bool>(),
@@ -380,21 +266,14 @@ mod tests {
                 .collect();
             let planes = TokenPlanes::from_values(&k, kbits);
             let lut = QRowLut::new(&q);
-            let qp = QRowPlanes::new(&q);
             let qs = q_sum(&q);
             let oracle = plane_contribution(&q, planes.plane(r), r, kbits, qs, bidirectional);
-            let via_lut = plane_contribution_lut(&lut, planes.plane(r), r, kbits, bidirectional);
-            let via_pop = plane_contribution_planes(&qp, planes.plane(r), r, kbits, bidirectional);
-            prop_assert_eq!(oracle, via_pop);
-            prop_assert_eq!(via_lut, via_pop);
-            prop_assert_eq!(
-                qp.masked_sum(planes.plane(r)),
-                i64::from(planes.plane(r).masked_sum(&q))
-            );
+            let fast = plane_contribution_lut(&lut, planes.plane(r), r, kbits, bidirectional);
+            prop_assert_eq!(oracle, fast);
         }
 
         #[test]
-        fn prop_popcount_masked_sum_at_word_boundaries(
+        fn prop_lut_masked_sum_at_word_boundaries(
             base in 0usize..3,
             tail_idx in 0usize..3,
             seed in any::<u64>(),
@@ -408,25 +287,11 @@ mod tests {
                 .map(|i| (seed.wrapping_mul(i as u64 + 29) >> 31) as u8 as i8)
                 .collect();
             let planes = TokenPlanes::from_values(&k, 8);
-            let qp = QRowPlanes::new(&q);
             let lut = QRowLut::new(&q);
             for r in 0..8u32 {
                 let plane = planes.plane(r);
-                prop_assert_eq!(qp.masked_sum(plane), i64::from(plane.masked_sum(&q)));
-                prop_assert_eq!(qp.masked_sum(plane), i64::from(lut.masked_sum(plane)));
+                prop_assert_eq!(lut.masked_sum(plane), plane.masked_sum(&q));
             }
-        }
-
-        #[test]
-        fn prop_qrow_planes_width_is_trimmed(
-            q in proptest::collection::vec(-8i8..=7, 1..80),
-        ) {
-            // Values fitting 4-bit two's complement must never cost more
-            // than 4 planes.
-            let qp = QRowPlanes::new(&q);
-            prop_assert!(qp.planes() <= 4, "trimmed width {} for 4-bit data", qp.planes());
-            let planes = TokenPlanes::from_values(&vec![1i8; q.len()], 2);
-            prop_assert_eq!(qp.masked_sum(planes.plane(1)), q_sum(&q));
         }
 
         #[test]

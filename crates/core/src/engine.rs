@@ -23,12 +23,15 @@ use pade_quant::{BitPlaneMatrix, KeyCacheSnapshot, PlaneSource};
 use pade_sim::{Cycle, EventQueue, OpCounts, TrafficCounts, UtilizationCounter};
 use pade_trace::{track as trace_track, Tracer};
 
-use crate::bitserial::{plane_contribution, plane_contribution_planes, q_sum, BsMode, QRowPlanes};
+use crate::bitserial::{plane_contribution, plane_contribution_lut, q_sum, BsMode, QRowLut};
 use crate::bui::Bui;
 use crate::config::PadeConfig;
 use crate::filter::{Decision, GuardFilter};
 use crate::gsat::{Gsat, PlaneAbsorb};
 use crate::scoreboard::Scoreboard;
+
+mod wheel;
+use wheel::EventWheel;
 
 /// Result of one QK block (up to `pe_rows` query rows over all keys).
 #[derive(Debug, Clone, PartialEq)]
@@ -90,13 +93,22 @@ enum PlaneState {
 /// `queries[r]` is the r-th query row (all rows share the key tensor);
 /// `logit_scale` maps integer scores to logits for the guard margin.
 ///
-/// This is the allocation-lean hot path: the shared K-buffer state lives
-/// in a flat `Vec` indexed by `(token, plane)` instead of a hash map, each
-/// query row is decomposed once into [`QRowPlanes`] so every plane
-/// absorption is weighted `popcount(q_plane & k_plane)` borrowed read-only
-/// by all of the row's lanes, and per-plane GSAT bookkeeping runs through
-/// the single-sweep [`Gsat::absorb_stats`], memoized per `(token, plane)`
-/// across the block's query rows (the stats are query-independent).
+/// This is the allocation-lean hot path, working on whole words where the
+/// oracle works on bits and hash maps:
+///
+/// - the shared K-buffer state lives in a flat `Vec` indexed by
+///   `(token, plane)`;
+/// - each query row gets one byte-lookup [`QRowLut`], so every plane
+///   absorption is `⌈H/8⌉` table reads shared read-only by the row's lanes;
+/// - per-plane GSAT bookkeeping is the single-sweep [`Gsat::absorb_stats`]
+///   (one SWAR byte-popcount per word at the Table III shape), memoized per
+///   `(token, plane)` across the block's query rows (the stats are
+///   query-independent);
+/// - each scoreboard fold is one [`Scoreboard::accumulate`] scan;
+/// - plane arrivals go through an engine-local event wheel (per-cycle
+///   buckets) in place of [`EventQueue`]'s binary heap, delivering in the
+///   same `(time, insertion)` order.
+///
 /// Results are bit-identical to [`run_qk_block_reference`]
 /// (property-tested below): the restructuring only changes *how* the same
 /// integers are computed, and the storage behind `keys` never reaches the
@@ -117,8 +129,8 @@ pub fn run_qk_block<K: PlaneSource + ?Sized>(
     keys: &K,
     logit_scale: f32,
 ) -> QkBlockResult {
-    let qplanes: Vec<QRowPlanes> = queries.iter().map(|q| QRowPlanes::new(q)).collect();
-    let borrowed: Vec<&QRowPlanes> = qplanes.iter().collect();
+    let luts: Vec<QRowLut> = queries.iter().map(|q| QRowLut::new(q)).collect();
+    let borrowed: Vec<&QRowLut> = luts.iter().collect();
     let tracer = Tracer::disabled();
     run_qk_block_prepared(
         config,
@@ -139,24 +151,23 @@ struct BlockTrace<'a> {
     track: u64,
 }
 
-/// [`run_qk_block`] with the per-row query decompositions already built —
-/// the one code path that scores a tile. [`run_qk_batch_traced`] uses it
-/// to share one decomposition across every job (head, layer) scoring the
-/// same query rows; `qplanes[r]` must be the decomposition of
-/// `queries[r]`. An active tracer records the block span, its per-stage
-/// subtracks and the kernel counters (plane-AND words, popcounts, GSAT
-/// sweeps, bytes touched) onto
+/// [`run_qk_block`] with the per-row lookup tables already built — the one
+/// code path that scores a tile. [`run_qk_batch_traced`] uses it to share
+/// one table across every job (head, layer) scoring the same query rows;
+/// `luts[r]` must be built from `queries[r]`. An active tracer records the
+/// block span, its per-stage subtracks and the kernel counters (plane
+/// absorptions, GSAT sweeps, bytes touched) onto
 /// [`DISPATCH_STRIDE`](pade_trace::track::DISPATCH_STRIDE) consecutive
 /// tracks starting at `trace.track`.
 ///
 /// # Panics
 ///
-/// As [`run_qk_block`]; additionally if `qplanes.len() != queries.len()`
-/// or any decomposition's width differs from its query row's.
+/// As [`run_qk_block`]; additionally if `luts.len() != queries.len()` or
+/// any table's width differs from its query row's.
 fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     config: &PadeConfig,
     queries: &[&[i8]],
-    qplanes: &[&QRowPlanes],
+    luts: &[&QRowLut],
     keys: &K,
     logit_scale: f32,
     trace: BlockTrace<'_>,
@@ -167,14 +178,13 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let tr_active = trace.tracer.is_active();
     let wall_start = tr_active.then(std::time::Instant::now);
     let mut tr_popcounts = 0u64;
-    let mut tr_and_words = 0u64;
     let mut tr_absorb_cycles = 0u64;
     let mut tr_gsat_sweeps = 0u64;
     let mut tr_gsat_cycles = 0u64;
     let mut tr_memo_hits = 0u64;
-    assert_eq!(qplanes.len(), queries.len(), "one decomposition per query row");
-    for (q, qp) in queries.iter().zip(qplanes) {
-        assert_eq!(qp.len(), q.len(), "decomposition width must match its query row");
+    assert_eq!(luts.len(), queries.len(), "one lookup table per query row");
+    for (q, lut) in queries.iter().zip(luts) {
+        assert_eq!(lut.len(), q.len(), "lookup table width must match its query row");
     }
     assert!(!queries.is_empty(), "at least one query row required");
     assert!(queries.len() <= config.pe_rows, "more query rows than PE rows");
@@ -190,7 +200,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let mut hbm = HbmModel::new(config.hbm);
     let mut k_sram = SramBuffer::new("kv", config.kv_buffer_kb as u64 * 1024);
     let mut q_sram = SramBuffer::new("q", config.q_buffer_kb as u64 * 1024);
-    let mut events: EventQueue<(usize, Job)> = EventQueue::new();
+    let mut events: EventWheel<(usize, Job)> = EventWheel::new();
     let mut ops = OpCounts::default();
     // Flat shared K-buffer state: slot `token_key·bits + plane_key` (the
     // layout-dependent cache key always satisfies `token_key < n_keys`).
@@ -198,7 +208,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let mut planes_fetched = 0u64;
 
     // Per-row pruning state; every lane of a row borrows the row's
-    // read-only `qplanes` decomposition.
+    // read-only lookup table.
     let mut filters: Vec<GuardFilter> = queries
         .iter()
         .map(|_| {
@@ -327,8 +337,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
             if let Some(job) = lane.ready.pop_front() {
                 let plane = keys.token(job.token).plane(job.plane);
                 k_sram.read(plane_sram_bytes);
-                let contrib =
-                    plane_contribution_planes(qplanes[lane.row], plane, job.plane, bits, false);
+                let contrib = plane_contribution_lut(luts[lane.row], plane, job.plane, bits, false);
                 let memo_slot = job.token * bits_us + job.plane as usize;
                 let stats = match gsat_memo[memo_slot] {
                     Some(s) => {
@@ -351,7 +360,6 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                 let balanced = stats.balanced;
                 if tr_active {
                     tr_popcounts += 1;
-                    tr_and_words += plane.words().len() as u64;
                     tr_absorb_cycles += balanced;
                 }
                 lane.util.busy(balanced);
@@ -361,19 +369,10 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                 ops.shift_add += 1; // plane-weight application
 
                 // Fold into the scoreboard and decide.
-                let partial = match lane.sb.lookup(job.token) {
-                    Some(e) => {
-                        let p = e.partial + contrib.value;
-                        lane.sb.update(job.token, job.plane + 1, p);
-                        p
-                    }
-                    None => {
-                        lane.sb
-                            .insert(job.token, job.plane + 1, contrib.value)
-                            .expect("window bounds in-flight keys to scoreboard capacity");
-                        contrib.value
-                    }
-                };
+                let partial = lane
+                    .sb
+                    .accumulate(job.token, job.plane + 1, contrib.value)
+                    .expect("window bounds in-flight keys to scoreboard capacity");
                 let f = &mut filters[lane.row];
                 let bui = &buis[lane.row];
                 f.observe_lower_bound(bui.lower_bound(partial, job.plane));
@@ -463,10 +462,9 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         let t = trace.tracer;
         let tk = trace.track;
         t.span_at(tk, "engine.qk_block", Cycle::ZERO, horizon, t0.elapsed().as_nanos() as u64);
-        t.span_at(tk + 1, "engine.plane_and_popcount", Cycle::ZERO, Cycle(tr_absorb_cycles), 0);
+        t.span_at(tk + 1, "engine.plane_score", Cycle::ZERO, Cycle(tr_absorb_cycles), 0);
         t.span_at(tk + 2, "engine.gsat_absorb", Cycle::ZERO, Cycle(tr_gsat_cycles), 0);
         t.count(tk, "engine.popcounts", horizon, tr_popcounts);
-        t.count(tk, "engine.plane_and_words", horizon, tr_and_words);
         t.count(tk, "engine.gsat_sweeps", horizon, tr_gsat_sweeps);
         t.count(tk, "engine.gsat_memo_hits", horizon, tr_memo_hits);
         t.count(tk, "engine.planes_fetched", horizon, planes_fetched);
@@ -612,15 +610,15 @@ pub fn run_qk_batch(config: &PadeConfig, jobs: &[QkBatchJob<'_>]) -> Vec<QkBlock
 }
 
 /// One tile of a batch dispatch: its job, its query rows and per-row
-/// indices into the dispatch's shared [`QRowPlanes`] pool.
+/// indices into the dispatch's shared [`QRowLut`] pool.
 type Tile<'j, 'q> = (&'j QkBatchJob<'q>, &'j [&'q [i8]], Vec<usize>);
 
 /// [`run_qk_batch`] with telemetry — the engine's one batch dispatch:
 ///
-/// 1. a prepass decomposes every distinct query row **once** (rows are
-///    deduplicated by slice identity, so jobs sharing a row — the
-///    multi-head, multi-layer and grouped-query cases — share one
-///    [`QRowPlanes`]);
+/// 1. a prepass builds the lookup table of every distinct query row
+///    **once** (rows are deduplicated by slice identity, so jobs sharing a
+///    row — the multi-head, multi-layer and grouped-query cases — share one
+///    [`QRowLut`]);
 /// 2. every tile of every job fans out in **one** `pade-par` round-trip
 ///    when the `parallel` feature is built (`PADE_THREADS` sets the worker
 ///    count, and one worker runs inline), or in a plain loop when it is
@@ -646,20 +644,20 @@ pub fn run_qk_batch_traced(
 ) -> Vec<QkBlockResult> {
     let prep_wall = tracer.is_active().then(std::time::Instant::now);
     let mut dedup: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut qplanes: Vec<QRowPlanes> = Vec::new();
+    let mut luts: Vec<QRowLut> = Vec::new();
     let mut tiles: Vec<Tile<'_, '_>> = Vec::new();
     for job in jobs {
         for rows in job.queries.chunks(config.pe_rows) {
-            let plane_ids = rows
+            let lut_ids = rows
                 .iter()
                 .map(|q| {
                     *dedup.entry((q.as_ptr() as usize, q.len())).or_insert_with(|| {
-                        qplanes.push(QRowPlanes::new(q));
-                        qplanes.len() - 1
+                        luts.push(QRowLut::new(q));
+                        luts.len() - 1
                     })
                 })
                 .collect();
-            tiles.push((job, rows, plane_ids));
+            tiles.push((job, rows, lut_ids));
         }
     }
     if let Some(t0) = prep_wall {
@@ -673,8 +671,8 @@ pub fn run_qk_batch_traced(
     }
     let fan_wall = tracer.is_active().then(std::time::Instant::now);
     let score = |u: usize| {
-        let (job, rows, plane_ids) = &tiles[u];
-        let borrowed: Vec<&QRowPlanes> = plane_ids.iter().map(|&i| &qplanes[i]).collect();
+        let (job, rows, lut_ids) = &tiles[u];
+        let borrowed: Vec<&QRowLut> = lut_ids.iter().map(|&i| &luts[i]).collect();
         let track = base_track + (1 + u as u64) * trace_track::DISPATCH_STRIDE;
         run_qk_block_prepared(
             config,

@@ -189,6 +189,9 @@ impl Gsat {
     /// identical to the naive methods — property-tested in this module.
     #[must_use]
     pub fn absorb_stats(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
+        if self.subgroup == 8 && self.width.is_multiple_of(64) && plane.len().is_multiple_of(8) {
+            return self.absorb_stats_bytes(plane, enable_bs);
+        }
         let muxes = self.muxes_per_subgroup() as u32;
         let groups = self.width / self.subgroup;
         let passes = self.passes(plane.len());
@@ -214,6 +217,48 @@ impl Gsat {
         // `balanced_cycles(plane, BsMode::Ones)` — always the one-sided
         // count, matching the engine's imbalance accounting.
         let balanced = u64::from(ones_total).div_ceil(total_muxes).max(passes as u64);
+        PlaneAbsorb { cycles, selected, balanced: balanced.min(cycles) }
+    }
+
+    /// [`Gsat::absorb_stats`] for the Table III shape — byte-wide
+    /// sub-groups, passes of whole words, a plane of whole sub-groups — one
+    /// SWAR byte-popcount per word instead of one masked popcount per
+    /// sub-group. Each byte of the popcount is one sub-group's ones count
+    /// (0..=8); sub-groups past the plane's end are zero bytes or missing
+    /// words, which select nothing either way.
+    fn absorb_stats_bytes(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
+        const LSB: u64 = 0x0101_0101_0101_0101;
+        const MSB: u64 = 0x8080_8080_8080_8080;
+        let passes = self.passes(plane.len()) as u64;
+        // Every pass costs at least one cycle; four muxes per sub-group
+        // absorb up to four selections, so a pass takes a second cycle only
+        // when some sub-group selects five or more.
+        let mut cycles = passes;
+        let mut selected = 0u32;
+        let mut ones_total = 0u32;
+        for pass in plane.words().chunks(self.width / 64) {
+            let mut second_cycle = false;
+            for &word in pass {
+                let pairs = word - ((word >> 1) & (0x55 * LSB));
+                let nibbles = (pairs & (0x33 * LSB)) + ((pairs >> 2) & (0x33 * LSB));
+                let ones = (nibbles + (nibbles >> 4)) & (0x0F * LSB);
+                ones_total += (ones.wrapping_mul(LSB) >> 56) as u32;
+                let sel = if enable_bs {
+                    // Per-byte min(ones, 8 - ones): the high bit of
+                    // `(zeros | 0x80) - ones` is set where zeros >= ones.
+                    let zeros = 8 * LSB - ones;
+                    let keep_ones = ((((zeros | MSB) - ones) & MSB) >> 7) * 0xFF;
+                    (ones & keep_ones) | (zeros & !keep_ones)
+                } else {
+                    ones
+                };
+                selected += (sel.wrapping_mul(LSB) >> 56) as u32;
+                second_cycle |= (sel + 0x7B * LSB) & MSB != 0;
+            }
+            cycles += u64::from(second_cycle);
+        }
+        let total_muxes = (self.muxes_per_subgroup() * (self.width / self.subgroup)) as u64;
+        let balanced = u64::from(ones_total).div_ceil(total_muxes).max(passes);
         PlaneAbsorb { cycles, selected, balanced: balanced.min(cycles) }
     }
 }
@@ -326,31 +371,40 @@ mod tests {
     #[test]
     fn absorb_stats_matches_naive_methods() {
         use proptest::prelude::*;
-        // Deterministic sweep over widths, fills and BS modes rather than a
-        // hand-picked case: absorb_stats is the engine's hot path and must
-        // agree with the per-bit oracles everywhere.
-        let g = Gsat::default();
+        // Deterministic sweep over GSAT shapes, plane widths, fills and BS
+        // modes rather than a hand-picked case: absorb_stats is the
+        // engine's hot path and must agree with the per-bit oracles
+        // everywhere. Widths 64/128 with sub-group 8 and a length that is a
+        // multiple of 8 take the SWAR byte path; every other combination
+        // takes the per-sub-group loop.
         let mut rng = TestRng::for_case("gsat::absorb", 0);
-        for len in [1usize, 3, 8, 16, 63, 64, 65, 127, 128, 200] {
-            for _ in 0..20 {
-                let bits: Vec<bool> = (0..len).map(|_| (0u32..2).sample(&mut rng) == 1).collect();
-                let p = plane(&bits);
-                let bs = g.absorb_stats(&p, true);
-                assert_eq!(bs.cycles, g.bs_plane_cycles(&p), "len {len}");
-                assert_eq!(bs.selected, g.bs_selected_total(&p), "len {len}");
-                assert_eq!(
-                    bs.balanced,
-                    g.balanced_cycles(&p, BsMode::Ones).min(bs.cycles),
-                    "len {len}"
-                );
-                let ones = g.absorb_stats(&p, false);
-                assert_eq!(ones.cycles, g.plane_cycles(&p, BsMode::Ones), "len {len}");
-                assert_eq!(ones.selected, p.count_ones(), "len {len}");
-                assert_eq!(
-                    ones.balanced,
-                    g.balanced_cycles(&p, BsMode::Ones).min(ones.cycles),
-                    "len {len}"
-                );
+        for (width, subgroup) in [(64, 4), (64, 8), (64, 16), (128, 4), (128, 8), (128, 16)] {
+            let g = Gsat::new(width, subgroup);
+            for len in [1usize, 3, 8, 16, 40, 63, 64, 65, 72, 127, 128, 136, 200, 256] {
+                for density in [1u32, 2, 7] {
+                    for _ in 0..8 {
+                        let bits: Vec<bool> =
+                            (0..len).map(|_| (0u32..8).sample(&mut rng) < density).collect();
+                        let p = plane(&bits);
+                        let case = format!("width {width} subgroup {subgroup} len {len}");
+                        let bs = g.absorb_stats(&p, true);
+                        assert_eq!(bs.cycles, g.bs_plane_cycles(&p), "{case}");
+                        assert_eq!(bs.selected, g.bs_selected_total(&p), "{case}");
+                        assert_eq!(
+                            bs.balanced,
+                            g.balanced_cycles(&p, BsMode::Ones).min(bs.cycles),
+                            "{case}"
+                        );
+                        let ones = g.absorb_stats(&p, false);
+                        assert_eq!(ones.cycles, g.plane_cycles(&p, BsMode::Ones), "{case}");
+                        assert_eq!(ones.selected, p.count_ones(), "{case}");
+                        assert_eq!(
+                            ones.balanced,
+                            g.balanced_cycles(&p, BsMode::Ones).min(ones.cycles),
+                            "{case}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -113,6 +113,11 @@ struct Channel {
 #[derive(Debug, Clone)]
 pub struct HbmModel {
     config: HbmConfig,
+    /// `config.t_rc()`, `config.t_cl()` and the bus time of one burst,
+    /// converted from nanoseconds once instead of on every access.
+    t_rc: Cycle,
+    t_cl: Cycle,
+    burst_transfer: Cycle,
     channels: Vec<Channel>,
     traffic: TrafficCounts,
     row_hits: u64,
@@ -132,6 +137,9 @@ impl HbmModel {
             .collect();
         Self {
             config,
+            t_rc: config.t_rc(),
+            t_cl: config.t_cl(),
+            burst_transfer: config.transfer_cycles(config.burst_bytes),
             channels,
             traffic: TrafficCounts::default(),
             row_hits: 0,
@@ -154,9 +162,12 @@ impl HbmModel {
     /// Panics if `loc` is outside the configured geometry.
     pub fn access(&mut self, loc: PhysLoc, bytes: u64, now: Cycle) -> AccessResult {
         assert!(loc.channel < self.config.channels, "channel {} out of range", loc.channel);
-        let t_rc = self.config.t_rc();
-        let t_cl = self.config.t_cl();
-        let transfer = self.config.transfer_cycles(bytes);
+        let (t_rc, t_cl) = (self.t_rc, self.t_cl);
+        let transfer = if bytes <= self.config.burst_bytes {
+            self.burst_transfer
+        } else {
+            self.config.transfer_cycles(bytes)
+        };
         let ch = &mut self.channels[loc.channel];
         assert!(loc.bank < ch.banks.len(), "bank {} out of range", loc.bank);
         let bank = &mut ch.banks[loc.bank];
@@ -235,14 +246,10 @@ impl HbmModel {
         let row_hit_fraction = row_hit_fraction.clamp(0.0, 1.0);
         let per_channel = bytes as f64 / self.config.channels as f64;
         let transfer = per_channel / self.config.bytes_per_cycle_per_channel();
-        let rows = per_channel / self.config.row_bytes as f64;
-        let activations = rows * (1.0 - row_hit_fraction) * self.config.row_bytes as f64
-            / self.config.burst_bytes as f64;
         // Misses that cannot be pipelined behind transfers add tRC each.
         let activate_cost = (per_channel / self.config.row_bytes as f64)
             * (1.0 - row_hit_fraction)
-            * self.config.t_rc().0 as f64;
-        let _ = activations;
+            * self.t_rc.0 as f64;
         Cycle((transfer + activate_cost).ceil() as u64)
     }
 }
@@ -332,6 +339,29 @@ mod tests {
         let u = hbm.bandwidth_utilization(Cycle(200));
         assert!(u > 0.0 && u <= 1.0);
         assert_eq!(hbm.bandwidth_utilization(Cycle::ZERO), 0.0);
+    }
+
+    #[test]
+    fn access_timing_uses_the_configured_constants() {
+        // A lone miss completes after tRC plus the burst-quantized bus
+        // time; a hit on the now-open row after tCL plus the same. The
+        // cached per-model constants must equal the config's conversions.
+        let odd =
+            HbmConfig { t_rc_ns: 33.3, t_cl_ns: 7.1, channel_gbps: 7.0, ..Default::default() };
+        for (config, bytes) in [HbmConfig::default(), odd]
+            .into_iter()
+            .flat_map(|c| [0u64, 1, 32, 33, 256].map(|b| (c, b)))
+        {
+            let mut hbm = HbmModel::new(config);
+            let transfer = config.transfer_cycles(bytes);
+            let miss = hbm.access(loc(3, 2, 7), bytes, Cycle(100));
+            assert!(!miss.row_hit);
+            assert_eq!(miss.complete, Cycle(100) + config.t_rc() + transfer, "miss, {bytes} B");
+            let issue = miss.complete + Cycle(1000);
+            let hit = hbm.access(loc(3, 2, 7), bytes, issue);
+            assert!(hit.row_hit);
+            assert_eq!(hit.complete, issue + config.t_cl() + transfer, "hit, {bytes} B");
+        }
     }
 
     #[test]

@@ -69,8 +69,7 @@ pub struct PlaneRow {
     words: Vec<u64>,
     len: usize,
     /// Population count of `words`, cached at construction so mode choices
-    /// (ones vs. zeros streaming) and popcount kernels never re-scan the
-    /// packed words. Derived from `words`, so the derived `PartialEq` stays
+    /// (ones vs. zeros streaming) never re-scan the packed words. Derived from `words`, so the derived `PartialEq` stays
     /// consistent.
     ones: u32,
 }
@@ -113,7 +112,7 @@ impl PlaneRow {
     ///
     /// Returns [`QuantError::DimensionMismatch`] when the word count is
     /// not exactly `⌈len / 64⌉` or a padding bit past `len` is set (tail
-    /// garbage would corrupt word-level popcount kernels).
+    /// garbage would corrupt word-level kernels).
     pub fn from_words(words: Vec<u64>, len: usize) -> Result<Self, QuantError> {
         if words.len() != len.div_ceil(64) {
             return Err(QuantError::DimensionMismatch {
@@ -130,9 +129,9 @@ impl PlaneRow {
     }
 
     /// Asserts (debug builds only) that every padding bit past `len` in the
-    /// last packed word is zero. `popcount(q & k)` kernels rely on this:
-    /// tail garbage would silently corrupt word-level AND+popcount results
-    /// even though per-bit accessors mask it out.
+    /// last packed word is zero. Word-level kernels (byte-table lookups,
+    /// SWAR sub-group popcounts) rely on this: tail garbage would silently
+    /// corrupt their results even though per-bit accessors mask it out.
     #[inline]
     fn debug_assert_tail_clear(&self) {
         debug_assert!(
@@ -143,7 +142,7 @@ impl PlaneRow {
     }
 
     /// `true` when all padding bits beyond [`PlaneRow::len`] are zero — the
-    /// invariant word-level popcount kernels depend on. Always `true` for
+    /// invariant word-level kernels depend on. Always `true` for
     /// rows built via [`PlaneRow::from_bits`]; exposed so tests can pin it.
     #[must_use]
     pub fn tail_is_clear(&self) -> bool {
@@ -259,60 +258,6 @@ impl PlaneRow {
         }
         count
     }
-
-    /// Number of positions set in both `self` and `other`:
-    /// `popcount(self & other)`, computed word-by-word. This is the inner
-    /// loop of the popcount QK kernel — with both rows tail-clear (an
-    /// invariant of [`PlaneRow::from_bits`]) the result is exactly the
-    /// number of shared set bits within `len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two rows cover different numbers of dimensions.
-    #[must_use]
-    pub fn and_popcount(&self, other: &PlaneRow) -> u32 {
-        assert_eq!(self.len, other.len, "plane lengths must match");
-        self.debug_assert_tail_clear();
-        other.debug_assert_tail_clear();
-        and_popcount_words(&self.words, &other.words)
-    }
-}
-
-/// `Σ popcount(a[i] & b[i])` over two equal-length word slices.
-///
-/// The default build keeps the obvious scalar loop; the `simd` feature
-/// switches to an unrolled form with independent accumulators so the
-/// optimizer can keep multiple popcounts in flight (and auto-vectorize
-/// where the target supports it). Both forms are exact and bit-identical.
-#[cfg(not(feature = "simd"))]
-#[must_use]
-pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
-}
-
-/// `Σ popcount(a[i] & b[i])` over two equal-length word slices (unrolled
-/// `simd`-feature build; see the non-`simd` doc for the contract).
-#[cfg(feature = "simd")]
-#[must_use]
-pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0u32; 4];
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        acc[0] += (ca[0] & cb[0]).count_ones();
-        acc[1] += (ca[1] & cb[1]).count_ones();
-        acc[2] += (ca[2] & cb[2]).count_ones();
-        acc[3] += (ca[3] & cb[3]).count_ones();
-    }
-    let tail: u32 = chunks_a
-        .remainder()
-        .iter()
-        .zip(chunks_b.remainder())
-        .map(|(x, y)| (x & y).count_ones())
-        .sum();
-    acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
 /// All bit planes of one token vector, MSB first.
@@ -371,14 +316,33 @@ impl TokenPlanes {
             );
         }
         // Since each value fits in `bits` bits, the low `bits` bits of its i8
-        // representation are exactly its two's-complement pattern.
-        let mask = (1u32 << bits) - 1;
-        let planes = (0..bits)
-            .map(|r| {
-                PlaneRow::from_bits(values.iter().map(|&v| {
-                    let pattern = u32::from(v as u8) & mask;
-                    (pattern >> (bits - 1 - r)) & 1 == 1
-                }))
+        // representation are exactly its two's-complement pattern. Eight
+        // values at a time are loaded as one little-endian word; bit `b` of
+        // each byte is isolated and the multiply gathers byte `k`'s bit
+        // into bit `56 + k` (the partial products never overlap or carry).
+        const LSB: u64 = 0x0101_0101_0101_0101;
+        const GATHER: u64 = 0x0102_0408_1020_4080;
+        let mut words = vec![vec![0u64; values.len().div_ceil(64)]; bits as usize];
+        for (w, chunk) in values.chunks(64).enumerate() {
+            for (c, eight) in chunk.chunks(8).enumerate() {
+                let mut bytes = [0u8; 8];
+                for (dst, &v) in bytes.iter_mut().zip(eight) {
+                    *dst = v as u8;
+                }
+                let packed = u64::from_le_bytes(bytes);
+                for (r, plane) in words.iter_mut().enumerate() {
+                    let lane_bits = (packed >> (bits as usize - 1 - r)) & LSB;
+                    plane[w] |= (lane_bits.wrapping_mul(GATHER) >> 56) << (8 * c);
+                }
+            }
+        }
+        let planes = words
+            .into_iter()
+            .map(|words| {
+                let ones = words.iter().map(|w| w.count_ones()).sum();
+                let row = PlaneRow { words, len: values.len(), ones };
+                row.debug_assert_tail_clear();
+                row
             })
             .collect();
         Ok(Self { planes, bits, dims: values.len() })
@@ -721,6 +685,24 @@ mod tests {
         }
 
         #[test]
+        fn prop_packed_planes_match_per_bit_build(
+            values in proptest::collection::vec(any::<i8>(), 1..=200),
+            bits in 2u32..=8,
+        ) {
+            // Every width and every tail shape (dims % 64 and dims % 8 of
+            // any size): the word-packed decomposition must equal the
+            // one-bit-at-a-time build, cached popcount included.
+            let narrowed: Vec<i8> = values.iter().map(|&v| v >> (8 - bits)).collect();
+            let token = TokenPlanes::from_values(&narrowed, bits);
+            for r in 0..bits {
+                let per_bit = PlaneRow::from_bits(narrowed.iter().map(|&v| {
+                    (u32::from(v as u8) >> (bits - 1 - r)) & 1 == 1
+                }));
+                prop_assert_eq!(token.plane(r), &per_bit, "plane {} of {}", r, bits);
+            }
+        }
+
+        #[test]
         fn prop_reconstruction_is_exact_int8(values in proptest::collection::vec(any::<i8>(), 1..200)) {
             let planes = TokenPlanes::from_values(&values, 8);
             let rec = planes.reconstruct();
@@ -770,23 +752,6 @@ mod tests {
             if len > 0 {
                 prop_assert_eq!(plane.count_zeros(), len as u32 - expected_ones);
             }
-        }
-
-        #[test]
-        fn prop_and_popcount_matches_bitwise_intersection(
-            seed_a in any::<u64>(),
-            seed_b in any::<u64>(),
-            base in 0usize..3,
-            tail_idx in 0usize..3,
-        ) {
-            let len = base * 64 + [0usize, 1, 63][tail_idx];
-            let a_bits: Vec<bool> = (0..len).map(|i| seed_a.wrapping_mul(i as u64 + 3).is_multiple_of(2)).collect();
-            let b_bits: Vec<bool> = (0..len).map(|i| seed_b.wrapping_mul(i as u64 + 5).is_multiple_of(2)).collect();
-            let a = PlaneRow::from_bits(a_bits.iter().copied());
-            let b = PlaneRow::from_bits(b_bits.iter().copied());
-            let expect = a_bits.iter().zip(&b_bits).filter(|(x, y)| **x && **y).count() as u32;
-            prop_assert_eq!(a.and_popcount(&b), expect);
-            prop_assert_eq!(b.and_popcount(&a), expect);
         }
 
         #[test]

@@ -46,9 +46,7 @@ mod growable;
 pub mod mxint;
 mod params;
 
-pub use bitplane::{
-    and_popcount_words, plane_weight, uncertainty_span, BitPlaneMatrix, PlaneRow, TokenPlanes,
-};
+pub use bitplane::{plane_weight, uncertainty_span, BitPlaneMatrix, PlaneRow, TokenPlanes};
 pub use digitplane::{
     digit_round_to_plane, digit_rounds, digit_uncertainty_span, digit_weight, DigitPlaneMatrix,
     DigitPlanes, DigitRow,
