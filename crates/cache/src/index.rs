@@ -1,8 +1,10 @@
 //! The shared prefix index: a radix tree over hashed token-id chunks.
 //!
-//! Each node owns one sealed, `chunk_tokens`-long [`BitPlaneMatrix`]
-//! chunk and is addressed by a 128-bit key hashed from its parent's key
-//! and its chunk's token ids — a path-dependent content hash, so a chunk
+//! Each node owns one sealed, `chunk_tokens`-long chunk as a
+//! [`ChunkRecord`] (the same form the chunk takes in the spill tier, in
+//! peer transfer and in a cache image) and is addressed by a 128-bit key
+//! hashed from its parent's key and its chunk's token ids — a
+//! path-dependent content hash, so a chunk
 //! of ids is shared only when its *entire prefix* matches (the radix-tree
 //! property, without storing per-node child maps). Stored ids are
 //! compared on every lookup, so a hash collision degrades to a miss,
@@ -20,6 +22,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pade_quant::BitPlaneMatrix;
+use pade_tier::ChunkRecord;
 
 /// SplitMix64-style finalizer (same constants as `pade-testutil`).
 fn splitmix64(x: u64) -> u64 {
@@ -47,9 +50,7 @@ pub(crate) fn chunk_key(parent: Option<u128>, ids: &[u32]) -> u128 {
 
 #[derive(Debug)]
 struct Node {
-    parent: Option<u128>,
-    ids: Box<[u32]>,
-    planes: Arc<BitPlaneMatrix>,
+    record: ChunkRecord,
     /// Live sessions holding a lease over this chunk.
     refs: usize,
     /// Resident nodes whose parent is this node.
@@ -67,10 +68,6 @@ pub(crate) struct Resolved {
     pub(crate) path: Vec<u128>,
     pub(crate) chunks: Vec<Arc<BitPlaneMatrix>>,
 }
-
-/// What [`PrefixIndex::remove`] hands back for one evicted chunk:
-/// `(parent key, token ids, planes)`.
-pub(crate) type RemovedChunk = (Option<u128>, Box<[u32]>, Arc<BitPlaneMatrix>);
 
 /// The shared prefix index over sealed plane chunks.
 #[derive(Debug, Default)]
@@ -102,7 +99,7 @@ impl PrefixIndex {
     /// session stores — the manager does that).
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.nodes.values().map(|n| n.planes.resident_bytes() as u64).sum()
+        self.nodes.values().map(|n| n.record.plane_bytes()).sum()
     }
 
     /// Walks the longest cached chunk-aligned prefix of `ids`, bumping
@@ -114,10 +111,10 @@ impl PrefixIndex {
         for chunk in ids.chunks_exact(chunk_tokens) {
             let key = chunk_key(parent, chunk);
             match self.nodes.get_mut(&key) {
-                Some(node) if node.parent == parent && *node.ids == *chunk => {
+                Some(node) if node.record.parent == parent && *node.record.ids == *chunk => {
                     node.last_use = tick;
                     out.path.push(key);
-                    out.chunks.push(Arc::clone(&node.planes));
+                    out.chunks.push(Arc::clone(&node.record.planes));
                     parent = Some(key);
                 }
                 _ => break,
@@ -146,7 +143,7 @@ impl PrefixIndex {
         for chunk in ids.chunks_exact(chunk_tokens.max(1)) {
             let key = chunk_key(parent, chunk);
             match self.nodes.get(&key) {
-                Some(node) if node.parent == parent && *node.ids == *chunk => {
+                Some(node) if node.record.parent == parent && *node.record.ids == *chunk => {
                     matched += 1;
                     parent = Some(key);
                 }
@@ -162,57 +159,44 @@ impl PrefixIndex {
         self.nodes.contains_key(&key)
     }
 
-    /// Borrows one resident node's `(parent, ids, planes)` without any
-    /// LRU touch — the read-only building block of shard-record export.
-    pub(crate) fn peek_node(
-        &self,
-        key: u128,
-    ) -> Option<(Option<u128>, &[u32], &Arc<BitPlaneMatrix>)> {
-        self.nodes.get(&key).map(|n| (n.parent, &*n.ids, &n.planes))
+    /// Borrows one resident node's record without any LRU touch — the
+    /// read-only building block of shard-record export.
+    pub(crate) fn peek_node(&self, key: u128) -> Option<&ChunkRecord> {
+        self.nodes.get(&key).map(|n| &n.record)
     }
 
-    /// Inserts a sealed chunk under `parent`, returning its key, the
+    /// Inserts a sealed chunk record under its key, returning the
     /// resident planes (the existing node's planes when the same chunk is
     /// already indexed, so callers dedup on the index's allocation) and
     /// whether a node was actually created (the caller's residency
     /// accounting pairs one track per creation). Returns `None` on a hash
-    /// collision with a different id sequence — the chunk then stays
-    /// private to the inserting session.
+    /// collision with a different parent or id sequence — the chunk then
+    /// stays private to the inserting session. The caller guarantees
+    /// `record.key == chunk_key(record.parent, &record.ids)`.
     pub(crate) fn insert(
         &mut self,
-        parent: Option<u128>,
-        ids: &[u32],
-        planes: Arc<BitPlaneMatrix>,
+        record: ChunkRecord,
         tick: u64,
-    ) -> Option<(u128, Arc<BitPlaneMatrix>, bool)> {
-        let key = chunk_key(parent, ids);
-        if let Some(node) = self.nodes.get_mut(&key) {
-            if node.parent == parent && *node.ids == *ids {
+    ) -> Option<(Arc<BitPlaneMatrix>, bool)> {
+        debug_assert_eq!(record.key, chunk_key(record.parent, &record.ids));
+        if let Some(node) = self.nodes.get_mut(&record.key) {
+            if node.record.parent == record.parent && node.record.ids == record.ids {
                 node.last_use = tick;
-                return Some((key, Arc::clone(&node.planes), false));
+                return Some((Arc::clone(&node.record.planes), false));
             }
             return None;
         }
-        let shared = Arc::clone(&planes);
-        self.nodes.insert(
-            key,
-            Node {
-                parent,
-                ids: ids.into(),
-                planes,
-                refs: 0,
-                children: 0,
-                last_use: tick,
-                seq: self.next_seq,
-            },
-        );
+        let (key, parent) = (record.key, record.parent);
+        let shared = Arc::clone(&record.planes);
+        self.nodes
+            .insert(key, Node { record, refs: 0, children: 0, last_use: tick, seq: self.next_seq });
         self.next_seq += 1;
         if let Some(p) = parent {
             if let Some(parent_node) = self.nodes.get_mut(&p) {
                 parent_node.children += 1;
             }
         }
-        Some((key, shared, true))
+        Some((shared, true))
     }
 
     /// Takes one lease on every node of `path`.
@@ -246,72 +230,50 @@ impl PrefixIndex {
             .map(|(&k, _)| k)
     }
 
-    /// Removes a node, returning its `(parent, ids, planes)` — the planes
-    /// for the caller's residency accounting, the parent and ids so a
-    /// spill tier can keep the full chunk record instead of dropping it.
-    /// The parent's resident-child count is decremented so it becomes
-    /// evictable once its own leases drain.
-    pub(crate) fn remove(&mut self, key: u128) -> Option<RemovedChunk> {
+    /// Removes a node, returning its record — the planes for the
+    /// caller's residency accounting, the whole record so a spill tier can
+    /// keep the chunk instead of dropping it. The parent's resident-child
+    /// count is decremented so it becomes evictable once its own leases
+    /// drain.
+    pub(crate) fn remove(&mut self, key: u128) -> Option<ChunkRecord> {
         let node = self.nodes.remove(&key)?;
         debug_assert_eq!(node.refs, 0, "evicting a leased chunk");
         debug_assert_eq!(node.children, 0, "evicting a chunk with resident children");
-        if let Some(p) = node.parent {
+        if let Some(p) = node.record.parent {
             if let Some(parent_node) = self.nodes.get_mut(&p) {
                 parent_node.children = parent_node.children.saturating_sub(1);
             }
         }
-        Some((node.parent, node.ids, node.planes))
+        Some(node.record)
     }
 
     /// Iterates the resident chunks' `Arc` allocations (for the slow
     /// test-only residency recomputation).
     #[cfg(test)]
     pub(crate) fn chunk_arcs(&self) -> impl Iterator<Item = &Arc<BitPlaneMatrix>> {
-        self.nodes.values().map(|n| &n.planes)
+        self.nodes.values().map(|n| &n.record.planes)
     }
 
-    /// Every resident node in a deterministic parent-before-child order
-    /// (depth first, then key), so a serializer can write them out and a
-    /// loader can re-insert them in file order with each parent already
-    /// resident. Hash-map iteration order never leaks: the sort key is
-    /// `(depth, key)`, both pure functions of the content.
-    pub(crate) fn export_nodes(&self) -> Vec<ExportedChunk<'_>> {
-        let depth_of = |mut key: u128| {
+    /// Every resident node's record in a deterministic
+    /// parent-before-child order (depth first, then key), so a serializer
+    /// can write them out and a loader can re-insert them in file order
+    /// with each parent already resident. Hash-map iteration order never
+    /// leaks: the sort key is `(depth, key)`, both pure functions of the
+    /// content.
+    pub(crate) fn export_nodes(&self) -> Vec<&ChunkRecord> {
+        let depth_of = |record: &ChunkRecord| {
             let mut depth = 0usize;
-            while let Some(node) = self.nodes.get(&key) {
-                match node.parent {
-                    Some(p) => {
-                        depth += 1;
-                        key = p;
-                    }
-                    None => break,
-                }
+            let mut parent = record.parent;
+            while let Some(p) = parent {
+                depth += 1;
+                parent = self.nodes.get(&p).and_then(|n| n.record.parent);
             }
             depth
         };
-        let mut out: Vec<ExportedChunk<'_>> = self
-            .nodes
-            .iter()
-            .map(|(&key, node)| ExportedChunk {
-                key,
-                parent: node.parent,
-                depth: depth_of(key),
-                ids: &node.ids,
-                planes: &node.planes,
-            })
-            .collect();
-        out.sort_by_key(|c| (c.depth, c.key));
+        let mut out: Vec<&ChunkRecord> = self.nodes.values().map(|n| &n.record).collect();
+        out.sort_by_cached_key(|r| (depth_of(r), r.key));
         out
     }
-}
-
-/// One resident index node, borrowed for serialization.
-pub(crate) struct ExportedChunk<'a> {
-    pub(crate) key: u128,
-    pub(crate) parent: Option<u128>,
-    pub(crate) depth: usize,
-    pub(crate) ids: &'a [u32],
-    pub(crate) planes: &'a Arc<BitPlaneMatrix>,
 }
 
 /// The deterministic 64-bit shard key of a prompt's leading chunks — the
@@ -351,12 +313,24 @@ mod tests {
         Arc::new(BitPlaneMatrix::from_rows(&rows, dims, 8).unwrap())
     }
 
+    fn record(parent: Option<u128>, ids: &[u32], planes: Arc<BitPlaneMatrix>) -> ChunkRecord {
+        ChunkRecord { key: chunk_key(parent, ids), parent, ids: ids.into(), planes }
+    }
+
+    /// Inserts a freshly decomposed chunk and returns its key.
+    fn put(index: &mut PrefixIndex, parent: Option<u128>, ids: &[u32], tick: u64) -> u128 {
+        let rec = record(parent, ids, chunk_planes(ids, 4));
+        let key = rec.key;
+        index.insert(rec, tick).unwrap();
+        key
+    }
+
     #[test]
     fn resolve_walks_the_longest_chunk_aligned_prefix() {
         let mut index = PrefixIndex::new();
         let ids: Vec<u32> = (0..8).collect();
-        let a = index.insert(None, &ids[0..4], chunk_planes(&ids[0..4], 4), 1).unwrap();
-        let _b = index.insert(Some(a.0), &ids[4..8], chunk_planes(&ids[4..8], 4), 1).unwrap();
+        let a = put(&mut index, None, &ids[0..4], 1);
+        let _b = put(&mut index, Some(a), &ids[4..8], 1);
         assert_eq!(index.len(), 2);
 
         // Full match, partial match, diverging match, short prompt.
@@ -375,12 +349,11 @@ mod tests {
         let mut index = PrefixIndex::new();
         let ids: Vec<u32> = (0..4).collect();
         let first = chunk_planes(&ids, 4);
-        let (key, shared, created) = index.insert(None, &ids, Arc::clone(&first), 1).unwrap();
+        let (shared, created) = index.insert(record(None, &ids, Arc::clone(&first)), 1).unwrap();
         assert!(Arc::ptr_eq(&shared, &first));
         assert!(created);
         let other = chunk_planes(&ids, 4);
-        let (key2, shared2, created2) = index.insert(None, &ids, other, 2).unwrap();
-        assert_eq!(key, key2);
+        let (shared2, created2) = index.insert(record(None, &ids, other), 2).unwrap();
         assert!(Arc::ptr_eq(&shared2, &first), "dedup must keep the resident allocation");
         assert!(!created2, "a dedup hit creates no node");
         assert_eq!(index.len(), 1);
@@ -390,8 +363,8 @@ mod tests {
     fn leased_and_parent_nodes_are_not_evictable() {
         let mut index = PrefixIndex::new();
         let ids: Vec<u32> = (0..8).collect();
-        let a = index.insert(None, &ids[0..4], chunk_planes(&ids[0..4], 4), 1).unwrap().0;
-        let b = index.insert(Some(a), &ids[4..8], chunk_planes(&ids[4..8], 4), 1).unwrap().0;
+        let a = put(&mut index, None, &ids[0..4], 1);
+        let b = put(&mut index, Some(a), &ids[4..8], 1);
         // The parent has a resident child: only the leaf is evictable.
         assert_eq!(index.lru_evictable(), Some(b));
         index.acquire(&[a, b]);
@@ -408,8 +381,8 @@ mod tests {
     fn peek_matches_resolve_without_touching_lru() {
         let mut index = PrefixIndex::new();
         let ids: Vec<u32> = (0..8).collect();
-        let a = index.insert(None, &ids[0..4], chunk_planes(&ids[0..4], 4), 1).unwrap().0;
-        index.insert(Some(a), &ids[4..8], chunk_planes(&ids[4..8], 4), 1).unwrap();
+        let a = put(&mut index, None, &ids[0..4], 1);
+        put(&mut index, Some(a), &ids[4..8], 1);
         assert_eq!(index.peek_hit_chunks(&ids, 4), 2);
         assert_eq!(index.peek_hit_chunks(&ids[..6], 4), 1);
         assert_eq!(index.peek_hit_chunks(&[9, 9, 9, 9], 4), 0);
@@ -424,10 +397,10 @@ mod tests {
     fn export_orders_parents_before_children() {
         let mut index = PrefixIndex::new();
         let ids: Vec<u32> = (0..12).collect();
-        let a = index.insert(None, &ids[0..4], chunk_planes(&ids[0..4], 4), 1).unwrap().0;
-        let b = index.insert(Some(a), &ids[4..8], chunk_planes(&ids[4..8], 4), 1).unwrap().0;
-        index.insert(Some(b), &ids[8..12], chunk_planes(&ids[8..12], 4), 1).unwrap();
-        index.insert(None, &[7, 7, 7, 7], chunk_planes(&[7, 7, 7, 7], 4), 2).unwrap();
+        let a = put(&mut index, None, &ids[0..4], 1);
+        let b = put(&mut index, Some(a), &ids[4..8], 1);
+        put(&mut index, Some(b), &ids[8..12], 1);
+        put(&mut index, None, &[7, 7, 7, 7], 2);
         let exported = index.export_nodes();
         assert_eq!(exported.len(), 4);
         let mut seen = std::collections::HashSet::new();
@@ -437,7 +410,7 @@ mod tests {
             }
             seen.insert(chunk.key);
         }
-        assert_eq!(exported.iter().filter(|c| c.depth == 0).count(), 2);
+        assert_eq!(exported.iter().filter(|c| c.parent.is_none()).count(), 2);
     }
 
     #[test]
@@ -465,8 +438,8 @@ mod tests {
     #[test]
     fn lru_prefers_the_oldest_touch() {
         let mut index = PrefixIndex::new();
-        let a = index.insert(None, &[1, 2], chunk_planes(&[1, 2], 4), 1).unwrap().0;
-        let b = index.insert(None, &[3, 4], chunk_planes(&[3, 4], 4), 2).unwrap().0;
+        let a = put(&mut index, None, &[1, 2], 1);
+        let b = put(&mut index, None, &[3, 4], 2);
         assert_eq!(index.lru_evictable(), Some(a));
         // Touching A through a resolve makes B the LRU candidate.
         index.resolve(&[1, 2], 2, 3);

@@ -26,7 +26,9 @@
 //!   and counts [`CacheStats`] (hit/decomposed tokens, evictions). A
 //!   warm manager persists across serve runs through
 //!   [`save_to`](KvCacheManager::save_to)/[`load_from`](KvCacheManager::load_from)
-//!   (a versioned binary image, hand-rolled — no serde), and
+//!   (a versioned binary image: a header, the index as a stream of
+//!   [`ChunkRecord`]s and the session store's planes, all through
+//!   [`pade_tier::wire`]), and
 //!   [`predicted_hit_tokens`](KvCacheManager::predicted_hit_tokens) is
 //!   the read-only probe behind hit-aware admission ordering.
 //! * [`prefix_shard_key`] — the deterministic routing hash of a prompt's
@@ -40,7 +42,10 @@
 //!   [`export_prefix_path`](KvCacheManager::export_prefix_path)/
 //!   [`import_chunk_records`](KvCacheManager::import_chunk_records) move
 //!   content-addressed chunk records between managers — the building
-//!   blocks of peer shard fetch, replication and migration.
+//!   blocks of peer shard fetch, replication and migration. Index nodes
+//!   hold their chunk as a [`ChunkRecord`], and every record entering the
+//!   index — fetched, imported or loaded — passes the same validation
+//!   (shape, content key, resident parent).
 //!
 //! Two invariants make the manager safe to put on the serving path:
 //!

@@ -100,6 +100,16 @@ impl CacheStats {
     }
 }
 
+/// Why [`KvCacheManager::adopt`] refused a chunk record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Refusal {
+    /// Wrong shape, a key that is not `chunk_key(parent, ids)`, or a
+    /// parent that is not resident.
+    Invalid,
+    /// A different chunk already holds the record's key.
+    Collision,
+}
+
 /// A live session's claim on the index chunks it reads. Returned by
 /// [`KvCacheManager::attach`] and surrendered through
 /// [`KvCacheManager::detach`]; while outstanding, the leased chunks are
@@ -401,42 +411,36 @@ impl KvCacheManager {
         let mut indexable = true;
         let mut fetched_chunks = 0usize;
         for c in sealed.len()..full_chunks {
-            let lo = c * chunk_tokens;
-            let hi = lo + chunk_tokens;
+            let (lo, hi) = (c * chunk_tokens, (c + 1) * chunk_tokens);
+            let chunk_ids = &ids[lo..hi];
+            let key = chunk_key(parent, chunk_ids);
             // Before paying decomposition, try the spill tier: a chunk
             // evicted earlier (or imported from a peer) whose recorded
             // ids and parent match this exact prefix position carries the
             // byte-identical planes — re-adopt and republish them. Only
             // while the path is still indexable: a private chunk cannot
             // be republished, and a fetch that stays private would be
-            // pure I/O waste over an equal-cost parse.
-            if indexable {
-                if let Some(tier) = &self.tier {
-                    let key = chunk_key(parent, &ids[lo..hi]);
-                    let rec = tier.get(key).ok().flatten().filter(|rec| {
-                        rec.parent == parent
-                            && *rec.ids == ids[lo..hi]
-                            && rec.planes.tokens() == chunk_tokens
-                            && rec.planes.dims() == dims
-                            && rec.planes.bits() == self.config.bits
-                    });
-                    if let Some(rec) = rec {
-                        if let Some((key, resident, created)) =
-                            self.index.insert(parent, &ids[lo..hi], rec.planes, self.tick)
-                        {
-                            if created {
-                                self.residency.track_chunk(&resident);
-                                self.stats.inserted_chunks =
-                                    self.stats.inserted_chunks.saturating_add(1);
-                            }
-                            path.push(key);
-                            parent = Some(key);
-                            sealed.push(resident);
-                            fetched_chunks += 1;
-                            continue;
-                        }
-                        indexable = false;
+            // pure I/O waste over an equal-cost parse. A record that
+            // fails validation falls back to decomposition.
+            let spilled = match &self.tier {
+                Some(tier) if indexable => tier
+                    .get(key)
+                    .ok()
+                    .flatten()
+                    .filter(|rec| rec.parent == parent && *rec.ids == *chunk_ids),
+                _ => None,
+            };
+            if let Some(rec) = spilled {
+                match self.adopt(rec) {
+                    Ok((resident, _)) => {
+                        path.push(key);
+                        parent = Some(key);
+                        sealed.push(resident);
+                        fetched_chunks += 1;
+                        continue;
                     }
+                    Err(Refusal::Collision) => indexable = false,
+                    Err(Refusal::Invalid) => {}
                 }
             }
             let planes = Arc::new(BitPlaneMatrix::from_rows(
@@ -447,19 +451,16 @@ impl KvCacheManager {
             // A collision (or a broken parent chain after one) keeps the
             // chunk private: still used by this session, never shared.
             if indexable {
-                match self.index.insert(parent, &ids[lo..hi], Arc::clone(&planes), self.tick) {
-                    Some((key, resident, created)) => {
-                        if created {
-                            self.residency.track_chunk(&resident);
-                            self.stats.inserted_chunks =
-                                self.stats.inserted_chunks.saturating_add(1);
-                        }
+                let rec =
+                    ChunkRecord { key, parent, ids: chunk_ids.into(), planes: Arc::clone(&planes) };
+                match self.adopt(rec) {
+                    Ok((resident, _)) => {
                         path.push(key);
                         parent = Some(key);
                         sealed.push(resident);
                         continue;
                     }
-                    None => indexable = false,
+                    Err(_) => indexable = false,
                 }
             }
             sealed.push(planes);
@@ -577,13 +578,8 @@ impl KvCacheManager {
             }
             let key = chunk_key(parent, chunk);
             match self.index.peek_node(key) {
-                Some((p, node_ids, planes)) if p == parent && node_ids == chunk => {
-                    out.push(ChunkRecord {
-                        key,
-                        parent,
-                        ids: chunk.into(),
-                        planes: Arc::clone(planes),
-                    });
+                Some(rec) if rec.parent == parent && *rec.ids == *chunk => {
+                    out.push(rec.clone());
                     parent = Some(key);
                     continue;
                 }
@@ -609,43 +605,56 @@ impl KvCacheManager {
     }
 
     /// Adopts peer-exported chunk records into the shared index. Each
-    /// record is validated against its content address — the recomputed
-    /// `chunk_key(parent, ids)` must equal the recorded key, the planes
-    /// must match this manager's shape, and the parent must already be
-    /// resident (records arrive root-to-leaf, so a broken chain stops
-    /// adopting at the break). Returns how many records were newly
-    /// adopted; invalid, orphaned or already-resident records are
-    /// skipped. The budget is enforced once at the end.
+    /// record goes through the same validation as a tier fetch or a cache
+    /// image load: the recomputed `chunk_key(parent, ids)` must equal the
+    /// recorded key, the planes must match this manager's shape, and the
+    /// parent must already be resident (records arrive root-to-leaf, so a
+    /// broken chain stops adopting at the break). Returns how many
+    /// records were newly adopted; invalid, orphaned, colliding or
+    /// already-resident records are skipped. The budget is enforced once
+    /// at the end.
     pub fn import_chunk_records(&mut self, records: &[ChunkRecord]) -> usize {
         self.tick += 1;
         let mut imported = 0usize;
         for rec in records {
-            if rec.ids.is_empty()
-                || rec.ids.len() != self.config.chunk_tokens
-                || rec.planes.tokens() != self.config.chunk_tokens
-                || rec.planes.dims() != self.config.dims
-                || rec.planes.bits() != self.config.bits
-                || chunk_key(rec.parent, &rec.ids) != rec.key
-            {
-                continue;
-            }
-            if let Some(parent) = rec.parent {
-                if !self.index.contains_key(parent) {
-                    continue;
-                }
-            }
-            if let Some((_, resident, created)) =
-                self.index.insert(rec.parent, &rec.ids, Arc::clone(&rec.planes), self.tick)
-            {
-                if created {
-                    self.residency.track_chunk(&resident);
-                    self.stats.inserted_chunks = self.stats.inserted_chunks.saturating_add(1);
-                    imported += 1;
-                }
+            if let Ok((_, true)) = self.adopt(rec.clone()) {
+                imported += 1;
             }
         }
         self.evict_to_budget();
         imported
+    }
+
+    /// Adopts one already-built chunk record into the shared index — the
+    /// single path by which decomposed chunks enter it, whether freshly
+    /// decomposed at attach, fetched from the spill tier, imported from a
+    /// peer or replayed from a cache image. The record must have this
+    /// manager's chunk shape, its key must be `chunk_key(parent, ids)`,
+    /// and its parent must be resident. On success returns the resident
+    /// planes (the index's allocation on a dedup hit) and whether a node
+    /// was created, which is then billed and counted in
+    /// [`CacheStats::inserted_chunks`]. Callers pick the policy for a
+    /// refusal.
+    pub(crate) fn adopt(
+        &mut self,
+        rec: ChunkRecord,
+    ) -> Result<(Arc<BitPlaneMatrix>, bool), Refusal> {
+        let chunk_tokens = self.config.chunk_tokens;
+        if rec.ids.len() != chunk_tokens
+            || rec.planes.tokens() != chunk_tokens
+            || rec.planes.dims() != self.config.dims
+            || rec.planes.bits() != self.config.bits
+            || chunk_key(rec.parent, &rec.ids) != rec.key
+            || rec.parent.is_some_and(|p| !self.index.contains_key(p))
+        {
+            return Err(Refusal::Invalid);
+        }
+        let (resident, created) = self.index.insert(rec, self.tick).ok_or(Refusal::Collision)?;
+        if created {
+            self.residency.track_chunk(&resident);
+            self.stats.inserted_chunks = self.stats.inserted_chunks.saturating_add(1);
+        }
+        Ok((resident, created))
     }
 
     /// Surrenders a finished request's lease and stores its grown cache
@@ -719,19 +728,13 @@ impl KvCacheManager {
                 }
                 self.stats.evicted_sessions = self.stats.evicted_sessions.saturating_add(1);
             } else if let Some(key) = self.index.lru_evictable() {
-                if let Some((parent, ids, planes)) = self.index.remove(key) {
+                if let Some(record) = self.index.remove(key) {
                     // Demote to the spill tier before surrendering the
                     // planes: a later prefix hit fetches them back
                     // byte-identical instead of re-decomposing. An I/O
                     // failure degrades to PR-5 drop-on-evict — the
                     // budget must drain either way.
                     if let Some(tier) = &mut self.tier {
-                        let record = ChunkRecord {
-                            key,
-                            parent,
-                            ids: ids.into(),
-                            planes: Arc::clone(&planes),
-                        };
                         if tier.put(&record).is_ok() {
                             self.stats.spilled_chunks = self.stats.spilled_chunks.saturating_add(1);
                             self.stats.spilled_bytes =
@@ -739,7 +742,7 @@ impl KvCacheManager {
                             spilled_this_pass += 1;
                         }
                     }
-                    self.residency.untrack_chunk(&planes);
+                    self.residency.untrack_chunk(&record.planes);
                 }
                 self.stats.evicted_chunks = self.stats.evicted_chunks.saturating_add(1);
             } else {
@@ -989,6 +992,31 @@ mod tests {
         assert_eq!(m.stats().fetched_tokens, 8);
         let scratch = BitPlaneMatrix::from_rows(&rows, 8, 8).unwrap();
         assert_eq!(b.cache.snapshot().materialize(), scratch, "fetched planes byte-identical");
+    }
+
+    #[test]
+    fn attach_decomposes_past_a_refused_tier_record() {
+        // The tier holds a record at the prompt's first chunk position
+        // whose planes have the wrong token count: adoption refuses it,
+        // so the attach decomposes that chunk and publishes its own.
+        let p = ids(8, 55);
+        let rows = rows_for(&p, 8);
+        let bad = BitPlaneMatrix::from_rows(&rows[..3 * 8], 8, 8).unwrap();
+        let mut tier = pade_tier::MemoryTierStore::new();
+        tier.put(&ChunkRecord {
+            key: chunk_key(None, &p[..4]),
+            parent: None,
+            ids: p[..4].into(),
+            planes: Arc::new(bad),
+        })
+        .unwrap();
+        let mut m = manager(4);
+        m.set_tier(Some(Box::new(tier)));
+        let a = m.attach(1, &p, &rows).unwrap();
+        assert_eq!((a.hit_tokens, a.decomposed_tokens, a.fetched_tokens), (0, 8, 0));
+        assert_eq!(m.resident_chunks(), 2, "the decomposed chunks are still published");
+        let scratch = BitPlaneMatrix::from_rows(&rows, 8, 8).unwrap();
+        assert_eq!(a.cache.snapshot().materialize(), scratch);
     }
 
     #[test]

@@ -2,24 +2,29 @@
 //!
 //! A serve run ends with a prefix index full of decomposed shared
 //! prefixes and a session store full of resumable conversations — state
-//! that is expensive to rebuild and trivially derivable from nothing but
-//! token ids and key rows. [`KvCacheManager::save_to`] writes exactly
-//! that derivation input to a hand-rolled binary image (the environment
-//! has no serde): a magic + version header, the manager shape, every
-//! index chunk in parent-before-child order and every stored session.
-//! [`KvCacheManager::load_from`] replays the image through the ordinary
-//! insert/resolve machinery, so restored planes are **byte-identical** to
-//! the saved ones and restored sessions re-adopt shared index chunks by
-//! `Arc` exactly as a live attach would — no double billing, same dedup.
+//! that is expensive to rebuild. [`KvCacheManager::save_to`] writes it as
+//! a hand-rolled binary image (the environment has no serde) built from
+//! the same pieces the spill tier and peer transfer use:
 //!
-//! Format VERSION 2 records every sealed chunk as **packed plane words**
-//! through [`pade_tier::wire`] — the same chunk-granular encoding the
-//! spill tier uses — so the loader re-adopts decomposed state by parsing
-//! `⌈dims/64⌉` words per plane instead of re-running decomposition; only
-//! a session's short open tail is still stored as derivation-input rows.
-//! VERSION 1 images (rows everywhere) remain loadable: the V1 replay
-//! path re-decomposes them, which is deterministic and lands on the same
-//! bytes.
+//! 1. a header: magic, [`VERSION`], and the manager shape (dims, bits,
+//!    chunk tokens);
+//! 2. the prefix index as a count plus a stream of
+//!    [`pade_tier::write_chunk`] records, parents before children;
+//! 3. the session store as a count plus, per session in ascending id
+//!    order, the session id, its covered token ids, how many of its
+//!    leading sealed chunks are the index's own allocations, and the
+//!    planes of the rest — its private sealed chunks, then the open tail
+//!    when there is one — each through [`wire::write_planes`].
+//!
+//! Every plane is stored as packed words, so nothing is re-decomposed on
+//! load. [`KvCacheManager::load_from`] adopts each index record through
+//! the same validated path as a tier fetch or a peer import (shape,
+//! content key, resident parent); any refusal fails the load. Stored
+//! sessions re-adopt exactly their recorded shared chunks by `Arc` from
+//! the restored index, so sharing and deduplicated billing match the
+//! saved manager, and the open tail is re-appended from the rows its
+//! planes encode, landing on the same bytes. Only the current
+//! [`VERSION`] loads; older images are `InvalidData`.
 //!
 //! What is deliberately *not* persisted: leases (transient claims of live
 //! sessions — a saved manager must be quiescent), running [`CacheStats`]
@@ -36,65 +41,23 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pade_quant::{BitPlaneMatrix, GrowableKeyCache};
-use pade_tier::wire;
+use pade_tier::{read_chunk, wire, write_chunk};
 
-use crate::manager::{CacheConfig, KvCacheManager};
+use crate::index::chunk_key;
+use crate::manager::{CacheConfig, CacheStats, KvCacheManager};
 
 /// File magic: `PADEKVC` + a format byte.
 const MAGIC: [u8; 8] = *b"PADEKVC\x01";
-/// Current format version; bump on any layout change. The loader also
-/// accepts every older version it knows how to replay.
-const VERSION: u32 = 2;
-/// Oldest version [`KvCacheManager::load_from`] still replays.
-const OLDEST_SUPPORTED_VERSION: u32 = 1;
+/// The image format version; bump on any layout change. It is the only
+/// version [`KvCacheManager::load_from`] accepts.
+const VERSION: u32 = 3;
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u128(w: &mut impl Write, v: u128) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_u128(r: &mut impl Read) -> io::Result<u128> {
-    let mut b = [0u8; 16];
-    r.read_exact(&mut b)?;
-    Ok(u128::from_le_bytes(b))
-}
-
-fn write_ids(w: &mut impl Write, ids: &[u32]) -> io::Result<()> {
-    for &id in ids {
-        write_u32(w, id)?;
-    }
-    Ok(())
-}
-
-fn read_ids(r: &mut impl Read, n: usize) -> io::Result<Vec<u32>> {
-    (0..n).map(|_| read_u32(r)).collect()
-}
-
 /// Reassembles the row-major i8 key rows a plane chunk was decomposed
-/// from — the derivation input the loader re-decomposes, byte-identically.
+/// from — re-appending them decomposes to the same bytes.
 fn chunk_rows(planes: &BitPlaneMatrix) -> Vec<i8> {
     let mut rows = Vec::with_capacity(planes.tokens() * planes.dims());
     for j in 0..planes.tokens() {
@@ -103,44 +66,21 @@ fn chunk_rows(planes: &BitPlaneMatrix) -> Vec<i8> {
     rows
 }
 
-fn write_rows(w: &mut impl Write, rows: &[i8]) -> io::Result<()> {
-    // i8 → u8 is a bit-preserving cast; the reader mirrors it.
-    let bytes: Vec<u8> = rows.iter().map(|&v| v as u8).collect();
-    w.write_all(&bytes)
-}
-
-fn read_rows(r: &mut impl Read, n: usize) -> io::Result<Vec<i8>> {
-    // `n` derives from untrusted file counts: read in bounded chunks so
-    // a corrupt record degrades to an EOF error from the reads below,
-    // never a giant upfront allocation.
-    const CHUNK: usize = 1 << 16;
-    let mut bytes: Vec<u8> = Vec::with_capacity(n.min(CHUNK));
-    let mut remaining = n;
-    let mut buf = [0u8; CHUNK];
-    while remaining > 0 {
-        let take = remaining.min(CHUNK);
-        r.read_exact(&mut buf[..take])?;
-        bytes.extend_from_slice(&buf[..take]);
-        remaining -= take;
-    }
-    Ok(bytes.into_iter().map(|b| b as i8).collect())
-}
-
 impl KvCacheManager {
     /// Writes the manager's warm state (prefix index + session store) to
     /// `path` as a versioned binary image. The manager should be
     /// quiescent — outstanding leases are not recorded and simply lapse
     /// on restore.
     ///
-    /// The write is atomic: the image is streamed to a `.tmp` sibling
-    /// and renamed over `path` only once fully flushed, so a crash or
+    /// The write is atomic: the image is streamed to a `.tmp` sibling,
+    /// synced to disk and only then renamed over `path`, so a crash or
     /// full disk mid-save can never leave a truncated image that bricks
     /// every later warm start (the loader treats corrupt files as
     /// hard errors by design).
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from creating, writing or renaming.
+    /// Propagates I/O errors from creating, writing, syncing or renaming.
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
         let tmp = path.with_extension(match path.extension() {
             Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
@@ -150,57 +90,53 @@ impl KvCacheManager {
         std::fs::rename(&tmp, path)
     }
 
-    /// Streams the image to exactly `path` (the non-atomic inner write).
+    /// Streams the image to exactly `path` and syncs it (the non-atomic
+    /// inner write).
     fn save_image(&self, path: &Path) -> io::Result<()> {
         let mut w = BufWriter::new(File::create(path)?);
         w.write_all(&MAGIC)?;
-        write_u32(&mut w, VERSION)?;
-        write_u32(&mut w, u32::try_from(self.config.dims).map_err(|_| invalid("dims"))?)?;
-        write_u32(&mut w, self.config.bits)?;
-        write_u32(
+        wire::write_u32(&mut w, VERSION)?;
+        wire::write_u32(&mut w, u32::try_from(self.config.dims).map_err(|_| invalid("dims"))?)?;
+        wire::write_u32(&mut w, self.config.bits)?;
+        wire::write_u32(
             &mut w,
             u32::try_from(self.config.chunk_tokens).map_err(|_| invalid("chunk_tokens"))?,
         )?;
 
-        // Index chunks, parents before children, parent referenced by its
-        // position in the file so the loader can re-chain as it reads.
         let nodes = self.index.export_nodes();
-        write_u32(&mut w, u32::try_from(nodes.len()).map_err(|_| invalid("node count"))?)?;
-        let position_of: std::collections::HashMap<u128, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| Ok((n.key, u32::try_from(i).map_err(|_| invalid("parent pos"))?)))
-            .collect::<io::Result<_>>()?;
-        for node in &nodes {
-            let parent_pos = match node.parent {
-                Some(p) => position_of[&p],
-                None => u32::MAX,
-            };
-            write_u32(&mut w, parent_pos)?;
-            write_u128(&mut w, node.key)?;
-            write_ids(&mut w, node.ids)?;
-            wire::write_shared_planes(&mut w, node.planes)?;
+        wire::write_u64(&mut w, nodes.len() as u64)?;
+        for record in nodes {
+            write_chunk(&mut w, record)?;
         }
 
-        // Stored sessions, ascending session id: sealed chunks as plane
-        // words, the open tail (always shorter than one chunk) as rows.
+        // A session covers `ids.len() / chunk_tokens` sealed chunks and a
+        // tail of the remaining tokens. Its leading sealed chunks that are
+        // the index's own allocations are only counted — the loader
+        // re-adopts them from the restored index — and the rest of its
+        // planes are written out, so restored sharing (and billing) is
+        // exactly the saved one.
         let sessions = self.store.export_sessions();
-        write_u32(&mut w, u32::try_from(sessions.len()).map_err(|_| invalid("session count"))?)?;
+        wire::write_u64(&mut w, sessions.len() as u64)?;
         for (session, ids, cache) in sessions {
-            write_u64(&mut w, session)?;
-            write_u32(&mut w, u32::try_from(ids.len()).map_err(|_| invalid("covered"))?)?;
-            write_ids(&mut w, ids)?;
-            let sealed = cache.sealed_chunks();
-            write_u32(&mut w, u32::try_from(sealed.len()).map_err(|_| invalid("sealed count"))?)?;
-            for chunk in sealed {
-                wire::write_shared_planes(&mut w, chunk)?;
-            }
-            if cache.tail_tokens() > 0 {
-                let snap = cache.snapshot();
-                write_rows(&mut w, &chunk_rows(snap.chunk(sealed.len())))?;
+            let mut parent = None;
+            let shared = ids
+                .chunks_exact(self.config.chunk_tokens)
+                .zip(cache.sealed_chunks())
+                .take_while(|&(chunk_ids, planes)| {
+                    let key = chunk_key(parent, chunk_ids);
+                    parent = Some(key);
+                    self.index.peek_node(key).is_some_and(|rec| Arc::ptr_eq(&rec.planes, planes))
+                })
+                .count();
+            wire::write_u64(&mut w, session)?;
+            wire::write_ids(&mut w, ids)?;
+            wire::write_u64(&mut w, shared as u64)?;
+            let snap = cache.snapshot();
+            for c in shared..snap.chunks() {
+                wire::write_planes(&mut w, snap.chunk(c))?;
             }
         }
-        w.flush()
+        w.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()
     }
 
     /// Loads a warm manager from `path`. The file's shape (dims, bits,
@@ -209,17 +145,18 @@ impl KvCacheManager {
     /// taken from `config` and enforced once after the replay.
     ///
     /// Restored planes are byte-identical to the saved ones, and restored
-    /// sessions re-adopt still-indexed prefix chunks by `Arc` (the loader
-    /// resolves each session's covered ids against the restored index, so
-    /// the index/store sharing — and therefore deduplicated residency —
-    /// survives the round trip).
+    /// sessions re-adopt the prefix chunks they shared with the index by
+    /// `Arc` (the loader resolves each session's covered ids against the
+    /// restored index, so the index/store sharing — and therefore
+    /// deduplicated residency — survives the round trip).
     ///
     /// # Errors
     ///
-    /// Returns [`io::ErrorKind::InvalidData`] for a bad magic, an
-    /// unsupported version, a shape mismatch or internal inconsistency
-    /// (a chunk whose recomputed key differs from the recorded one), and
-    /// propagates I/O errors from reading `path`.
+    /// Returns [`io::ErrorKind::InvalidData`] for a bad magic, any version
+    /// other than the current one, a shape mismatch or an inconsistent
+    /// image (an index record the manager refuses to adopt, a session
+    /// sharing chunks the restored index lacks), and propagates I/O
+    /// errors — including a short read from a truncated file.
     pub fn load_from(path: &Path, config: CacheConfig) -> io::Result<Self> {
         let mut r = BufReader::new(File::open(path)?);
         let mut magic = [0u8; 8];
@@ -227,13 +164,13 @@ impl KvCacheManager {
         if magic != MAGIC {
             return Err(invalid("not a PADE KV cache image"));
         }
-        let version = read_u32(&mut r)?;
-        if !(OLDEST_SUPPORTED_VERSION..=VERSION).contains(&version) {
+        let version = wire::read_u32(&mut r)?;
+        if version != VERSION {
             return Err(invalid(format!("unsupported cache image version {version}")));
         }
-        let dims = read_u32(&mut r)? as usize;
-        let bits = read_u32(&mut r)?;
-        let chunk_tokens = read_u32(&mut r)? as usize;
+        let dims = wire::read_u32(&mut r)? as usize;
+        let bits = wire::read_u32(&mut r)?;
+        let chunk_tokens = wire::read_u32(&mut r)? as usize;
         if dims != config.dims || bits != config.bits || chunk_tokens != config.chunk_tokens {
             return Err(invalid(format!(
                 "cache image shape {dims}x{bits}b/{chunk_tokens} differs from configured \
@@ -243,112 +180,52 @@ impl KvCacheManager {
         }
         let mut manager = Self::new(config).map_err(|e| invalid(format!("invalid shape: {e}")))?;
 
-        // Replay the index chunks through the ordinary insert path; the
-        // recomputed content keys must reproduce the recorded ones.
-        let node_count = read_u32(&mut r)? as usize;
-        // The count is untrusted file data: cap the preallocation so a
-        // corrupt header degrades to an InvalidData/EOF error from the
-        // per-node reads below, never a giant allocation.
-        let mut keys: Vec<u128> = Vec::with_capacity(node_count.min(4096));
-        for pos in 0..node_count {
-            let parent_pos = read_u32(&mut r)?;
-            let recorded_key = read_u128(&mut r)?;
-            let ids = read_ids(&mut r, chunk_tokens)?;
-            let parent = match parent_pos {
-                u32::MAX => None,
-                p if (p as usize) < pos => Some(keys[p as usize]),
-                _ => return Err(invalid("cache image chunk references a later parent")),
-            };
-            let planes = if version >= 2 {
-                // V2: parse packed plane words straight back — no
-                // decomposition on the warm-start path.
-                let parsed = wire::read_planes(&mut r, dims, bits)?;
-                if parsed.tokens() != chunk_tokens {
-                    return Err(invalid("cache image chunk has a wrong token count"));
-                }
-                Arc::new(parsed)
-            } else {
-                let rows = read_rows(&mut r, chunk_tokens * dims)?;
-                Arc::new(
-                    BitPlaneMatrix::from_rows(&rows, dims, bits)
-                        .map_err(|e| invalid(format!("cache image rows do not decompose: {e}")))?,
-                )
-            };
+        // Index records arrive parents first, so each one's parent is
+        // already resident when it is adopted.
+        for _ in 0..wire::read_u64(&mut r)? {
+            let record = read_chunk(&mut r)?;
             manager.tick += 1;
-            let (key, resident, created) = manager
-                .index
-                .insert(parent, &ids, planes, manager.tick)
-                .ok_or_else(|| invalid("cache image holds colliding chunks"))?;
-            if key != recorded_key {
-                return Err(invalid("cache image chunk key mismatch (corrupt image)"));
-            }
-            if created {
-                manager.residency.track_chunk(&resident);
-            }
-            keys.push(key);
+            manager.adopt(record).map_err(|refusal| {
+                invalid(format!("cache image holds an unadoptable chunk ({refusal:?})"))
+            })?;
         }
 
-        // Replay stored sessions, re-adopting indexed prefix chunks.
-        let session_count = read_u32(&mut r)? as usize;
-        for _ in 0..session_count {
-            let session = read_u64(&mut r)?;
-            let covered = read_u32(&mut r)? as usize;
-            let ids = read_ids(&mut r, covered)?;
+        // Stored sessions: the recorded leading chunks are re-adopted by
+        // `Arc` from the restored index, the rest stay private.
+        for _ in 0..wire::read_u64(&mut r)? {
+            let session = wire::read_u64(&mut r)?;
+            let ids = wire::read_ids(&mut r)?;
+            let shared = wire::read_u64(&mut r)?;
             manager.tick += 1;
-            let cache = if version >= 2 {
-                // V2: sealed chunks are parsed from plane words; the ones
-                // the restored index also holds are adopted by `Arc` (the
-                // parsed copy must agree — it is the dedup's witness),
-                // the rest stay private to the session. Only the short
-                // open tail is re-decomposed from rows.
-                let n_sealed = read_u32(&mut r)? as usize;
-                if n_sealed * chunk_tokens > covered {
-                    return Err(invalid("cache image session seals more than it covers"));
+            let mut sealed = manager.index.resolve(&ids, chunk_tokens, manager.tick).chunks;
+            if shared > sealed.len() as u64 {
+                return Err(invalid("cache image session shares chunks the index lacks"));
+            }
+            sealed.truncate(shared as usize);
+            for _ in sealed.len()..ids.len() / chunk_tokens {
+                sealed.push(Arc::new(wire::read_planes(&mut r, dims, bits)?));
+            }
+            let mut cache = GrowableKeyCache::from_chunks(sealed, dims, bits, chunk_tokens)
+                .map_err(|e| invalid(format!("cache image session chunks malformed: {e}")))?;
+            let tail_tokens = ids.len() % chunk_tokens;
+            if tail_tokens > 0 {
+                let tail = wire::read_planes(&mut r, dims, bits)?;
+                if tail.tokens() != tail_tokens {
+                    return Err(invalid("cache image session tail has a wrong token count"));
                 }
-                let resolved = manager.index.resolve(&ids, chunk_tokens, manager.tick);
-                let mut sealed = Vec::with_capacity(n_sealed.min(4096));
-                for c in 0..n_sealed {
-                    let parsed = wire::read_planes(&mut r, dims, bits)?;
-                    if parsed.tokens() != chunk_tokens {
-                        return Err(invalid("cache image session chunk has a wrong token count"));
-                    }
-                    match resolved.chunks.get(c) {
-                        Some(shared) if **shared == parsed => sealed.push(Arc::clone(shared)),
-                        Some(_) => {
-                            return Err(invalid(
-                                "cache image session chunk diverges from the index",
-                            ))
-                        }
-                        None => sealed.push(Arc::new(parsed)),
-                    }
-                }
-                let tail_rows = read_rows(&mut r, (covered - n_sealed * chunk_tokens) * dims)?;
-                let mut cache = GrowableKeyCache::from_chunks(sealed, dims, bits, chunk_tokens)
-                    .map_err(|e| invalid(format!("cache image session chunks malformed: {e}")))?;
-                cache.append_rows(&tail_rows).map_err(|e| {
+                cache.append_rows(&chunk_rows(&tail)).map_err(|e| {
                     invalid(format!("cache image session tail does not decompose: {e}"))
                 })?;
-                cache
-            } else {
-                let rows = read_rows(&mut r, covered * dims)?;
-                let resolved = manager.index.resolve(&ids, chunk_tokens, manager.tick);
-                let shared_tokens = resolved.chunks.len() * chunk_tokens;
-                let mut cache =
-                    GrowableKeyCache::from_chunks(resolved.chunks, dims, bits, chunk_tokens)
-                        .map_err(|e| {
-                            invalid(format!("cache image session chunks malformed: {e}"))
-                        })?;
-                cache.append_rows(&rows[shared_tokens * dims..]).map_err(|e| {
-                    invalid(format!("cache image session rows do not decompose: {e}"))
-                })?;
-                cache
-            };
+            }
             manager.residency.track_cache(&cache);
             if manager.store.insert(session, ids.into(), cache, manager.tick).is_some() {
                 return Err(invalid("cache image stores a session twice"));
             }
         }
 
+        // The replay's adoptions are not this run's inserts: a loaded
+        // manager starts its counters from zero.
+        manager.stats = CacheStats::default();
         manager.evict_to_budget();
         Ok(manager)
     }
@@ -466,54 +343,46 @@ mod tests {
         std::fs::write(&path, b"NOTACACHE").unwrap();
         let err = KvCacheManager::load_from(&path, *m.config()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An older format version: only the current one loads.
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        let err = KvCacheManager::load_from(&path, *m.config()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A flipped byte in the first index record's key (after the
+        // 24-byte header, the u64 record count and the record's magic)
+        // no longer matches the recomputed content key.
+        let mut flipped = bytes;
+        flipped[24 + 8 + pade_tier::CHUNK_MAGIC.len()] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        let err = KvCacheManager::load_from(&path, *m.config()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn version_1_images_still_load() {
-        // A VERSION-1 image hand-assembled byte-by-byte — one root index
-        // chunk plus one stored session (that chunk and a 2-token tail),
-        // derivation-input rows everywhere, exactly as the V1 writer laid
-        // them out. The V2 loader must replay it: re-decompose the rows,
-        // re-chain the chunk, Arc-share it into the session.
-        let (dims, bits, ct) = (8usize, 8u32, 4usize);
-        let chunk_ids = ids(ct, 71);
-        let mut session_ids = chunk_ids.clone();
-        session_ids.extend(ids(2, 72));
-        let session_rows = rows_for(&session_ids, dims);
-        let key = crate::index::chunk_key(None, &chunk_ids);
-
-        let mut img = Vec::new();
-        img.extend_from_slice(&MAGIC);
-        write_u32(&mut img, 1).unwrap(); // VERSION 1
-        write_u32(&mut img, dims as u32).unwrap();
-        write_u32(&mut img, bits).unwrap();
-        write_u32(&mut img, ct as u32).unwrap();
-        write_u32(&mut img, 1).unwrap(); // node count
-        write_u32(&mut img, u32::MAX).unwrap(); // parent: root
-        write_u128(&mut img, key).unwrap();
-        write_ids(&mut img, &chunk_ids).unwrap();
-        write_rows(&mut img, &session_rows[..ct * dims]).unwrap();
-        write_u32(&mut img, 1).unwrap(); // session count
-        write_u64(&mut img, 9).unwrap();
-        write_u32(&mut img, session_ids.len() as u32).unwrap();
-        write_ids(&mut img, &session_ids).unwrap();
-        write_rows(&mut img, &session_rows).unwrap();
-
-        let path = temp("v1_compat");
-        std::fs::write(&path, &img).unwrap();
-        let mut m = KvCacheManager::load_from(&path, CacheConfig::new(dims, bits, ct)).unwrap();
-        assert_eq!(m.resident_chunks(), 1);
-        assert_eq!(m.stored_sessions(), 1);
-        // The restored session resumes its next turn, byte-identical to
-        // a from-scratch decomposition.
-        let mut turn2 = session_ids.clone();
-        turn2.extend(ids(3, 73));
-        let a = m.attach(9, &turn2, &rows_for(&turn2, dims)).unwrap();
-        assert!(a.resumed_session);
-        assert_eq!(a.hit_tokens, 6);
-        let scratch = BitPlaneMatrix::from_rows(&rows_for(&turn2, dims), dims, bits).unwrap();
-        assert_eq!(a.cache.snapshot().materialize(), scratch);
+    fn every_torn_image_is_rejected() {
+        // One shared two-chunk prefix and two stored sessions whose
+        // tails are not chunk-aligned.
+        let mut m = KvCacheManager::new(CacheConfig::new(8, 8, 4)).unwrap();
+        for (session, tail) in [(0u64, 3usize), (1, 2)] {
+            let mut p = ids(8, 1);
+            p.extend(ids(tail, 10 + session as u32));
+            let a = m.attach(session, &p, &rows_for(&p, 8)).unwrap();
+            m.detach(session, p.into(), a.cache, a.lease);
+        }
+        let path = temp("torn");
+        m.save_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(KvCacheManager::load_from(&path, *m.config()).is_ok());
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(
+                KvCacheManager::load_from(&path, *m.config()).is_err(),
+                "a {cut}-byte prefix of a {}-byte image loaded",
+                bytes.len()
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -64,9 +64,11 @@ pub struct ServeConfig {
     /// Persist the prefix cache manager across serve runs: load a warm
     /// index/session-store image from this file at startup (when it
     /// exists) and save the grown state back at the end of the run. The
-    /// image is a hand-rolled versioned binary (see `pade-cache`); a
-    /// missing file starts cold, a corrupt or shape-mismatched one
-    /// panics rather than silently serving cold.
+    /// image ([`pade_cache::KvCacheManager::save_to`]) is a versioned header, the
+    /// prefix index as a stream of chunk records and the stored
+    /// sessions' packed planes; a missing file starts cold, while a
+    /// corrupt, shape-mismatched or older-version one panics rather than
+    /// silently serving cold.
     pub cache_file: Option<PathBuf>,
     /// Spill tier of the prefix cache: budget-evicted sealed chunks are
     /// demoted here ([`TierConfig::Memory`] or a

@@ -20,8 +20,9 @@
 //!   [`DiskTierStore`] (one atomic file per chunk in a spill
 //!   directory, re-indexed on open so a restart keeps its tier).
 //! * [`wire`] — the little-endian wire helpers shared with
-//!   `pade-cache`'s `persist` image, so the spill format and the
-//!   warm-start image cannot drift apart.
+//!   `pade-cache`'s `persist` image, whose index section is a stream of
+//!   [`write_chunk`] records — so the spill format and the warm-start
+//!   image cannot drift apart.
 //!
 //! Everything here is content-addressed by the prefix index's
 //! path-dependent chunk key, so a fetched record re-enters the index

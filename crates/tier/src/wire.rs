@@ -2,15 +2,15 @@
 //! records and `pade-cache`'s persisted warm-start image.
 //!
 //! One set of encoders means the two formats cannot drift: the persist
-//! image's chunk-granular records (format VERSION 2) and the tier's
-//! [`ChunkRecord`](crate::ChunkRecord) files serialize planes through
-//! exactly [`write_planes`]/[`read_planes`] — **packed plane words**, so
-//! a reader re-adopts decomposed state by parsing `⌈dims/64⌉` words per
-//! plane instead of re-running bit-plane decomposition, and the round
-//! trip is `==`-identical by construction.
+//! image is a header plus a stream of [`ChunkRecord`](crate::ChunkRecord)s
+//! written by [`write_chunk`](crate::write_chunk), followed by session
+//! planes, and every plane goes through exactly
+//! [`write_planes`]/[`read_planes`] — **packed plane words**, so a reader
+//! re-adopts decomposed state by parsing `⌈dims/64⌉` words per plane
+//! instead of re-running bit-plane decomposition, and the round trip is
+//! `==`-identical by construction.
 
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
 use pade_quant::{BitPlaneMatrix, PlaneRow, TokenPlanes};
 
@@ -158,15 +158,6 @@ pub fn read_planes<R: Read>(r: &mut R, dims: usize, bits: u32) -> io::Result<Bit
         tokens.push(TokenPlanes::from_planes(rows).map_err(invalid)?);
     }
     BitPlaneMatrix::from_tokens(tokens, dims, bits).map_err(invalid)
-}
-
-/// [`write_planes`] for an `Arc`-shared matrix (the sealed-chunk form).
-///
-/// # Errors
-///
-/// Propagates writer errors.
-pub fn write_shared_planes<W: Write>(w: &mut W, planes: &Arc<BitPlaneMatrix>) -> io::Result<()> {
-    write_planes(w, planes)
 }
 
 #[cfg(test)]
