@@ -34,6 +34,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pade_router::{route, route_traced, RoutePolicy, RouterConfig, RouterReport};
@@ -154,7 +155,7 @@ pub fn run_soak(quick: bool) -> SoakResult {
     // and min-of-N keeps the cleanest sample of each.
     let recorder = Arc::new(Recorder::new());
     let recorder_tracer = Tracer::new(Arc::clone(&recorder) as Arc<dyn TraceSink>);
-    let stream_path = soak_stream_path();
+    let stream_path = soak_stream_path("run");
     let mut untraced_wall_s = f64::INFINITY;
     let mut recorder_wall_s = f64::INFINITY;
     let mut stream_wall_s = f64::INFINITY;
@@ -234,7 +235,7 @@ pub fn run_soak(quick: bool) -> SoakResult {
         }
         sink
     });
-    let submit_path = soak_stream_path_tagged("submit");
+    let submit_path = soak_stream_path("submit");
     let (_, stream_submit_s) = time_best_of(submit_iters, || {
         let sink = StreamSink::with_frame_size(&submit_path, SOAK_FRAME_SIZE)
             .expect("create submit-replay stream");
@@ -275,13 +276,14 @@ pub fn run_soak(quick: bool) -> SoakResult {
     }
 }
 
-/// A per-process temp path, so parallel test binaries never collide.
-fn soak_stream_path() -> PathBuf {
-    soak_stream_path_tagged("run")
-}
-
-fn soak_stream_path_tagged(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pade-bench-soak-{tag}-{}.padetrace", std::process::id()))
+/// A temp path unique to the process and the call: parallel test
+/// binaries never collide, and neither do concurrent soak runs inside one
+/// test binary (each removes its own file when done).
+fn soak_stream_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let call = NEXT.fetch_add(1, Ordering::Relaxed);
+    let name = format!("pade-bench-soak-{tag}-{}-{call}.padetrace", std::process::id());
+    std::env::temp_dir().join(name)
 }
 
 /// Serializes a soak run to the `BENCH_<n>.json` trajectory schema.

@@ -1,7 +1,9 @@
 //! Synthetic attention trace generation.
 //!
 //! A trace holds the quantized Q/K/V operands of one attention head plus
-//! the exact INT8 ground truth derived from them. Score structure is
+//! the exact INT8 ground truth derived from them. Q and K are drawn when
+//! the trace is generated; V, which only the dense references read, is
+//! drawn on first read (see [`AttentionTrace`]). Score structure is
 //! injected through a small set of shared *feature directions* rather than
 //! per-token boosts: sink tokens carry a sink direction, recent tokens a
 //! ramped recency direction, and heavy-tail tokens one of a few retrieval
@@ -10,6 +12,8 @@
 //! giving precise control over how much softmax mass each structure owns —
 //! which is exactly the input property the paper's pruning results depend
 //! on.
+
+use std::sync::OnceLock;
 
 use pade_linalg::{attention, MatF32};
 use pade_quant::{quantize_matrix, quantize_matrix_clipped, QuantizedMatrix};
@@ -30,7 +34,8 @@ pub struct TraceConfig {
     /// Per-head hidden dimension.
     pub head_dim: usize,
     /// Number of query rows to materialize (PADE processes 8 per head in
-    /// prefill; decode traces use 1).
+    /// prefill). Arrival traces set it to the request's token count, so a
+    /// decode request carries one row per step.
     pub n_queries: usize,
     /// Attention score structure.
     pub profile: ScoreProfile,
@@ -69,22 +74,41 @@ impl Default for TraceConfig {
 }
 
 /// One attention head's operands plus exact INT8 ground truth.
+///
+/// The feature basis, K and Q are drawn from the seeded generator when the
+/// trace is generated, in that order. V comes last in the same stream, so
+/// the trace keeps the generator as it stands after the Q draws and draws
+/// V from it the first time [`values`](Self::values),
+/// [`values_f32`](Self::values_f32),
+/// [`reference_output`](Self::reference_output),
+/// [`subset_output`](Self::subset_output) or
+/// [`dense_reference_f32`](Self::dense_reference_f32) is called. V is
+/// therefore bit-identical to an eager draw, whichever operand is read
+/// first, and traces that are only scored (the serving path reads Q and K
+/// alone) never pay for it.
 #[derive(Debug, Clone)]
 pub struct AttentionTrace {
     config: TraceConfig,
     q: QuantizedMatrix,
     k: QuantizedMatrix,
-    v: QuantizedMatrix,
-    v_f32: MatF32,
     logit_scale: f32,
+    /// The generator as it stands after the Q draws: the start of V's
+    /// stream.
+    v_rng: StdRng,
+    /// Quantized and FP32 values, drawn from `v_rng` on first read.
+    v: OnceLock<(QuantizedMatrix, MatF32)>,
 }
 
 impl AttentionTrace {
-    /// Generates a trace from a configuration.
+    /// Generates a trace from a configuration: draws the feature basis,
+    /// the keys and the queries, and quantizes Q and K. The values are
+    /// drawn on first read (see [`AttentionTrace`]).
     ///
     /// # Panics
     ///
-    /// Panics if `seq_len`, `head_dim` or `n_queries` is zero.
+    /// Panics if `seq_len`, `head_dim` or `n_queries` is zero, or if
+    /// `head_dim` is 6 or less, too small for the six-direction feature
+    /// basis.
     #[must_use]
     pub fn generate(config: &TraceConfig) -> Self {
         assert!(config.seq_len > 0 && config.head_dim > 0 && config.n_queries > 0);
@@ -172,25 +196,34 @@ impl AttentionTrace {
             }
         }
 
-        // Values: plain activations.
-        let mut v = MatF32::zeros(s, h);
-        for j in 0..s {
-            for x in v.row_mut(j).iter_mut() {
-                *x = standard_normal(&mut rng) * 0.5;
-            }
-        }
-
-        // Operands are quantized with outlier clipping (3σ / 2.5σ), the
-        // calibration step of any practical INT8 PTQ pipeline; it keeps the
-        // integer scale representative of the bulk data, which is also what
-        // makes bit-serial early termination effective.
+        // Queries and keys are quantized with outlier clipping (3σ / 2.5σ),
+        // the calibration step of any practical INT8 PTQ pipeline; it keeps
+        // the integer scale representative of the bulk data, which is also
+        // what makes bit-serial early termination effective.
         let qq = quantize_matrix_clipped(q.as_slice(), config.n_queries, h, config.bits, 3.0)
             .expect("query quantization");
         let kq = quantize_matrix_clipped(k.as_slice(), s, h, config.bits, 2.5)
             .expect("key quantization");
-        let vq = quantize_matrix(v.as_slice(), s, h, config.bits).expect("value quantization");
         let logit_scale = qq.params().scale() * kq.params().scale();
-        Self { config: *config, q: qq, k: kq, v: vq, v_f32: v, logit_scale }
+        Self { config: *config, q: qq, k: kq, logit_scale, v_rng: rng, v: OnceLock::new() }
+    }
+
+    /// The quantized and FP32 values, drawn on the first call.
+    fn drawn_values(&self) -> &(QuantizedMatrix, MatF32) {
+        self.v.get_or_init(|| {
+            let (s, h) = (self.config.seq_len, self.config.head_dim);
+            let mut rng = self.v_rng.clone();
+            // Values: plain activations.
+            let mut v = MatF32::zeros(s, h);
+            for j in 0..s {
+                for x in v.row_mut(j).iter_mut() {
+                    *x = standard_normal(&mut rng) * 0.5;
+                }
+            }
+            let vq =
+                quantize_matrix(v.as_slice(), s, h, self.config.bits).expect("value quantization");
+            (vq, v)
+        })
     }
 
     /// The generating configuration.
@@ -223,16 +256,16 @@ impl AttentionTrace {
         &self.k.as_slice()[..tokens * self.k.cols()]
     }
 
-    /// Quantized values (`S × H`).
+    /// Quantized values (`S × H`), drawn on the first read.
     #[must_use]
     pub fn values(&self) -> &QuantizedMatrix {
-        &self.v
+        &self.drawn_values().0
     }
 
-    /// The FP32 values used for reference outputs.
+    /// The FP32 values used for reference outputs, drawn on the first read.
     #[must_use]
     pub fn values_f32(&self) -> &MatF32 {
-        &self.v_f32
+        &self.drawn_values().1
     }
 
     /// Multiplier mapping an integer Q·K dot product into the logit domain
@@ -267,9 +300,10 @@ impl AttentionTrace {
     pub fn reference_output(&self, i: usize) -> Vec<f32> {
         let logits = self.exact_logits(i);
         let weights = pade_linalg::softmax(&logits);
-        let mut out = vec![0.0f32; self.v_f32.cols()];
+        let v = self.values_f32();
+        let mut out = vec![0.0f32; v.cols()];
         for (j, &w) in weights.iter().enumerate() {
-            for (o, &x) in out.iter_mut().zip(self.v_f32.row(j)) {
+            for (o, &x) in out.iter_mut().zip(v.row(j)) {
                 *o += w * x;
             }
         }
@@ -283,9 +317,10 @@ impl AttentionTrace {
         let logits = self.exact_logits(i);
         let scores: Vec<f32> = retained.iter().map(|&j| logits[j]).collect();
         let weights = pade_linalg::softmax(&scores);
-        let mut out = vec![0.0f32; self.v_f32.cols()];
+        let v = self.values_f32();
+        let mut out = vec![0.0f32; v.cols()];
         for (&j, &w) in retained.iter().zip(&weights) {
-            for (o, &x) in out.iter_mut().zip(self.v_f32.row(j)) {
+            for (o, &x) in out.iter_mut().zip(v.row(j)) {
                 *o += w * x;
             }
         }
@@ -305,7 +340,7 @@ impl AttentionTrace {
     pub fn dense_reference_f32(&self) -> MatF32 {
         let qf = MatF32::from_vec(self.q.dequantize(), self.q.rows(), self.q.cols());
         let kf = MatF32::from_vec(self.k.dequantize(), self.k.rows(), self.k.cols());
-        attention::dense_attention(&qf, &kf, &self.v_f32, 1.0)
+        attention::dense_attention(&qf, &kf, self.values_f32(), 1.0)
     }
 }
 
@@ -595,14 +630,65 @@ mod tests {
         AttentionTrace::generate(&TraceConfig { seed, ..TraceConfig::small_demo() })
     }
 
+    /// V's quantized bytes and FP32 bit patterns.
+    fn value_bits(t: &AttentionTrace) -> (Vec<i8>, Vec<u32>) {
+        let f32_bits = t.values_f32().as_slice().iter().map(|x| x.to_bits()).collect();
+        (t.values().as_slice().to_vec(), f32_bits)
+    }
+
     #[test]
     fn trace_is_deterministic_per_seed() {
         let a = small(3);
         let b = small(3);
         assert_eq!(a.keys().as_slice(), b.keys().as_slice());
         assert_eq!(a.queries().as_slice(), b.queries().as_slice());
+        assert_eq!(value_bits(&a), value_bits(&b));
         let c = small(4);
         assert_ne!(a.keys().as_slice(), c.keys().as_slice());
+        assert_ne!(value_bits(&a), value_bits(&c));
+    }
+
+    #[test]
+    fn values_are_undrawn_until_read() {
+        let t = small(3);
+        assert!(t.v.get().is_none(), "generate must not draw V");
+        let _ = (t.queries(), t.keys(), t.logit_scale(), t.key_prefix(8));
+        assert!(t.v.get().is_none(), "reading Q, K and the logit scale must not draw V");
+        let _ = t.values();
+        assert!(t.v.get().is_some());
+    }
+
+    #[test]
+    fn values_do_not_depend_on_read_order() {
+        let v_first = small(3);
+        let v_bits = value_bits(&v_first);
+        let qk_first = small(3);
+        let _ = (qk_first.queries(), qk_first.keys(), qk_first.exact_logits(0));
+        assert_eq!(value_bits(&qk_first), v_bits);
+        let reference_first = small(3);
+        let _ = reference_first.reference_output(0);
+        assert_eq!(value_bits(&reference_first), v_bits);
+    }
+
+    #[test]
+    fn clone_before_first_read_draws_the_same_values() {
+        let original = small(5);
+        let copy = original.clone();
+        let original_bits = value_bits(&original);
+        assert!(copy.v.get().is_none(), "the clone was taken undrawn");
+        assert_eq!(value_bits(&copy), original_bits);
+    }
+
+    #[test]
+    fn concurrent_first_reads_see_one_draw() {
+        let t = small(9);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| t.values().as_slice().to_vec());
+            let b = scope.spawn(|| t.values().as_slice().to_vec());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, t.values().as_slice());
     }
 
     #[test]
@@ -773,6 +859,8 @@ mod tests {
             let a = AttentionTrace::generate(&r.trace);
             let b = AttentionTrace::generate(&r.trace);
             assert_eq!(a.keys().as_slice(), b.keys().as_slice());
+            assert_eq!(a.queries().as_slice(), b.queries().as_slice());
+            assert_eq!(value_bits(&a), value_bits(&b));
         }
     }
 
