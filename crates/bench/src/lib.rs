@@ -17,100 +17,22 @@
 //!
 //! The criterion-style micro benches live in `benches/` (`kernels.rs`,
 //! `end_to_end.rs`, `extensions.rs`); this module is the end-to-end,
-//! machine-readable harness. The [`serve`] module adds the serving
-//! scenario (`pade-bench --scenario serve`): continuous batching vs a
-//! one-request-at-a-time baseline over seeded arrival traces, recorded to
-//! `BENCH_2.json`. The [`decode_growth`] module adds the KV-growth
-//! scenario (`pade-bench --scenario decode-growth`): incremental
-//! per-step plane appends vs full re-decomposition, recorded to
-//! `BENCH_3.json`. The [`prefix_cache`] module adds the cross-request
-//! prefix-sharing scenario (`pade-bench --scenario prefix-cache`):
-//! `pade-cache` attach/detach vs from-scratch decomposition of every
-//! prompt, with an eviction-under-budget sweep, recorded to
-//! `BENCH_4.json`. The [`route`] module adds the multi-node routing
-//! scenario (`pade-bench --scenario route`): prefix-affinity vs
-//! round-robin vs least-loaded placement across 1/2/4/8 `pade-router`
-//! nodes, recorded to `BENCH_5.json`. The [`preempt`] module adds the SLO-aware preemptive-scheduling
-//! scenario (`pade-bench --scenario preempt`): a background tenant
-//! flooding long prefills against a foreground decode tenant under a
-//! p99 SLO, non-preemptive FCFS vs chunked-prefill SLO-aware
-//! preemption, recorded to `BENCH_8.json`. The [`tier`] module adds the
-//! tiered-KV scenario (`pade-bench --scenario tier`): drop-on-evict vs
-//! `pade-tier` spill/fetch (memory and disk backends) under a
-//! cache-thrashing prompt pool, plus fleet drain-migration and
-//! hot-shard replication points with interconnect-costed transfers,
-//! recorded to `BENCH_9.json`. The [`soak`] module adds the
+//! machine-readable harness. The [`soak`] module adds the
 //! streaming-trace scenario (`pade-bench --scenario soak`): the route
 //! trace profile replayed untraced, into the in-memory recorder, and
 //! into the bounded-memory on-disk `StreamSink` — fingerprint parity
 //! and byte-identity hard-checked, streaming overhead recorded to
 //! `BENCH_10.json`.
+//!
+//! Serving, cache, tier and fleet performance is measured end to end
+//! and per layer by the repository benchmark (`perfbench/`); README
+//! § Benchmark harness names the tests that guard the claims of the
+//! other `BENCH_<n>.json` records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decode_growth;
-pub mod preempt;
-pub mod prefix_cache;
-pub mod route;
-pub mod serve;
 pub mod soak;
-pub mod tier;
-
-/// Shared KV-prep replay machinery for the cache-centric scenarios
-/// (`prefix_cache`, `route`): one prepared-operand representation and
-/// one attach/detach replay loop, so the two benches measure exactly
-/// the same admission protocol and cannot drift apart.
-pub(crate) mod prep {
-    use std::sync::Arc;
-
-    use pade_cache::{CacheConfig, KvCacheManager};
-    use pade_workload::trace::RequestArrival;
-
-    /// The prompt id/row operands of one request, precomputed so timed
-    /// replays pay neither trace generation nor key-row derivation.
-    pub(crate) struct PreparedRequest {
-        pub(crate) id: usize,
-        pub(crate) session: u64,
-        pub(crate) ids: Arc<[u32]>,
-        pub(crate) rows: Vec<i8>,
-    }
-
-    pub(crate) fn prepare(
-        arrivals: &[RequestArrival],
-        head_dim: usize,
-        bits: u32,
-    ) -> Vec<PreparedRequest> {
-        arrivals
-            .iter()
-            .map(|r| {
-                let prompt = r.prompt.as_ref().expect("cache workloads carry prompts");
-                PreparedRequest {
-                    id: r.id,
-                    session: r.session,
-                    ids: prompt.shared_ids(),
-                    rows: prompt.key_rows(head_dim, bits),
-                }
-            })
-            .collect()
-    }
-
-    /// Replays attach/detach over `requests` in order — the timed
-    /// KV-prep loop, kept free of accounting reads.
-    pub(crate) fn replay_manager<'a>(
-        requests: impl IntoIterator<Item = &'a PreparedRequest>,
-        config: CacheConfig,
-    ) -> KvCacheManager {
-        let mut manager = KvCacheManager::new(config).expect("bench cache shape is valid");
-        for req in requests {
-            let attached = manager
-                .attach(req.session, &req.ids, &req.rows)
-                .expect("bench prompt rows decompose");
-            manager.detach(req.session, Arc::clone(&req.ids), attached.cache, attached.lease);
-        }
-        manager
-    }
-}
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -190,7 +112,7 @@ pub fn default_matrix(quick: bool) -> Vec<ShapeSpec> {
     shapes
 }
 
-pub(crate) fn trace_for(spec: &ShapeSpec) -> AttentionTrace {
+fn trace_for(spec: &ShapeSpec) -> AttentionTrace {
     AttentionTrace::generate(&TraceConfig {
         seq_len: spec.seq_len,
         head_dim: spec.head_dim,

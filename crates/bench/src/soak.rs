@@ -1,12 +1,12 @@
 //! The `soak` scenario: streamed tracing vs in-memory recording on the
 //! route trace profile.
 //!
-//! PR 10's claim is that the bounded-memory on-disk [`StreamSink`] is a
-//! drop-in replacement for the in-memory [`Recorder`]: same events, same
-//! fingerprint, same zero effect on outputs, at O(frame) resident cost
-//! instead of O(events). [`run_soak`] replays the seeded multi-tenant
-//! route workload (2-node affinity fleet, the `route` scenario's trace
-//! profile) three ways:
+//! The claim under test is that the bounded-memory on-disk
+//! [`StreamSink`] is a drop-in replacement for the in-memory
+//! [`Recorder`]: same events, same fingerprint, same zero effect on
+//! outputs, at O(frame) resident cost instead of O(events). [`run_soak`]
+//! replays the seeded multi-tenant [`route_workload`] (2-node affinity
+//! fleet) three ways:
 //!
 //! * **untraced** — plain `route`, the wall-clock floor,
 //! * **recorder** — `route_traced` into a fresh in-memory `Recorder`,
@@ -43,15 +43,64 @@ use pade_serve::scheduler::ScheduleMode;
 use pade_serve::server::ServeConfig;
 use pade_trace::flight::{assemble_timelines, check_linked};
 use pade_trace::{read_stream, Recorder, StreamSink, TraceSink, Tracer};
-use pade_workload::prompt::{generate_multi_tenant_arrivals, MultiTenantConfig};
+use pade_workload::prompt::{
+    generate_multi_tenant_arrivals, MultiTenantConfig, SharedPrefixConfig,
+};
 
-use crate::route::route_workload;
 use crate::time_best_of;
 
 /// Frame size of the soak stream. Small enough that even the quick
 /// workload spans several frames (so the bounded-memory claim is
 /// exercised, not vacuous), large enough to hold any single event batch.
 pub const SOAK_FRAME_SIZE: usize = 4096;
+
+/// The route trace profile the soak replays: one long shared prefix per
+/// tenant (the decomposition-heavy asset affinity keeps resident),
+/// several sessions per tenant, each returning for a second turn.
+/// Returns the workload and its KV chunk size in tokens.
+#[must_use]
+pub fn route_workload(quick: bool) -> (MultiTenantConfig, usize) {
+    if quick {
+        let workload = MultiTenantConfig {
+            tenants: 2,
+            sessions_per_tenant: 3,
+            per_tenant: SharedPrefixConfig {
+                turns_per_session: 2,
+                pool_size: 1,
+                shared_prefix_tokens: 96,
+                unique_suffix_tokens: 16,
+                turn_suffix_tokens: 16,
+                decode_steps: 2,
+                prefill_fraction: 0.25,
+                prefill_rows: 8,
+                mean_interarrival_cycles: 2_000.0,
+                turn_gap_cycles: 100_000,
+                ..SharedPrefixConfig::small_demo()
+            },
+            seed: 2026,
+        };
+        return (workload, 32);
+    }
+    let workload = MultiTenantConfig {
+        tenants: 4,
+        sessions_per_tenant: 6,
+        per_tenant: SharedPrefixConfig {
+            turns_per_session: 2,
+            pool_size: 1,
+            shared_prefix_tokens: 1024,
+            unique_suffix_tokens: 64,
+            turn_suffix_tokens: 64,
+            decode_steps: 8,
+            prefill_fraction: 0.25,
+            prefill_rows: 8,
+            mean_interarrival_cycles: 4_000.0,
+            turn_gap_cycles: 400_000,
+            ..SharedPrefixConfig::small_demo()
+        },
+        seed: 2026,
+    };
+    (workload, 64)
+}
 
 /// Measured outcome of the soak run.
 #[derive(Debug, Clone)]

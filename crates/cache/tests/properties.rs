@@ -13,12 +13,18 @@
 //!    identical engine outputs with the cache on or off.
 //! 4. **Persistence** — a saved and reloaded manager holds the same
 //!    chunks, sessions and deduplicated bytes, and serves the same hits.
+//! 5. **Spill media agree** — a memory and a disk spill tier give the
+//!    same counters on a cache-thrashing trace, and both re-adopt planes
+//!    a tierless manager has to decompose again.
 
 use pade_cache::{CacheBudget, CacheConfig, CacheStats, KvCacheManager, TierConfig};
 use pade_core::config::PadeConfig;
 use pade_core::engine::{run_qk_block, run_qk_block_reference};
 use pade_quant::{BitPlaneMatrix, PlaneSource};
-use pade_workload::prompt::{generate_shared_prefix_arrivals, PromptTokens, SharedPrefixConfig};
+use pade_workload::prompt::{
+    generate_shared_prefix_arrivals, generate_thrash_arrivals, PromptTokens, SharedPrefixConfig,
+    ThrashConfig,
+};
 use proptest::prelude::*;
 
 const DIMS: usize = 24;
@@ -338,4 +344,59 @@ proptest! {
         let scratch = BitPlaneMatrix::from_rows(&rows, DIMS, BITS).unwrap();
         prop_assert!(b.cache.snapshot().materialize() == scratch);
     }
+}
+
+/// Replays a round-robin thrash trace through a manager whose budget
+/// holds 1.5 of the pool's prompts, with the given spill tier, checking
+/// every attach against a from-scratch decomposition of its key rows.
+fn replay_thrash(tier: Option<TierConfig>) -> CacheStats {
+    let workload = ThrashConfig {
+        pool_size: 3,
+        prompt_tokens: 96,
+        visits: 9,
+        decode_steps: 2,
+        seed: 2026,
+        ..ThrashConfig::small_demo()
+    };
+    let (dims, bits) = (workload.head_dim, workload.bits);
+    let prompt_bytes = (workload.prompt_tokens * bits as usize * dims.div_ceil(64) * 8) as u64;
+    let config =
+        CacheConfig::new(dims, bits, 32).with_budget(CacheBudget::bytes(prompt_bytes * 3 / 2));
+    let mut m = KvCacheManager::new(config).expect("test shape is valid");
+    m.set_tier(tier.map(|t| t.build().expect("tier store builds")));
+    for arrival in generate_thrash_arrivals(&workload) {
+        let prompt = arrival.prompt.expect("thrash arrivals carry prompts");
+        let rows = prompt.key_rows(dims, bits);
+        let attached = m.attach(arrival.session, prompt.ids(), &rows).unwrap();
+        let scratch = BitPlaneMatrix::from_rows(&rows, dims, bits).unwrap();
+        assert!(
+            attached.cache.snapshot().materialize() == scratch,
+            "visit {}: attached planes diverged from the from-scratch decomposition",
+            arrival.id
+        );
+        m.detach(arrival.session, prompt.shared_ids(), attached.cache, attached.lease);
+    }
+    *m.stats()
+}
+
+/// The memory and disk spill tiers are one protocol over two media:
+/// replaying the same thrash trace through either gives equal counters,
+/// and both serve revisits from spilled planes that a tierless manager
+/// has already dropped.
+#[test]
+fn memory_and_disk_spill_tiers_agree_and_beat_drop_on_evict() {
+    let dir = std::env::temp_dir().join(format!("pade_cache_spill_agree_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dropped = replay_thrash(None);
+    let memory = replay_thrash(Some(TierConfig::Memory));
+    let disk = replay_thrash(Some(TierConfig::Disk(dir.clone())));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(memory, disk, "memory and disk spill tiers disagree");
+    assert!(memory.spilled_chunks > 0 && memory.fetched_tokens > 0, "the tier never engaged");
+    assert!(
+        memory.hit_tokens > dropped.hit_tokens,
+        "spill {} vs drop {} hit tokens",
+        memory.hit_tokens,
+        dropped.hit_tokens
+    );
 }

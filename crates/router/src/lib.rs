@@ -41,9 +41,10 @@
 //! Placement is a scheduling decision, never a numerical one: per-request
 //! outputs are byte-identical across every policy and node count, and
 //! identical to the single-node seed-oracle run (property-tested in
-//! `tests/`). What placement *does* change is who pays KV prep — the
-//! `pade-bench --scenario route` sweep records affinity beating the
-//! cache-blind baselines on exactly that.
+//! `tests/`). What placement *does* change is who pays KV prep:
+//! `tests/invariants.rs` checks that affinity beats round-robin on fleet
+//! prefix-cache hits, and `BENCH_5.json` records the sweep that measured
+//! it.
 //!
 //! # Example
 //!

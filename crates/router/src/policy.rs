@@ -5,8 +5,8 @@
 //! prompt, the per-node in-system load at that instant and the routing
 //! history. [`RoutePolicy::Affinity`] is the cache-aware policy this
 //! crate exists for; [`RoutePolicy::RoundRobin`] and
-//! [`RoutePolicy::LeastLoaded`] are the cache-blind baselines the bench
-//! scenario reads it against.
+//! [`RoutePolicy::LeastLoaded`] are the cache-blind baselines it is
+//! measured against.
 
 /// How arrivals are placed onto nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -355,8 +355,7 @@ fn shared_prefix_workload(args: &Args) -> Vec<RequestArrival> {
 
 /// The two-tenant SLO contention workload: foreground tenant 0 decoding
 /// under a p99 SLO at priority 10, background tenant 1 flooding long
-/// prefill prompts at priority 0 (mirroring `pade-bench --scenario
-/// preempt`).
+/// prefill prompts at priority 0.
 fn slo_workload(args: &Args) -> Vec<RequestArrival> {
     if args.decode_fraction.is_some() {
         usage_error(

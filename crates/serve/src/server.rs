@@ -180,7 +180,7 @@ impl ServeReport {
 
 /// Asserts that two serve runs of the same arrival trace produced
 /// byte-identical per-request outputs — the batching-never-changes-
-/// outputs invariant, checked by the CLI and the bench scenario alike.
+/// outputs invariant, checked by the CLI and the tests alike.
 ///
 /// # Panics
 ///

@@ -115,8 +115,8 @@ pub struct StageStat {
     pub total_wall_nanos: u64,
 }
 
-/// Per-stage attribution report: where the cycles went, stage by stage —
-/// the record `pade-bench` embeds in `BENCH_7.json`.
+/// Per-stage attribution report: where the cycles went, stage by stage
+/// (`BENCH_7.json` records one).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageBreakdown {
     /// Stage aggregates, sorted by name.

@@ -395,8 +395,8 @@ pub fn generate_multi_tenant_arrivals(config: &MultiTenantConfig) -> Vec<Request
 /// smaller than the pool's footprint, the chunk evicted longest ago is
 /// always exactly the one the *next* visit needs, so a drop-on-evict
 /// cache re-decomposes every visit while a spill tier re-adopts the
-/// evicted planes by parsing words. This is the workload behind
-/// `pade-bench --scenario tier`.
+/// evicted planes by parsing words. `pade-cache`'s spill-tier tests
+/// replay it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThrashConfig {
     /// Distinct prompts in the pool.

@@ -346,9 +346,8 @@ impl AttentionTrace {
 
 /// What one served request asks the attention engine to do.
 ///
-/// The serving layer (`pade-serve`) and the `serve` scenario of
-/// `pade-bench` both consume these; the variants mirror the two phases of
-/// LLM inference the paper models (§V-B).
+/// The serving layer (`pade-serve`) consumes these; the variants mirror
+/// the two phases of LLM inference the paper models (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
     /// Prompt ingestion: `rows` query rows over the full context.
@@ -385,8 +384,8 @@ impl RequestKind {
     /// attends `seq_len − 1` tokens: the key of the token it is itself
     /// generating is never attended (the result is clamped to `seq_len`
     /// only for out-of-range `step`). This single definition is shared by
-    /// the serving layer's growable caches, the from-scratch oracle and
-    /// the `decode-growth` bench scenario, so all three stay aligned.
+    /// the serving layer's growable caches and the from-scratch oracle,
+    /// so the two stay aligned.
     #[must_use]
     pub fn context_len(&self, seq_len: usize, step: usize) -> usize {
         match *self {

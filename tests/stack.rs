@@ -37,9 +37,10 @@ fn assert_oracle_identical(
 }
 
 /// A two-node prefix-affinity fleet over shared-prefix, multi-turn
-/// prompts: a budget tight enough to evict, a memory spill tier that
-/// catches the evictions, hot-shard replication and a mid-trace drain of
-/// node 0.
+/// prompts: a budget tight enough to evict and a memory spill tier that
+/// catches the evictions. The fleet tier runs twice: once with a
+/// mid-trace drain of node 0, whose shard must migrate, and once with
+/// hot-shard replication and no drain.
 #[test]
 fn affinity_fleet_with_spill_tier_and_drain_matches_the_oracle() {
     let arrivals = generate_shared_prefix_arrivals(&SharedPrefixConfig {
@@ -60,21 +61,31 @@ fn affinity_fleet_with_spill_tier_and_drain_matches_the_oracle() {
         tier: Some(TierConfig::Memory),
         ..ServeConfig::standard()
     };
-    let fleet = RouterConfig {
-        tier: Some(FleetTierConfig::default()),
-        drain: Some(DrainPlan { node: 0, after_arrivals: arrivals.len() / 2 }),
-        ..RouterConfig::homogeneous(node.clone(), 2, RoutePolicy::Affinity)
-    };
-    let report = route(&fleet, &arrivals, ScheduleMode::Batched);
-    assert_oracle_identical(&report.completions_by_id(), &arrivals, &node);
-    for d in &report.decisions[arrivals.len() / 2..] {
-        assert_ne!(d.node, 0, "placement on the drained node");
+    let drain_node_0 = DrainPlan { node: 0, after_arrivals: arrivals.len() / 2 };
+    let replicate = FleetTierConfig { replicate_hot_after: 2, ..FleetTierConfig::default() };
+    for (tier, drain) in [(FleetTierConfig::default(), Some(drain_node_0)), (replicate, None)] {
+        let fleet = RouterConfig {
+            tier: Some(tier),
+            drain,
+            ..RouterConfig::homogeneous(node.clone(), 2, RoutePolicy::Affinity)
+        };
+        let report = route(&fleet, &arrivals, ScheduleMode::Batched);
+        assert_oracle_identical(&report.completions_by_id(), &arrivals, &node);
+        // The layers under test did work: shared prefixes hit, the tight
+        // budget evicted into the spill tier, and the fleet tier moved
+        // shards.
+        let s = &report.summary;
+        assert!(s.cache_hit_tokens > 0, "no prefix-cache hits");
+        assert!(s.cache_evictions > 0 && s.cache_spilled_chunks > 0, "the budget never spilled");
+        if drain.is_some() {
+            for d in &report.decisions[arrivals.len() / 2..] {
+                assert_ne!(d.node, 0, "placement on the drained node");
+            }
+            assert!(s.migrations >= 1, "the drain migrated nothing");
+        } else {
+            assert!(s.replications >= 1, "the hot shared prefix never replicated");
+        }
     }
-    // The layers under test did work: shared prefixes hit, and the tight
-    // budget evicted into the spill tier.
-    let s = &report.summary;
-    assert!(s.cache_hit_tokens > 0, "no prefix-cache hits");
-    assert!(s.cache_evictions > 0 && s.cache_spilled_chunks > 0, "the budget never spilled");
 }
 
 /// One SLO-aware node slicing prefills into 4-row chunks (below the
