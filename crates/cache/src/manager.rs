@@ -85,6 +85,10 @@ pub struct CacheStats {
     /// [`hit_tokens`](Self::hit_tokens) — fetched tokens skip
     /// decomposition just like resident hits).
     pub fetched_tokens: u64,
+    /// Spill-tier faults at attach — a `get` that failed or a record
+    /// adoption refused as invalid. Each one falls back to decomposing
+    /// the chunk, so outputs are unaffected; this counter surfaces it.
+    pub tier_faults: u64,
 }
 
 impl CacheStats {
@@ -420,14 +424,17 @@ impl KvCacheManager {
             // byte-identical planes — re-adopt and republish them. Only
             // while the path is still indexable: a private chunk cannot
             // be republished, and a fetch that stays private would be
-            // pure I/O waste over an equal-cost parse. A record that
-            // fails validation falls back to decomposition.
+            // pure I/O waste over an equal-cost parse. A failed fetch or a
+            // record that fails validation is a counted tier fault and
+            // falls back to decomposition.
             let spilled = match &self.tier {
-                Some(tier) if indexable => tier
-                    .get(key)
-                    .ok()
-                    .flatten()
-                    .filter(|rec| rec.parent == parent && *rec.ids == *chunk_ids),
+                Some(tier) if indexable => match tier.get(key) {
+                    Ok(rec) => rec.filter(|rec| rec.parent == parent && *rec.ids == *chunk_ids),
+                    Err(_) => {
+                        self.stats.tier_faults = self.stats.tier_faults.saturating_add(1);
+                        None
+                    }
+                },
                 _ => None,
             };
             if let Some(rec) = spilled {
@@ -440,7 +447,9 @@ impl KvCacheManager {
                         continue;
                     }
                     Err(Refusal::Collision) => indexable = false,
-                    Err(Refusal::Invalid) => {}
+                    Err(Refusal::Invalid) => {
+                        self.stats.tier_faults = self.stats.tier_faults.saturating_add(1);
+                    }
                 }
             }
             let planes = Arc::new(BitPlaneMatrix::from_rows(
@@ -1014,9 +1023,62 @@ mod tests {
         m.set_tier(Some(Box::new(tier)));
         let a = m.attach(1, &p, &rows).unwrap();
         assert_eq!((a.hit_tokens, a.decomposed_tokens, a.fetched_tokens), (0, 8, 0));
+        assert_eq!(m.stats().tier_faults, 1, "the refused record is a counted fault");
         assert_eq!(m.resident_chunks(), 2, "the decomposed chunks are still published");
         let scratch = BitPlaneMatrix::from_rows(&rows, 8, 8).unwrap();
         assert_eq!(a.cache.snapshot().materialize(), scratch);
+    }
+
+    /// A spill tier that stores records but fails to read any back.
+    #[derive(Debug, Default)]
+    struct FailingGets(pade_tier::MemoryTierStore);
+
+    impl TierStore for FailingGets {
+        fn put(&mut self, record: &ChunkRecord) -> std::io::Result<()> {
+            self.0.put(record)
+        }
+        fn get(&self, key: u128) -> std::io::Result<Option<ChunkRecord>> {
+            if self.0.contains(key) {
+                Err(std::io::Error::other("injected read fault"))
+            } else {
+                Ok(None)
+            }
+        }
+        fn remove(&mut self, key: u128) -> std::io::Result<bool> {
+            self.0.remove(key)
+        }
+        fn contains(&self, key: u128) -> bool {
+            self.0.contains(key)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn spilled_bytes(&self) -> u64 {
+            self.0.spilled_bytes()
+        }
+    }
+
+    #[test]
+    fn attach_decomposes_past_a_failing_tier_get() {
+        // Budget zero spills both chunks of the first attach; the second
+        // attach finds them in the tier, every fetch fails, and each
+        // failure is counted and decomposed instead.
+        let mut m =
+            KvCacheManager::new(CacheConfig::new(8, 8, 4).with_budget(CacheBudget::bytes(0)))
+                .unwrap();
+        m.set_tier(Some(Box::new(FailingGets::default())));
+        let p = ids(8, 59);
+        let rows = rows_for(&p, 8);
+        let a = m.attach(1, &p, &rows).unwrap();
+        m.release(a.lease);
+        assert_eq!((m.resident_chunks(), m.tier().unwrap().len()), (0, 2));
+        assert_eq!(m.stats().tier_faults, 0, "nothing was fetched yet");
+
+        let b = m.attach(2, &p, &rows).unwrap();
+        assert_eq!((b.hit_tokens, b.decomposed_tokens, b.fetched_tokens), (0, 8, 0));
+        assert_eq!(m.stats().tier_faults, 2, "one fault per chunk the tier failed to return");
+        let scratch = BitPlaneMatrix::from_rows(&rows, 8, 8).unwrap();
+        assert_eq!(b.cache.snapshot().materialize(), scratch, "outputs are unchanged");
     }
 
     #[test]

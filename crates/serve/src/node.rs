@@ -81,6 +81,9 @@ struct FlightAccum {
     preempted_cycles: u64,
     /// Set while the session is parked by the scheduler.
     parked_since: Option<Cycle>,
+    /// Base track of the engine dispatch that ran the request's current
+    /// tile — where the `req.dispatch` links of its later slices point.
+    tile_dispatch: u64,
 }
 
 /// One serving node — scheduler, engine slots, KV cache manager and
@@ -409,8 +412,9 @@ impl Node {
         }
     }
 
-    /// One lockstep step: admit, then either dispatch a batch (advancing
-    /// the clock by the slowest block), jump to the next arrival (capped
+    /// One lockstep step: admit, then either dispatch a batch (one slice
+    /// per chosen session, advancing the clock by the largest tile cycle
+    /// count a slice is charged), jump to the next arrival (capped
     /// at `jump_cap`, so a caller advancing to a target never has its
     /// idle node leap past arrivals it has yet to deliver), or report
     /// exhaustion.
@@ -494,35 +498,77 @@ impl Node {
                 }
             }
         }
-        let jobs: Vec<_> = chosen.iter().map(|&i| self.active[i].next_job()).collect();
-        let batch_tokens: usize = jobs.iter().map(|j| j.queries.len()).sum();
+        // Every chosen session advances one slice, but only a slice that
+        // opens a tile carries an engine job (the whole tile): each tile
+        // runs once, however finely the scheduler slices it.
+        let slices: Vec<_> = chosen.iter().map(|&i| self.active[i].next_job()).collect();
+        let opens: Vec<bool> = slices.iter().map(Option::is_some).collect();
+        let jobs: Vec<_> = slices.into_iter().flatten().collect();
+        let batch_tokens: usize = chosen.iter().map(|&i| self.active[i].next_block_tokens()).sum();
         // Caller-assigned engine tracks, keyed by dispatch-unit index —
         // never by worker identity — so the recorded streams are
         // deterministic at any `PADE_THREADS`. One dispatch spends one
         // unit on the dispatcher (prepass + fan-out spans) plus one per
-        // tile; every job holds at most `pe_rows` rows, so each job is
-        // exactly one tile and yields exactly one result.
+        // slice: tiles first, in job order, then the slices that ran none.
         let dispatch_begin = self.now;
         let base_track = trace_track::id(
             trace_track::ENGINE,
             self.node_id,
             self.dispatch_units.wrapping_mul(trace_track::DISPATCH_STRIDE as u32),
         );
-        let results = pade_core::engine::run_qk_batch_traced(
-            &self.config.engine,
-            &jobs,
-            &self.tracer,
-            base_track,
-        );
+        let results = if jobs.is_empty() {
+            Vec::new()
+        } else {
+            let engine = &self.config.engine;
+            pade_core::engine::run_qk_batch_traced(engine, &jobs, &self.tracer, base_track)
+        };
         debug_assert_eq!(results.len(), jobs.len(), "one tile per job");
-        self.dispatch_units = self.dispatch_units.wrapping_add(1 + results.len() as u32);
+        self.dispatch_units = self.dispatch_units.wrapping_add(1 + chosen.len() as u32);
         drop(jobs);
+
+        // Work is counted once per tile, at the slice that ran it; every
+        // slice is charged its tile's full cycle count.
+        let mut units = (0, results.len() as u64);
+        let mut results = results.into_iter();
+        let mut duration = Cycle::ZERO;
+        for (&i, &opens) in chosen.iter().zip(&opens) {
+            let result = opens.then(|| results.next().expect("one result per tile job"));
+            if let Some(result) = &result {
+                self.metrics.ops.merge(&result.ops);
+                self.metrics.traffic.merge(&result.traffic);
+            }
+            let cycles = self.active[i].absorb(result);
+            duration = duration.max(cycles);
+            self.metrics.engine_cycles += cycles.0;
+            let spec = self.active[i].spec();
+            let f = self.flight.entry(spec.id).or_default();
+            let (name, hop_name, spent) = match spec.kind {
+                RequestKind::Prefill { .. } => {
+                    ("serve.prefill", hop::PREFILL, &mut f.prefill_cycles)
+                }
+                RequestKind::Decode { .. } => ("serve.decode", hop::DECODE, &mut f.decode_cycles),
+            };
+            *spent += cycles.0;
+            if opens {
+                f.tile_dispatch = base_track;
+            }
+            if self.tracer.is_active() {
+                // One span per slice on an engine unit's wrapper subtrack
+                // (same-instant siblings would break nesting on the node
+                // track), after its links: per-track clocks never rewind.
+                let unit = if opens { &mut units.0 } else { &mut units.1 };
+                *unit += 1;
+                let track = base_track + *unit * trace_track::DISPATCH_STRIDE + 3;
+                let req = spec.id as u64;
+                self.tracer.link(track, hop::DISPATCH, dispatch_begin, req, f.tile_dispatch);
+                self.tracer.link(track, hop_name, dispatch_begin, req, cycles.0);
+                self.tracer.span_at(track, name, dispatch_begin, dispatch_begin + cycles, 0);
+            }
+        }
 
         let slots = if self.mode == ScheduleMode::Solo { 1 } else { self.limits.engine_slots };
         self.metrics.occupancy.set(self.now, chosen.len() as f64 / slots as f64);
         self.metrics.batch_tokens.set(self.now, batch_tokens as f64);
-        let duration =
-            results.iter().map(|r| r.cycles).max().expect("non-empty batch has a duration");
         self.metrics.iterations += 1;
         self.now += duration;
         if self.tracer.is_active() {
@@ -532,41 +578,6 @@ impl Node {
                 dispatch_begin,
                 batch_tokens as f64,
             );
-            // One per-job span on each engine unit's wrapper subtrack —
-            // not the node track, where same-instant siblings would break
-            // strict nesting. Clocked at the iteration's dispatch window.
-            for (j, result) in results.iter().enumerate() {
-                let unit = base_track + (1 + j as u64) * trace_track::DISPATCH_STRIDE;
-                let (name, hop_name) = match self.active[chosen[j]].spec().kind {
-                    RequestKind::Prefill { .. } => ("serve.prefill", hop::PREFILL),
-                    RequestKind::Decode { .. } => ("serve.decode", hop::DECODE),
-                };
-                // Links first: the span's End lands past dispatch_begin,
-                // and per-track clocks must never step backwards.
-                let req = self.active[chosen[j]].spec().id as u64;
-                self.tracer.link(unit + 3, hop::DISPATCH, dispatch_begin, req, base_track);
-                self.tracer.link(unit + 3, hop_name, dispatch_begin, req, result.cycles.0);
-                self.tracer.span_at(
-                    unit + 3,
-                    name,
-                    dispatch_begin,
-                    dispatch_begin + result.cycles,
-                    0,
-                );
-            }
-        }
-
-        for (&i, result) in chosen.iter().zip(results) {
-            self.metrics.ops.merge(&result.ops);
-            self.metrics.traffic.merge(&result.traffic);
-            self.metrics.engine_cycles += result.cycles.0;
-            if let Some(f) = self.flight.get_mut(&self.active[i].spec().id) {
-                match self.active[i].spec().kind {
-                    RequestKind::Prefill { .. } => f.prefill_cycles += result.cycles.0,
-                    RequestKind::Decode { .. } => f.decode_cycles += result.cycles.0,
-                }
-            }
-            self.active[i].absorb(result);
         }
 
         // Retire finished sessions in FCFS order.

@@ -86,9 +86,9 @@ pub struct ServeConfig {
     /// latency and completion order change.
     pub policy: SchedulePolicy,
     /// Cap on query rows per prefill block (chunked prefill): `Some(c)`
-    /// splits long prompts into `c.clamp(1, pe_rows)`-row slices that
-    /// interleave with decode steps at iteration granularity; `None`
-    /// keeps the engine's native `pe_rows` chunking. Like
+    /// splits each `pe_rows` tile into slices of at most `c.clamp(1,
+    /// pe_rows)` rows that interleave with decode steps, each charged the
+    /// tile's cycles; `None` dispatches whole tiles. Like
     /// [`kv_chunk_tokens`](ServeConfig::kv_chunk_tokens) this is
     /// output-invariant for every value (property-tested) — it changes
     /// the scheduling quantum, never the bytes.

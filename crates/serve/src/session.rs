@@ -15,13 +15,17 @@
 //! schedule lives in [`RequestKind::context_len`], shared with the
 //! from-scratch oracle below.
 //!
-//! Blocks are the scheduling quantum: a prefill request of `R` rows
-//! yields `⌈R / pe_rows⌉` blocks (exactly the tiling of
-//! [`pade_core::engine::run_qk_batch`]), a decode request of `T` steps
-//! yields `T` single-row blocks. Because each block simulates its own
-//! HBM/SRAM instances — and because incremental appends decompose tokens
-//! exactly as [`BitPlaneMatrix::from_rows`] does — the session's outputs
-//! are bit-identical to running the same request alone over from-scratch
+//! Blocks are the scheduling quantum. A prefill request of `R` rows is
+//! cut into `⌈R / pe_rows⌉` *tiles* (exactly the tiling of
+//! [`pade_core::engine::run_qk_batch`]) and each tile into slices of the
+//! configured prefill chunk, so no slice crosses a tile boundary; a
+//! decode request of `T` steps yields `T` single-row blocks. The engine
+//! runs each tile once, when its first slice is dispatched, and that
+//! run's result is the request's output for the tile's rows. Because
+//! each tile simulates its own HBM/SRAM instances — and because
+//! incremental appends decompose tokens exactly as
+//! [`BitPlaneMatrix::from_rows`] does — the session's outputs are
+//! bit-identical to running the same request alone over from-scratch
 //! decompositions: the property `tests/` pins against the seed oracle
 //! [`run_qk_block_reference`].
 //!
@@ -32,7 +36,7 @@ use std::sync::Arc;
 
 use pade_cache::{CacheLease, KvCacheManager};
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_batch, KeySource, QkBatchJob, QkBlockResult, SharedKeyPlanes};
+use pade_core::engine::{KeySource, QkBatchJob, QkBlockResult, SharedKeyPlanes};
 use pade_quant::{BitPlaneMatrix, GrowableKeyCache};
 use pade_sim::Cycle;
 use pade_workload::trace::{AttentionTrace, RequestArrival, RequestKind};
@@ -53,7 +57,8 @@ enum SessionKeys {
     Detached,
 }
 
-/// One admitted request with its operands, key planes and progress.
+/// One admitted request with its operands, key planes and progress: the
+/// blocks (slices) dispatched so far and one engine result per tile.
 #[derive(Debug)]
 pub struct Session {
     spec: RequestArrival,
@@ -68,15 +73,16 @@ pub struct Session {
     /// Whether the key planes came from a cache manager (and must go
     /// back to it through [`Session::detach_cache`]).
     managed: bool,
-    rows_per_block: usize,
-    blocks_total: usize,
+    /// Query rows per engine tile: `pe_rows` for prefill, 1 for decode.
+    tile_rows: usize,
+    /// Query-row range of every block (slice), in dispatch order.
+    blocks: Vec<Range<usize>>,
     next_block: usize,
+    /// One result per tile, in tile order.
     results: Vec<QkBlockResult>,
+    /// Cycles of the last tile run, charged to each of its slices.
+    tile_cycles: Cycle,
     admitted: Cycle,
-    /// Engine configuration, kept so a chunk-sliced prefill session can
-    /// re-run its request through the engine's native `pe_rows` tiling at
-    /// completion ([`Self::canonicalize_results`]).
-    config: PadeConfig,
 }
 
 impl Session {
@@ -95,16 +101,12 @@ impl Session {
     /// byte-identical with the manager on or off.
     ///
     /// `prefill_chunk_tokens` caps the query rows per prefill block
-    /// (chunked prefill): `None` chunks by PE-row height exactly as
-    /// [`run_qk_batch`] tiles a job, `Some(c)` uses `c.clamp(1, pe_rows)`
-    /// rows per block (so every dispatched job is exactly one tile). The
-    /// slices are a scheduling/timing quantum only: the guard-filter's
-    /// prune/retain decisions depend on the block-shared memory system,
-    /// so a session sliced off the native tile height re-runs its request
-    /// through the canonical `pe_rows` tiling once, at completion
-    /// ([`absorb`](Self::absorb)) — per-request output bytes are
-    /// therefore identical for every chunk size (property-tested in
-    /// `tests/`).
+    /// (chunked prefill): `None` dispatches whole `pe_rows` tiles, `Some(c)`
+    /// cuts each tile into `⌈tile rows / c'⌉` slices of at most `c' =
+    /// c.clamp(1, pe_rows)` rows. Slices are a scheduling quantum only:
+    /// the tile runs once, at its first slice ([`next_job`](Self::next_job)),
+    /// so per-request output bytes are those of the native tiling for
+    /// every chunk size (property-tested in `tests/`).
     ///
     /// # Panics
     ///
@@ -124,17 +126,24 @@ impl Session {
         let trace = AttentionTrace::generate(&spec.trace);
         let dims = trace.keys().cols();
         let seq_len = trace.keys().rows();
-        let (rows_per_block, blocks_total) = match spec.kind {
-            // Prefill chunks by PE-row height (or the configured chunk),
-            // exactly as run_qk_batch tiles a job when unset.
-            RequestKind::Prefill { rows } => {
-                let chunk =
-                    prefill_chunk_tokens.map_or(config.pe_rows, |c| c.clamp(1, config.pe_rows));
-                (chunk, rows.div_ceil(chunk))
-            }
-            // Decode: one query row per step.
-            RequestKind::Decode { steps } => (1, steps),
+        // Prefill tiles by PE-row height, exactly as run_qk_batch tiles a
+        // job, and slices each tile by the configured chunk; decode runs
+        // one query row per step.
+        let (tile_rows, chunk) = match spec.kind {
+            RequestKind::Prefill { .. } => (
+                config.pe_rows,
+                prefill_chunk_tokens.map_or(config.pe_rows, |c| c.clamp(1, config.pe_rows)),
+            ),
+            RequestKind::Decode { .. } => (1, 1),
         };
+        let total = spec.kind.tokens();
+        let blocks = (0..total)
+            .step_by(tile_rows)
+            .flat_map(|tile| {
+                let end = (tile + tile_rows).min(total);
+                (tile..end).step_by(chunk).map(move |lo| lo..(lo + chunk).min(end))
+            })
+            .collect();
         let prompt_rows: Option<Vec<i8>> = spec.prompt.as_ref().map(|p| {
             assert_eq!(p.len(), seq_len, "prompt must carry one token id per key-context token");
             p.key_rows(dims, config.bits)
@@ -183,12 +192,12 @@ impl Session {
             prompt_rows,
             lease,
             managed,
-            rows_per_block,
-            blocks_total,
+            tile_rows,
+            blocks,
             next_block: 0,
-            results: Vec::with_capacity(blocks_total),
+            results: Vec::with_capacity(total.div_ceil(tile_rows)),
+            tile_cycles: Cycle::ZERO,
             admitted,
-            config: config.clone(),
         }
     }
 
@@ -214,24 +223,25 @@ impl Session {
         self.admitted
     }
 
-    /// Engine blocks this request decomposes into.
+    /// Blocks (slices) this request is dispatched as — more than its
+    /// engine tiles when prefill is chunked below `pe_rows`.
     #[must_use]
     pub fn blocks_total(&self) -> usize {
-        self.blocks_total
+        self.blocks.len()
     }
 
-    /// Blocks already executed. Tracked by dispatch progress, not
-    /// `results.len()`: a chunk-sliced prefill session's results collapse
-    /// to the canonical `pe_rows` tiling at completion.
+    /// Blocks (slices) already dispatched. Tracked by dispatch progress,
+    /// not `results.len()`: results hold one entry per tile, however many
+    /// slices the tile was cut into.
     #[must_use]
     pub fn blocks_done(&self) -> usize {
         self.next_block
     }
 
-    /// Whether every block has been executed.
+    /// Whether every block has been dispatched.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.next_block == self.blocks_total
+        self.next_block == self.blocks.len()
     }
 
     /// Query rows (≙ tokens) this request executes in total.
@@ -269,13 +279,6 @@ impl Session {
         }
     }
 
-    /// The query-row range of block `block`.
-    fn block_rows(&self, block: usize) -> Range<usize> {
-        let total = self.spec.kind.tokens();
-        let lo = block * self.rows_per_block;
-        lo..((lo + self.rows_per_block).min(total))
-    }
-
     /// Query-row (token) cost of the next block — the unit the scheduler's
     /// max-batch-tokens cap counts.
     ///
@@ -285,46 +288,59 @@ impl Session {
     #[must_use]
     pub fn next_block_tokens(&self) -> usize {
         assert!(!self.is_finished(), "finished session has no next block");
-        self.block_rows(self.next_block).len()
+        self.blocks[self.next_block].len()
     }
 
-    /// The next block as a dispatchable engine job borrowing this
-    /// session's operands and sharing its key planes: prefill blocks carry
-    /// the `Arc`-shared whole tensor, decode blocks a snapshot of the
-    /// grown prefix.
+    /// The engine job the next block starts: at a tile's first slice, the
+    /// whole tile (at most `pe_rows` rows, so one engine tile) borrowing
+    /// this session's operands and sharing its key planes — prefill tiles
+    /// carry the `Arc`-shared whole tensor, decode steps a snapshot of the
+    /// grown prefix. `None` for the tile's later slices, whose rows the
+    /// tile's run already scored.
     ///
     /// # Panics
     ///
     /// Panics if the session is finished.
     #[must_use]
-    pub fn next_job(&self) -> QkBatchJob<'_> {
+    pub fn next_job(&self) -> Option<QkBatchJob<'_>> {
         assert!(!self.is_finished(), "finished session has no next job");
-        let rows = self.block_rows(self.next_block);
+        let lo = self.blocks[self.next_block].start;
+        if !lo.is_multiple_of(self.tile_rows) {
+            return None;
+        }
+        let tile = lo..(lo + self.tile_rows).min(self.spec.kind.tokens());
         let keys = match &self.keys {
             SessionKeys::Shared(planes) => KeySource::Planes(Arc::clone(planes)),
             SessionKeys::Grown(cache) => KeySource::Cache(cache.snapshot()),
             SessionKeys::Detached => unreachable!("detached sessions are finished"),
         };
-        QkBatchJob {
-            queries: rows.map(|i| self.trace.queries().row(i)).collect(),
+        Some(QkBatchJob {
+            queries: tile.map(|i| self.trace.queries().row(i)).collect(),
             keys,
             logit_scale: self.trace.logit_scale(),
-        }
+        })
     }
 
-    /// Records the result of the block handed out by the last
-    /// [`next_job`](Self::next_job) call. For decode sessions the
-    /// completed step appends its generated token's key planes, so the
-    /// next step attends over the grown prefix.
-    pub fn absorb(&mut self, result: QkBlockResult) {
+    /// Completes the block whose job [`next_job`](Self::next_job) last
+    /// handed out: `result` is the tile's engine result when that job was
+    /// `Some`, `None` otherwise. Returns the cycles the block is charged —
+    /// its tile's full cycle count, since PE rows run in parallel and a
+    /// partial-height slice costs about one whole tile. For decode
+    /// sessions the completed step appends its generated token's key
+    /// planes, so the next step attends over the grown prefix.
+    pub fn absorb(&mut self, result: Option<QkBlockResult>) -> Cycle {
         debug_assert!(!self.is_finished());
-        self.next_block += 1;
-        self.results.push(result);
-        if self.is_finished() {
-            self.canonicalize_results();
+        debug_assert_eq!(
+            result.is_some(),
+            self.blocks[self.next_block].start.is_multiple_of(self.tile_rows)
+        );
+        if let Some(result) = result {
+            self.tile_cycles = result.cycles;
+            self.results.push(result);
         }
+        self.next_block += 1;
         if let SessionKeys::Grown(cache) = &mut self.keys {
-            if self.next_block < self.blocks_total {
+            if self.next_block < self.blocks.len() {
                 let dims = self.trace.keys().cols();
                 let target = self.spec.kind.context_len(self.trace.keys().rows(), self.next_block);
                 while cache.tokens() < target {
@@ -339,36 +355,7 @@ impl Session {
                 }
             }
         }
-    }
-
-    /// Replaces a chunk-sliced prefill session's per-slice results with
-    /// the request run through the engine's **native** `pe_rows` tiling —
-    /// the grouping [`run_qk_batch`] and the seed oracle use. The guard
-    /// filter's prune/retain decisions depend on the order key planes
-    /// arrive through the block-shared memory system, so slice-grouped
-    /// blocks are a timing model only; the session's *outputs* are always
-    /// the canonical tiling's, which is what makes `prefill_chunk_tokens`
-    /// output-invariant. A no-op for
-    /// decode sessions and for prefill at the native tile height (their
-    /// dispatched blocks already are canonical).
-    fn canonicalize_results(&mut self) {
-        let pe_rows = self.config.pe_rows;
-        if !matches!(self.spec.kind, RequestKind::Prefill { .. }) || self.rows_per_block == pe_rows
-        {
-            return;
-        }
-        let total = self.spec.kind.tokens();
-        let keys = match &self.keys {
-            SessionKeys::Shared(planes) => KeySource::Planes(Arc::clone(planes)),
-            SessionKeys::Grown(cache) => KeySource::Cache(cache.snapshot()),
-            SessionKeys::Detached => unreachable!("results are canonicalized before detach"),
-        };
-        let job = QkBatchJob {
-            queries: (0..total).map(|i| self.trace.queries().row(i)).collect(),
-            keys,
-            logit_scale: self.trace.logit_scale(),
-        };
-        self.results = run_qk_batch(&self.config, &[job]);
+        self.tile_cycles
     }
 
     /// Hands a finished cache-managed session's grown planes back to the
@@ -401,13 +388,13 @@ impl Session {
         self.managed = false;
     }
 
-    /// Per-block engine results, in block order.
+    /// Per-tile engine results, in tile order.
     #[must_use]
     pub fn results(&self) -> &[QkBlockResult] {
         &self.results
     }
 
-    /// Consumes the session into its per-block results.
+    /// Consumes the session into its per-tile results.
     #[must_use]
     pub fn into_results(self) -> Vec<QkBlockResult> {
         self.results
@@ -492,6 +479,7 @@ pub fn reference_outputs(spec: &RequestArrival, config: &PadeConfig) -> Vec<QkBl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pade_core::engine::run_qk_batch;
     use pade_quant::PlaneSource;
     use pade_workload::trace::{generate_arrivals, ArrivalConfig};
 
@@ -501,19 +489,46 @@ mod tests {
         generate_arrivals(&ArrivalConfig::small_demo())
     }
 
+    /// Requests with ragged and tile-aligned prefill heights.
+    fn ragged_specs() -> Vec<RequestArrival> {
+        [10, 16, 21]
+            .into_iter()
+            .flat_map(|prefill_rows| {
+                generate_arrivals(&ArrivalConfig {
+                    prefill_rows,
+                    seq_len: 128,
+                    ..ArrivalConfig::small_demo()
+                })
+            })
+            .collect()
+    }
+
+    /// Every chunk setting: unset, each size in `1..=pe_rows` (divisors
+    /// and non-divisors alike) and one past `pe_rows`, which clamps.
+    fn chunk_sizes(config: &PadeConfig) -> impl Iterator<Item = Option<usize>> {
+        std::iter::once(None).chain((1..=config.pe_rows + 1).map(Some))
+    }
+
     #[test]
     fn prefill_chunks_by_pe_rows_and_decode_by_step() {
         let config = PadeConfig::standard();
-        for spec in specs() {
-            let s = Session::admit(&spec, &config, KV_CHUNK, None, Cycle::ZERO, None);
-            match spec.kind {
-                RequestKind::Prefill { rows } => {
-                    assert_eq!(s.blocks_total(), rows.div_ceil(config.pe_rows));
-                    assert_eq!(s.next_block_tokens(), rows.min(config.pe_rows));
-                }
-                RequestKind::Decode { steps } => {
-                    assert_eq!(s.blocks_total(), steps);
-                    assert_eq!(s.next_block_tokens(), 1);
+        let pe = config.pe_rows;
+        for chunk in chunk_sizes(&config) {
+            let c = chunk.map_or(pe, |c| c.min(pe));
+            for spec in ragged_specs() {
+                let s = Session::admit(&spec, &config, KV_CHUNK, chunk, Cycle::ZERO, None);
+                match spec.kind {
+                    RequestKind::Prefill { rows } => {
+                        // Each tile is sliced on its own: ⌈tile / c⌉ slices.
+                        let tile_aligned: usize =
+                            (0..rows).step_by(pe).map(|t| (rows - t).min(pe).div_ceil(c)).sum();
+                        assert_eq!(s.blocks_total(), tile_aligned, "{rows} rows, chunk {chunk:?}");
+                        assert_eq!(s.next_block_tokens(), rows.min(c));
+                    }
+                    RequestKind::Decode { steps } => {
+                        assert_eq!(s.blocks_total(), steps);
+                        assert_eq!(s.next_block_tokens(), 1);
+                    }
                 }
             }
         }
@@ -522,13 +537,42 @@ mod tests {
     #[test]
     fn session_blocks_cover_every_query_row_once() {
         let config = PadeConfig::standard();
-        let spec = specs().into_iter().find(|s| s.kind.tokens() > config.pe_rows).unwrap();
-        let session = Session::admit(&spec, &config, KV_CHUNK, None, Cycle::ZERO, None);
-        let mut covered = Vec::new();
-        for b in 0..session.blocks_total() {
-            covered.extend(session.block_rows(b));
+        let pe = config.pe_rows;
+        // One multi-tile prefill per height, with its oracle outputs.
+        let mut specs: Vec<_> = ragged_specs()
+            .into_iter()
+            .filter(|s| matches!(s.kind, RequestKind::Prefill { rows } if rows > pe))
+            .collect();
+        specs.dedup_by_key(|s| s.kind.tokens());
+        assert_eq!(specs.len(), 3);
+        let oracles: Vec<_> =
+            specs.iter().map(|s| output_bytes(&reference_outputs(s, &config))).collect();
+        for chunk in chunk_sizes(&config) {
+            for (spec, oracle) in specs.iter().zip(&oracles) {
+                let mut session = Session::admit(spec, &config, KV_CHUNK, chunk, Cycle::ZERO, None);
+                let mut covered = Vec::new();
+                while !session.is_finished() {
+                    let rows = session.blocks[session.blocks_done()].clone();
+                    assert_eq!(rows.start / pe, (rows.end - 1) / pe, "slice crosses a tile");
+                    covered.extend(rows.clone());
+                    // A job exactly at tile starts, carrying the whole tile.
+                    let job = session.next_job();
+                    assert_eq!(job.is_some(), rows.start.is_multiple_of(pe), "chunk {chunk:?}");
+                    let result = job.map(|job| {
+                        let tile = rows.start..(rows.start + pe).min(spec.kind.tokens());
+                        assert_eq!(job.queries.len(), tile.len());
+                        run_qk_batch(&config, &[job]).pop().unwrap()
+                    });
+                    let tile_cycles = result.as_ref().map(|r| r.cycles);
+                    let charged = session.absorb(result);
+                    if let Some(cycles) = tile_cycles {
+                        assert_eq!(charged, cycles);
+                    }
+                }
+                assert_eq!(covered, (0..spec.kind.tokens()).collect::<Vec<_>>());
+                assert_eq!(&output_bytes(session.results()), oracle);
+            }
         }
-        assert_eq!(covered, (0..spec.kind.tokens()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -537,8 +581,8 @@ mod tests {
         let spec =
             specs().into_iter().find(|s| matches!(s.kind, RequestKind::Prefill { .. })).unwrap();
         let session = Session::admit(&spec, &config, KV_CHUNK, None, Cycle::ZERO, None);
-        let job_a = session.next_job();
-        let job_b = session.next_job();
+        let job_a = session.next_job().unwrap();
+        let job_b = session.next_job().unwrap();
         match (&job_a.keys, &job_b.keys) {
             (KeySource::Planes(a), KeySource::Planes(b)) => assert!(Arc::ptr_eq(a, b)),
             other => panic!("prefill jobs must carry shared planes, got {other:?}"),
@@ -556,13 +600,13 @@ mod tests {
         while !session.is_finished() {
             let step = session.blocks_done();
             assert_eq!(session.cached_key_tokens(), spec.kind.context_len(seq_len, step));
-            let job = session.next_job();
+            let job = session.next_job().unwrap();
             match &job.keys {
                 KeySource::Cache(snap) => prefixes.push(snap.tokens()),
                 other => panic!("decode jobs must carry cache snapshots, got {other:?}"),
             }
             let result = run_qk_batch(&config, &[job]).pop().unwrap();
-            session.absorb(result);
+            session.absorb(Some(result));
         }
         // One more key per step; the final step attends over the full
         // prefix minus the token it is itself generating.
@@ -582,9 +626,9 @@ mod tests {
             specs().into_iter().find(|s| matches!(s.kind, RequestKind::Decode { .. })).unwrap();
         let mut session = Session::admit(&spec, &config, KV_CHUNK, None, Cycle::ZERO, None);
         while !session.is_finished() {
-            let job = session.next_job();
+            let job = session.next_job().unwrap();
             let result = run_qk_batch(&config, &[job]).pop().unwrap();
-            session.absorb(result);
+            session.absorb(Some(result));
         }
         let oracle = reference_outputs(&spec, &config);
         assert_eq!(output_bytes(session.results()), output_bytes(&oracle));

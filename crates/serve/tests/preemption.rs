@@ -13,6 +13,9 @@
 //!    a chunk/step boundary and resumed later holds key planes bitwise
 //!    equal to the same session in a never-suspended solo run, at every
 //!    resident-token count it passes through.
+//! 4. **Chunked prefill runs each tile once** — slices never cross a
+//!    `pe_rows` tile, engine work is counted once per tile, and every
+//!    slice is charged its tile's full cycle count.
 
 use pade_serve::scheduler::{ScheduleMode, SchedulePolicy};
 use pade_serve::server::{serve, Completion, ServeConfig, ServeReport};
@@ -324,6 +327,59 @@ fn preemption_at_final_chunk_boundary_resumes_and_finishes() {
     for completion in by_id(&report) {
         let oracle = reference_outputs(&arrivals[completion.id], &config.engine);
         assert_eq!(completion.output_bytes(), output_bytes(&oracle));
+    }
+}
+
+/// The chunked-prefill charging model, on one ragged prefill alone on a
+/// 1-slot node for every chunk size: each iteration runs one slice, and
+/// the clock advances by that slice's tile's unchunked cycle count — so
+/// the per-iteration advances spell out the tile-aligned slicing
+/// (`⌈tile rows / chunk⌉` slices per tile, none crossing a tile) — while
+/// ops and traffic equal the unchunked run's exactly: each tile's engine
+/// work is done and counted once.
+#[test]
+fn chunked_prefill_runs_each_tile_once_and_charges_every_slice_the_tile() {
+    let config = ServeConfig { engine_slots: 1, ..ServeConfig::standard() };
+    let pe = config.engine.pe_rows;
+    for rows in [10, 24] {
+        let mut spec = generate_arrivals(&ArrivalConfig {
+            decode_fraction: 0.0,
+            prefill_rows: rows,
+            ..workload(17, 1, 1.0)
+        })
+        .remove(0);
+        spec.arrival_cycle = 0;
+        let oracle = output_bytes(&reference_outputs(&spec, &config.engine));
+        let whole = serve(&config, std::slice::from_ref(&spec), ScheduleMode::Batched);
+        let tile_cycles: Vec<u64> =
+            whole.completions[0].results.iter().map(|r| r.cycles.0).collect();
+        assert_eq!(tile_cycles.len(), rows.div_ceil(pe));
+        for chunk in 1..=pe {
+            let chunked = ServeConfig { prefill_chunk_tokens: Some(chunk), ..config.clone() };
+            let mut node = Node::new(&chunked, ScheduleMode::Batched);
+            node.enqueue(&spec);
+            let mut advances = Vec::new();
+            while !node.is_drained() {
+                let before = node.now();
+                node.advance_to(Cycle(before.0 + 1));
+                advances.push((node.now() - before).0);
+            }
+            let report = node.finish();
+            let expected: Vec<u64> = tile_cycles
+                .iter()
+                .enumerate()
+                .flat_map(|(t, &cycles)| {
+                    let slices = (rows - t * pe).min(pe).div_ceil(chunk);
+                    std::iter::repeat_n(cycles, slices)
+                })
+                .collect();
+            assert_eq!(advances, expected, "{rows} rows, chunk {chunk}: one slice per iteration");
+            assert_eq!(report.metrics.iterations, expected.len() as u64);
+            assert_eq!(report.metrics.engine_cycles, expected.iter().sum::<u64>());
+            assert_eq!(report.metrics.ops, whole.metrics.ops, "{rows} rows, chunk {chunk}");
+            assert_eq!(report.metrics.traffic, whole.metrics.traffic);
+            assert_eq!(report.completions[0].output_bytes(), oracle);
+        }
     }
 }
 

@@ -14,15 +14,20 @@
 //!    a snapshot whose fingerprint equals the in-memory recorder's, and
 //!    the flight timelines assembled from its link events match the
 //!    node's native cycle accounting request for request.
+//! 4. **Chunked prefill traces every slice** — slices that start no
+//!    engine run still emit well-formed serve spans, and every
+//!    `req.dispatch` link names the engine dispatch that ran its tile.
 
 use std::sync::Arc;
 
-use pade_serve::scheduler::ScheduleMode;
+use pade_serve::scheduler::{ScheduleMode, SchedulePolicy};
 use pade_serve::server::{serve, serve_traced, Completion, ServeConfig, ServeReport};
 use pade_serve::{output_bytes, reference_outputs};
+use pade_trace::flight::hop;
 use pade_trace::flight::{assemble_timelines, check_linked};
-use pade_trace::{read_stream, Recorder, StreamSink, TraceSink, Tracer};
+use pade_trace::{read_stream, Recorder, StreamSink, TraceEvent, TraceSink, Tracer};
 use pade_workload::prompt::{generate_shared_prefix_arrivals, SharedPrefixConfig};
+use pade_workload::trace::{generate_arrivals, ArrivalConfig, RequestKind};
 use proptest::prelude::*;
 
 /// Fans one event stream into both the in-memory recorder and the
@@ -163,6 +168,85 @@ fn traced_serve_is_identical_and_fingerprint_stable_across_worker_counts() {
         fingerprints.windows(2).all(|w| w[0] == w[1]),
         "snapshot fingerprints varied with worker count: {fingerprints:?}"
     );
+}
+
+/// A chunked SLO-aware run: 3-row slices of 8-row tiles leave most
+/// slices without an engine run of their own. Each one still traces a
+/// balanced `serve.prefill` span, its `req.dispatch` link points at a
+/// dispatcher track that recorded the tile's fan-out, and the assembled
+/// flight totals equal the node's native accounting.
+#[test]
+fn chunked_prefill_slices_link_to_the_dispatch_that_ran_their_tile() {
+    let arrivals = generate_arrivals(&ArrivalConfig {
+        n_requests: 4,
+        decode_fraction: 0.25,
+        prefill_rows: 21,
+        seq_len: 128,
+        mean_interarrival_cycles: 300.0,
+        ..ArrivalConfig::small_demo()
+    });
+    let config = ServeConfig {
+        engine_slots: 2,
+        policy: SchedulePolicy::SloAware,
+        prefill_chunk_tokens: Some(3),
+        preempt_every: Some(2),
+        ..ServeConfig::standard()
+    };
+    let untraced = serve(&config, &arrivals, ScheduleMode::Batched);
+    let (recorder, tracer) = recording_tracer();
+    let report = serve_traced(&config, &arrivals, ScheduleMode::Batched, &tracer, 0);
+    assert_eq!(report.summary, untraced.summary);
+    let snap = recorder.snapshot();
+    snap.check_well_formed().unwrap();
+    if !cfg!(feature = "trace") {
+        assert_eq!(snap.event_count(), 0);
+        return;
+    }
+    let fanout_tracks: Vec<u64> = snap
+        .tracks
+        .iter()
+        .filter(|t| {
+            t.events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Begin { name: "engine.fused_fanout", .. }))
+        })
+        .map(|t| t.track)
+        .collect();
+    let (mut dispatches, mut prefill_spans) = (0u64, 0u64);
+    for t in &snap.tracks {
+        for e in &t.events {
+            match *e {
+                TraceEvent::Link { name, info, .. } if name == hop::DISPATCH => {
+                    assert!(fanout_tracks.contains(&info), "dispatch link to idle track {info}");
+                    dispatches += 1;
+                }
+                TraceEvent::Begin { name: "serve.prefill", .. } => prefill_spans += 1,
+                _ => {}
+            }
+        }
+    }
+    // One span and one link per slice: ⌈tile rows / 3⌉ slices per tile.
+    let pe = config.engine.pe_rows;
+    let (mut prefill_slices, mut decode_steps) = (0u64, 0u64);
+    for a in &arrivals {
+        match a.kind {
+            RequestKind::Prefill { rows } => {
+                prefill_slices += (0..rows)
+                    .step_by(pe)
+                    .map(|t| (rows - t).min(pe).div_ceil(3) as u64)
+                    .sum::<u64>();
+            }
+            RequestKind::Decode { steps } => decode_steps += steps as u64,
+        }
+    }
+    assert_eq!(prefill_spans, prefill_slices);
+    assert_eq!(dispatches, prefill_slices + decode_steps);
+    assert!((fanout_tracks.len() as u64) < dispatches, "some slices must start no engine run");
+    let timelines = assemble_timelines(&snap);
+    check_linked(&timelines).unwrap();
+    let flight = report.summary.flight;
+    let prefill: u64 = timelines.iter().map(|t| t.prefill_cycles).sum();
+    assert_eq!(prefill, flight.prefill_cycles);
 }
 
 proptest! {
