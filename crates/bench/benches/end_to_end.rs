@@ -105,34 +105,5 @@ fn bench_context_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Long-context scaling (S ∈ {2k, 4k}): minutes of wall clock, so opt-in
-/// via `cargo bench --features slow-bench`.
-fn bench_long_context(c: &mut Criterion) {
-    #[cfg(feature = "slow-bench")]
-    {
-        let mut g = c.benchmark_group("long_context");
-        g.sample_size(10);
-        for seq in [2048usize, 4096] {
-            let t = trace(seq);
-            g.bench_with_input(BenchmarkId::new("pade", seq), &seq, |b, _| {
-                let a = PadeAccelerator::new(PadeConfig::standard());
-                b.iter(|| a.run_trace(&t))
-            });
-        }
-        g.finish();
-    }
-    #[cfg(not(feature = "slow-bench"))]
-    {
-        let _ = c; // enable with --features slow-bench
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_ablation,
-    bench_designs,
-    bench_layouts,
-    bench_context_scaling,
-    bench_long_context
-);
+criterion_group!(benches, bench_ablation, bench_designs, bench_layouts, bench_context_scaling);
 criterion_main!(benches);

@@ -4,8 +4,7 @@
 //! cargo run --release -p pade-bench --bin pade-bench            # full QK matrix -> BENCH_1.json
 //! cargo run --release -p pade-bench --bin pade-bench -- --quick # CI smoke (2 shapes, no file)
 //! cargo run --release -p pade-bench --bin pade-bench -- --out path/to.json
-//! cargo run --release -p pade-bench --features trace --bin pade-bench -- \
-//!     --scenario soak  # -> BENCH_10.json
+//! cargo run --release -p pade-bench --bin pade-bench -- --scenario soak  # -> BENCH_10.json
 //! ```
 //!
 //! The `qk` scenario (default) runs the sequential seed engine and the
@@ -104,27 +103,20 @@ fn run_soak_scenario(quick: bool, mode: &str, out: Option<PathBuf>) {
          relative to the untraced wall; the stream row is its delta over the recorder)",
         r.events
     );
-    if r.feature_enabled {
-        println!(
-            "\nstream: {} events / {} spans / {} links in {} frames of {} B ({} B file), \
-             fingerprint {:016x} identical to the recorder; {} flight timelines causally \
-             complete; {}",
-            r.events,
-            r.spans,
-            r.links,
-            r.frames,
-            r.frame_size,
-            r.file_bytes,
-            r.fingerprint,
-            r.timelines,
-            r.flight
-        );
-    } else {
-        println!(
-            "\ntrace: built without the `trace` feature — both sinks recorded nothing and the \
-             overhead is 0% by construction (rebuild with --features trace)"
-        );
-    }
+    println!(
+        "\nstream: {} events / {} spans / {} links in {} frames of {} B ({} B file), \
+         fingerprint {:016x} identical to the recorder; {} flight timelines causally \
+         complete; {}",
+        r.events,
+        r.spans,
+        r.links,
+        r.frames,
+        r.frame_size,
+        r.file_bytes,
+        r.fingerprint,
+        r.timelines,
+        r.flight
+    );
     println!("all outputs byte-identical across untraced, recorder and stream runs");
 
     let path = match (&out, quick) {

@@ -107,8 +107,6 @@ pub fn route_workload(quick: bool) -> (MultiTenantConfig, usize) {
 pub struct SoakResult {
     /// The workload all three runs replayed.
     pub workload: MultiTenantConfig,
-    /// Whether the tracer was compiled in (`trace` feature).
-    pub feature_enabled: bool,
     /// Requests in the workload.
     pub requests: usize,
     /// Best-of wall seconds of the untraced fleet run.
@@ -186,8 +184,8 @@ fn assert_identical(report: &RouterReport, baseline: &HashMap<usize, Vec<u8>>, l
 ///
 /// Panics if a traced run changes an output byte, the stream file fails
 /// to read back, the streamed fingerprint diverges from the recorder's,
-/// resident buffering exceeds one frame, or (with the `trace` feature)
-/// any request's causality chain is incomplete.
+/// resident buffering exceeds one frame, or any request's causality
+/// chain is incomplete.
 #[must_use]
 pub fn run_soak(quick: bool) -> SoakResult {
     let (workload, chunk_tokens) = route_workload(quick);
@@ -261,11 +259,8 @@ pub fn run_soak(quick: bool) -> SoakResult {
     );
 
     let timelines = assemble_timelines(&streamed);
-    let tracer_active = recorder_tracer.is_active();
-    if tracer_active {
-        check_linked(&timelines).unwrap_or_else(|e| panic!("incomplete causality chain: {e}"));
-        assert_eq!(timelines.len(), arrivals.len(), "flight recorder missed requests");
-    }
+    check_linked(&timelines).unwrap_or_else(|e| panic!("incomplete causality chain: {e}"));
+    assert_eq!(timelines.len(), arrivals.len(), "flight recorder missed requests");
 
     // The headline overhead comes from replaying the recorded event
     // stream into fresh sinks, one event per submit (the emission
@@ -301,7 +296,6 @@ pub fn run_soak(quick: bool) -> SoakResult {
     let scale = untraced_wall_s.max(f64::MIN_POSITIVE);
     SoakResult {
         workload,
-        feature_enabled: tracer_active,
         requests: arrivals.len(),
         untraced_wall_s,
         recorder_wall_s,
@@ -370,7 +364,6 @@ pub fn write_soak_json(
         result.requests,
         result.workload.seed
     )?;
-    writeln!(f, "  \"feature_enabled\": {},", result.feature_enabled)?;
     writeln!(f, "  \"untraced_wall_s\": {:.6},", result.untraced_wall_s)?;
     writeln!(f, "  \"recorder_wall_s\": {:.6},", result.recorder_wall_s)?;
     writeln!(f, "  \"stream_wall_s\": {:.6},", result.stream_wall_s)?;
@@ -430,17 +423,10 @@ mod tests {
         assert!(r.untraced_wall_s > 0.0 && r.recorder_wall_s > 0.0 && r.stream_wall_s > 0.0);
         assert!(r.recorder_submit_s >= 0.0 && r.stream_submit_s >= 0.0);
         assert!(r.peak_buffered_bytes <= SOAK_FRAME_SIZE);
-        if cfg!(feature = "trace") {
-            assert!(r.feature_enabled);
-            assert!(r.events > 0 && r.spans > 0 && r.links > 0);
-            assert!(r.frames >= 2, "soak stream spanned only {} frame(s)", r.frames);
-            assert_eq!(r.timelines, r.requests);
-            assert_eq!(r.flight.requests, r.requests as u64);
-        } else {
-            assert!(!r.feature_enabled);
-            assert_eq!(r.events, 0);
-            assert_eq!(r.frames, 0);
-        }
+        assert!(r.events > 0 && r.spans > 0 && r.links > 0);
+        assert!(r.frames >= 2, "soak stream spanned only {} frame(s)", r.frames);
+        assert_eq!(r.timelines, r.requests);
+        assert_eq!(r.flight.requests, r.requests as u64);
     }
 
     #[test]

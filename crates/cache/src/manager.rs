@@ -85,9 +85,12 @@ pub struct CacheStats {
     /// [`hit_tokens`](Self::hit_tokens) — fetched tokens skip
     /// decomposition just like resident hits).
     pub fetched_tokens: u64,
-    /// Spill-tier faults at attach — a `get` that failed or a record
-    /// adoption refused as invalid. Each one falls back to decomposing
-    /// the chunk, so outputs are unaffected; this counter surfaces it.
+    /// Faults of the optional plane sources — at attach, a spill-tier
+    /// `get` that failed or a record adoption refused as invalid; at
+    /// startup, a cache image that failed to load
+    /// ([`KvCacheManager::count_tier_fault`]). Each one falls back to
+    /// decomposing the chunk (or to a cold start), so outputs are
+    /// unaffected; this counter surfaces it.
     pub tier_faults: u64,
 }
 
@@ -293,6 +296,13 @@ impl KvCacheManager {
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Counts one fault outside attach in [`CacheStats::tier_faults`]:
+    /// the caller fell back to this cold manager because a cache image
+    /// failed to load.
+    pub fn count_tier_fault(&mut self) {
+        self.stats.tier_faults = self.stats.tier_faults.saturating_add(1);
     }
 
     /// Sealed chunks resident in the shared index.

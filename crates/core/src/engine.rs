@@ -173,8 +173,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     trace: BlockTrace<'_>,
 ) -> QkBlockResult {
     config.validate();
-    // Telemetry accumulators — folded away entirely when the `trace`
-    // feature is off (`is_active` is then a constant `false`).
+    // Telemetry accumulators — only updated while a sink is attached.
     let tr_active = trace.tracer.is_active();
     let wall_start = tr_active.then(std::time::Instant::now);
     let mut tr_popcounts = 0u64;
@@ -620,9 +619,7 @@ type Tile<'j, 'q> = (&'j QkBatchJob<'q>, &'j [&'q [i8]], Vec<usize>);
 ///    row — the multi-head, multi-layer and grouped-query cases — share one
 ///    [`QRowLut`]);
 /// 2. every tile of every job fans out in **one** `pade-par` round-trip
-///    when the `parallel` feature is built (`PADE_THREADS` sets the worker
-///    count, and one worker runs inline), or in a plain loop when it is
-///    not.
+///    (`PADE_THREADS` sets the worker count, and one worker runs inline).
 ///
 /// The prepass and fan-out spans record onto the dispatcher track
 /// `base_track`; tile `u` (in job-then-tile order) records onto tracks
@@ -683,10 +680,7 @@ pub fn run_qk_batch_traced(
             BlockTrace { tracer, track },
         )
     };
-    #[cfg(feature = "parallel")]
     let results = pade_par::par_map_indexed(tiles.len(), score);
-    #[cfg(not(feature = "parallel"))]
-    let results: Vec<QkBlockResult> = (0..tiles.len()).map(score).collect();
     if let Some(t0) = fan_wall {
         // Logical length: the longest tile horizon (tiles run concurrently
         // on hardware); wall annotation: the measured fan-out time.

@@ -192,45 +192,6 @@ pub fn run_multibit_block(
     out
 }
 
-/// Parallel variant of [`run_multibit_block`]: query rows are fully
-/// independent (each carries its own filter and BUI), so they fan out
-/// across worker threads and fold back in row order — the aggregate is
-/// **bit-identical** to the sequential block run.
-///
-/// # Panics
-///
-/// Panics if any row's width differs from the key dimension.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_multibit_block_par(
-    queries: &[&[i8]],
-    keys: &DigitPlaneMatrix,
-    margin_logits: f32,
-    logit_scale: f32,
-) -> MultiBitBlockResult {
-    let rows =
-        pade_par::par_map(queries, |q| run_multibit_row(q, keys, margin_logits, logit_scale));
-    let mut out = MultiBitBlockResult {
-        digit_bits: keys.digit_bits(),
-        retained: Vec::with_capacity(queries.len()),
-        rounds_executed: 0,
-        bits_fetched: 0,
-        decisions: 0,
-        add_equivalents: 0,
-        retained_keys: 0,
-        total_keys: (queries.len() * keys.tokens()) as u64,
-    };
-    for row in rows {
-        out.rounds_executed += row.rounds_executed;
-        out.bits_fetched += row.bits_fetched;
-        out.decisions += row.decisions;
-        out.add_equivalents += row.add_equivalents;
-        out.retained_keys += row.retained.len() as u64;
-        out.retained.push(row.retained);
-    }
-    out
-}
-
 /// Sweeps digit widths over one block — the DSE harness behind the
 /// `ext_multibit` experiment.
 ///

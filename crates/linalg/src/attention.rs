@@ -71,8 +71,8 @@ pub fn dense_attention_into(
     }
 }
 
-/// Naive reference attention — the oracle for the blocked and parallel
-/// kernels (goes through [`MatF32::matmul_nt_naive`]).
+/// Naive reference attention — the oracle for the blocked kernel (goes
+/// through [`MatF32::matmul_nt_naive`]).
 #[must_use]
 pub fn dense_attention_naive(q: &MatF32, k: &MatF32, v: &MatF32, scale: f32) -> MatF32 {
     assert_eq!(q.cols(), k.cols(), "Q and K must share the hidden dimension");

@@ -29,8 +29,6 @@
 pub mod attention;
 mod mat;
 pub mod metrics;
-#[cfg(feature = "parallel")]
-pub mod par;
 mod softmax;
 
 pub use mat::MatF32;

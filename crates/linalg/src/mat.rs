@@ -135,9 +135,9 @@ impl MatF32 {
         out
     }
 
-    /// Naive reference for `self · otherᵀ` — the oracle the blocked and
-    /// parallel kernels are property-tested against. Per-element `get`/
-    /// `set`, no blocking; kept intentionally simple.
+    /// Naive reference for `self · otherᵀ` — the oracle the blocked
+    /// kernel is property-tested against. Per-element `get`/`set`, no
+    /// blocking; kept intentionally simple.
     ///
     /// # Panics
     ///

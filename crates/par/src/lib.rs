@@ -1,13 +1,12 @@
 //! Deterministic ordered fork-join fan-out.
 //!
 //! The build environment is offline, so this crate stands in for `rayon`
-//! with the two primitives the workspace's `parallel` features need:
-//! ordered parallel map over an index range / slice, and disjoint-chunk
-//! parallel mutation. Work is split into one contiguous range per worker
-//! on `std::thread::scope`; results are concatenated in range order, so
-//! output ordering (and therefore every downstream reduction) is
-//! identical to the sequential loop regardless of thread count or
-//! scheduling. Swap for `rayon` when a registry is reachable.
+//! with the one primitive the engine's tile fan-out needs: an ordered
+//! parallel map over an index range. Work is split into one contiguous
+//! range per worker on `std::thread::scope`; results are concatenated in
+//! range order, so output ordering (and therefore every downstream
+//! reduction) is identical to the sequential loop regardless of thread
+//! count or scheduling. Swap for `rayon` when a registry is reachable.
 
 #![forbid(unsafe_code)]
 
@@ -79,79 +78,6 @@ where
     out
 }
 
-/// Ordered parallel map over a slice.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), |i| f(&items[i]))
-}
-
-/// Applies `f(chunk_index, chunk)` to disjoint `chunk_len`-sized pieces of
-/// `data` in parallel (last chunk may be shorter). Chunks are disjoint
-/// `&mut` borrows, so this is safe without any synchronization.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk length must be positive");
-    let workers = max_threads();
-    if workers <= 1 || data.len() <= chunk_len {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let n_chunks = data.len().div_ceil(chunk_len);
-        let per_worker = n_chunks.div_ceil(workers);
-        let mut rest = data;
-        let mut next_index = 0;
-        while !rest.is_empty() {
-            let take = (per_worker * chunk_len).min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let base = next_index;
-            next_index += head.len().div_ceil(chunk_len);
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                for (i, chunk) in head.chunks_mut(chunk_len).enumerate() {
-                    f(base + i, chunk);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("pade-par worker panicked");
-        }
-    });
-}
-
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if max_threads() <= 1 {
-        return (a(), b());
-    }
-    thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("pade-par worker panicked"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,34 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_over_slice() {
-        let items: Vec<u32> = (0..257).collect();
-        assert_eq!(par_map(&items, |&x| x + 1), (1..258).collect::<Vec<u32>>());
-    }
-
-    #[test]
     fn empty_and_single_inputs() {
         assert_eq!(par_map_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_indexed(1, |i| i), vec![0]);
-    }
-
-    #[test]
-    fn chunks_cover_all_elements_in_order() {
-        let mut data = vec![0u64; 1003];
-        par_chunks_mut(&mut data, 17, |idx, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (idx * 17 + k) as u64;
-            }
-        });
-        let want: Vec<u64> = (0..1003).collect();
-        assert_eq!(data, want);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]

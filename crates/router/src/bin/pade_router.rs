@@ -205,12 +205,6 @@ fn main() {
         (None, Some(s)) => Tracer::new(Arc::clone(s) as Arc<dyn TraceSink>),
         (None, None) => Tracer::disabled(),
     };
-    if (args.trace_out.is_some() || args.trace_stream.is_some()) && !tracer.is_active() {
-        eprintln!(
-            "warning: built without the `trace` feature; the trace file will hold no events \
-             (rebuild with --features pade-router/trace)"
-        );
-    }
 
     println!(
         "pade-router: {} arrivals over {} nodes, {} policy",

@@ -130,45 +130,41 @@ fn traced_route_is_identical_and_fingerprint_stable_across_worker_counts() {
             "workers={workers}: streamed snapshot diverged from the recorder"
         );
 
-        if cfg!(feature = "trace") {
-            let stages = snap.stage_names();
-            assert!(stages.len() >= 6, "workers={workers}: stages {stages:?}");
-            for expect in ["router.route", "serve.prefill", "cache.attach", "engine.qk_block"] {
-                assert!(stages.contains(expect), "workers={workers}: missing {expect}");
-            }
-            // Causality + flight parity from the *streamed* snapshot: a
-            // router trace must place every request, chain admit → retire,
-            // and reproduce the fleet's native flight totals.
-            let timelines = assemble_timelines(&streamed);
-            check_linked(&timelines).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-            assert!(
-                timelines.iter().all(|t| t.placed),
-                "workers={workers}: a request is missing its router placement hop"
-            );
-            let flight = report.summary.flight;
-            assert_eq!(timelines.len() as u64, flight.requests, "workers={workers}");
-            let sums = timelines.iter().fold([0u64; 5], |mut acc, t| {
-                acc[0] += t.queue_cycles;
-                acc[1] += t.prefill_cycles;
-                acc[2] += t.decode_cycles;
-                acc[3] += t.preempted_cycles;
-                acc[4] += t.stalled_cycles;
-                acc
-            });
-            assert_eq!(
-                sums,
-                [
-                    flight.queue_cycles,
-                    flight.prefill_cycles,
-                    flight.decode_cycles,
-                    flight.preempted_cycles,
-                    flight.stalled_cycles
-                ],
-                "workers={workers}: assembled flight sums diverged from native accounting"
-            );
-        } else {
-            assert_eq!(snap.event_count(), 0);
+        let stages = snap.stage_names();
+        assert!(stages.len() >= 6, "workers={workers}: stages {stages:?}");
+        for expect in ["router.route", "serve.prefill", "cache.attach", "engine.qk_block"] {
+            assert!(stages.contains(expect), "workers={workers}: missing {expect}");
         }
+        // Causality + flight parity from the *streamed* snapshot: a
+        // router trace must place every request, chain admit → retire,
+        // and reproduce the fleet's native flight totals.
+        let timelines = assemble_timelines(&streamed);
+        check_linked(&timelines).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        assert!(
+            timelines.iter().all(|t| t.placed),
+            "workers={workers}: a request is missing its router placement hop"
+        );
+        let flight = report.summary.flight;
+        assert_eq!(timelines.len() as u64, flight.requests, "workers={workers}");
+        let sums = timelines.iter().fold([0u64; 5], |mut acc, t| {
+            acc[0] += t.queue_cycles;
+            acc[1] += t.prefill_cycles;
+            acc[2] += t.decode_cycles;
+            acc[3] += t.preempted_cycles;
+            acc[4] += t.stalled_cycles;
+            acc
+        });
+        assert_eq!(
+            sums,
+            [
+                flight.queue_cycles,
+                flight.prefill_cycles,
+                flight.decode_cycles,
+                flight.preempted_cycles,
+                flight.stalled_cycles
+            ],
+            "workers={workers}: assembled flight sums diverged from native accounting"
+        );
     }
     std::env::remove_var("PADE_THREADS");
     assert!(

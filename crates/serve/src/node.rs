@@ -38,6 +38,8 @@
 //! node's cache manager is loaded from the file at creation (if it
 //! exists) and saved back at [`finish`](Node::finish), so a later serve
 //! run starts with the prefix index and session store this run built.
+//! A file that fails to load starts the node cold, with the fault
+//! counted, and the save at the end of the run replaces it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
@@ -66,7 +68,7 @@ enum Step {
 /// Native per-request flight accounting, accumulated from admission to
 /// retirement. Kept independent of the tracer — the flight digest in
 /// [`MetricsSummary`](crate::metrics::MetricsSummary) must be identical
-/// with tracing on, off or compiled out — while the link events emitted
+/// with tracing on or off — while the link events emitted
 /// alongside carry the same numbers into the trace for
 /// `pade_trace::flight::assemble_timelines`.
 #[derive(Debug, Default, Clone, Copy)]
@@ -129,7 +131,8 @@ pub struct Node {
 }
 
 impl Node {
-    /// A fresh node for `config`, serving under `mode`.
+    /// A fresh node for `config`, serving under `mode`. A
+    /// [`ScheduleMode::Solo`] node is a one-slot batched node.
     ///
     /// # Panics
     ///
@@ -137,10 +140,11 @@ impl Node {
     #[must_use]
     pub fn new(config: &ServeConfig, mode: ScheduleMode) -> Self {
         config.engine.validate();
-        let limits = SchedulerLimits {
-            engine_slots: config.engine_slots.max(1),
-            max_batch_tokens: config.max_batch_tokens,
+        let engine_slots = match mode {
+            ScheduleMode::Batched => config.engine_slots.max(1),
+            ScheduleMode::Solo => 1,
         };
+        let limits = SchedulerLimits { engine_slots, max_batch_tokens: config.max_batch_tokens };
         Self {
             config: config.clone(),
             mode,
@@ -271,13 +275,13 @@ impl Node {
     ///
     /// When the configuration carries a prefix cache and the request a
     /// prompt, the first such enqueue creates the node's manager (warm
-    /// from [`ServeConfig::cache_file`] if the file exists).
+    /// from [`ServeConfig::cache_file`] if the file loads, cold with a
+    /// counted tier fault if it exists but does not).
     ///
     /// # Panics
     ///
     /// Panics if the manager cannot be created for the request's shape,
-    /// or an existing cache file fails to load (a corrupt or
-    /// mismatched image must not be silently discarded).
+    /// or the configured spill tier cannot be built.
     pub fn enqueue(&mut self, spec: &RequestArrival) {
         if self.cache_manager.is_none() && spec.prompt.is_some() {
             self.ensure_manager(spec.trace.head_dim);
@@ -294,14 +298,17 @@ impl Node {
     /// Engages the node's cache manager for `dims`-lane key rows if the
     /// configuration carries a prefix cache and no manager exists yet:
     /// warm-loaded from [`ServeConfig::cache_file`] when the file
-    /// exists, with the configured spill tier installed. A no-op when
-    /// the prefix cache is disabled or the manager already engaged.
+    /// exists, with the configured spill tier installed. A file that
+    /// fails to load (corrupt, shape-mismatched or an older version)
+    /// starts the manager cold, with one stderr line naming the file and
+    /// the error and the fault counted in
+    /// [`CacheStats::tier_faults`](pade_cache::CacheStats::tier_faults).
+    /// A no-op when the prefix cache is disabled or the manager already
+    /// engaged.
     ///
     /// # Panics
     ///
-    /// Panics if an existing cache file fails to load (a corrupt or
-    /// mismatched image must not be silently discarded) or the
-    /// configured spill tier cannot be built.
+    /// Panics if the configured spill tier cannot be built.
     fn ensure_manager(&mut self, dims: usize) {
         if self.cache_manager.is_some() {
             return;
@@ -310,18 +317,20 @@ impl Node {
         let cache_config =
             CacheConfig::new(dims, self.config.engine.bits, self.config.kv_chunk_tokens.max(1))
                 .with_budget(budget);
-        let manager = match &self.config.cache_file {
-            Some(path) if path.exists() => {
-                Some(KvCacheManager::load_from(path, cache_config).unwrap_or_else(|e| {
-                    panic!("failed to load cache file {}: {e}", path.display())
-                }))
-            }
-            _ => None,
-        };
-        let mut manager = manager.unwrap_or_else(|| {
+        let cold = || {
             KvCacheManager::new(cache_config)
                 .expect("the serve engine configuration is a valid cache shape")
-        });
+        };
+        let mut manager = match &self.config.cache_file {
+            Some(path) if path.exists() => KvCacheManager::load_from(path, cache_config)
+                .unwrap_or_else(|e| {
+                    eprintln!("cache file {}: {e}; starting cold", path.display());
+                    let mut manager = cold();
+                    manager.count_tier_fault();
+                    manager
+                }),
+            _ => cold(),
+        };
         if let Some(tier) = &self.config.tier {
             let store = tier
                 .build()
@@ -461,8 +470,7 @@ impl Node {
             .config
             .preempt_every
             .is_some_and(|p| p > 0 && self.metrics.iterations % p == p - 1);
-        let chosen =
-            form_batch(&self.active, self.mode, &self.limits, self.config.policy, yield_head);
+        let chosen = form_batch(&self.active, &self.limits, self.config.policy, yield_head);
         debug_assert!(!chosen.is_empty());
         // Preempt/resume bookkeeping against the previous iteration's
         // batch. A previously-running session that is still active but
@@ -566,8 +574,8 @@ impl Node {
             }
         }
 
-        let slots = if self.mode == ScheduleMode::Solo { 1 } else { self.limits.engine_slots };
-        self.metrics.occupancy.set(self.now, chosen.len() as f64 / slots as f64);
+        let occupancy = chosen.len() as f64 / self.limits.engine_slots as f64;
+        self.metrics.occupancy.set(self.now, occupancy);
         self.metrics.batch_tokens.set(self.now, batch_tokens as f64);
         self.metrics.iterations += 1;
         self.now += duration;

@@ -32,8 +32,9 @@ pub enum ScheduleMode {
     /// Continuous batching: up to `engine_slots` blocks from distinct
     /// sessions per iteration, capped by `max_batch_tokens`.
     Batched,
-    /// One-request-at-a-time baseline: the policy's head session runs a
-    /// single block per iteration; later requests wait for it to finish.
+    /// One-request-at-a-time baseline: a one-slot batched node, so the
+    /// policy's head session runs a single block per iteration and later
+    /// requests wait for it to finish.
     Solo,
 }
 
@@ -103,7 +104,6 @@ pub struct SchedulerLimits {
 #[must_use]
 pub fn form_batch(
     active: &[Session],
-    mode: ScheduleMode,
     limits: &SchedulerLimits,
     policy: SchedulePolicy,
     yield_head: bool,
@@ -120,29 +120,21 @@ pub fn form_batch(
     if yield_head && order.len() >= 2 {
         order.rotate_left(1);
     }
-    match mode {
-        ScheduleMode::Solo => {
-            order.truncate(1);
-            order
+    let slots = limits.engine_slots.max(1);
+    let mut chosen = Vec::new();
+    let mut tokens = 0usize;
+    for &i in &order {
+        if chosen.len() >= slots {
+            break;
         }
-        ScheduleMode::Batched => {
-            let slots = limits.engine_slots.max(1);
-            let mut chosen = Vec::new();
-            let mut tokens = 0usize;
-            for &i in &order {
-                if chosen.len() >= slots {
-                    break;
-                }
-                let cost = active[i].next_block_tokens();
-                if !chosen.is_empty() && tokens + cost > limits.max_batch_tokens {
-                    break; // strict order: no bypass past a blocked head
-                }
-                chosen.push(i);
-                tokens += cost;
-            }
-            chosen
+        let cost = active[i].next_block_tokens();
+        if !chosen.is_empty() && tokens + cost > limits.max_batch_tokens {
+            break; // strict order: no bypass past a blocked head
         }
+        chosen.push(i);
+        tokens += cost;
     }
+    chosen
 }
 
 #[cfg(test)]
@@ -167,17 +159,17 @@ mod tests {
     const FCFS: SchedulePolicy = SchedulePolicy::Fcfs;
 
     #[test]
-    fn solo_picks_only_the_head() {
+    fn one_slot_picks_only_the_head() {
         let active = sessions(4);
-        let limits = SchedulerLimits { engine_slots: 8, max_batch_tokens: 1024 };
-        assert_eq!(form_batch(&active, ScheduleMode::Solo, &limits, FCFS, false), vec![0]);
+        let limits = SchedulerLimits { engine_slots: 1, max_batch_tokens: 1024 };
+        assert_eq!(form_batch(&active, &limits, FCFS, false), vec![0]);
     }
 
     #[test]
     fn batched_fills_slots_in_fcfs_order() {
         let active = sessions(5);
         let limits = SchedulerLimits { engine_slots: 3, max_batch_tokens: 1024 };
-        assert_eq!(form_batch(&active, ScheduleMode::Batched, &limits, FCFS, false), vec![0, 1, 2]);
+        assert_eq!(form_batch(&active, &limits, FCFS, false), vec![0, 1, 2]);
     }
 
     #[test]
@@ -187,21 +179,20 @@ mod tests {
         // A cap equal to the head's cost admits exactly the head, even if a
         // later (cheaper) block would still fit under the cap.
         let limits = SchedulerLimits { engine_slots: 8, max_batch_tokens: head_cost };
-        assert_eq!(form_batch(&active, ScheduleMode::Batched, &limits, FCFS, false), vec![0]);
+        assert_eq!(form_batch(&active, &limits, FCFS, false), vec![0]);
     }
 
     #[test]
     fn oversized_head_is_still_admitted() {
         let active = sessions(3);
         let limits = SchedulerLimits { engine_slots: 8, max_batch_tokens: 0 };
-        assert_eq!(form_batch(&active, ScheduleMode::Batched, &limits, FCFS, false), vec![0]);
+        assert_eq!(form_batch(&active, &limits, FCFS, false), vec![0]);
     }
 
     #[test]
     fn empty_queue_forms_no_batch() {
         let limits = SchedulerLimits { engine_slots: 4, max_batch_tokens: 64 };
-        assert!(form_batch(&[], ScheduleMode::Batched, &limits, FCFS, false).is_empty());
-        assert!(form_batch(&[], ScheduleMode::Solo, &limits, FCFS, false).is_empty());
+        assert!(form_batch(&[], &limits, FCFS, false).is_empty());
     }
 
     /// Arrivals with explicit scheduling attributes, id = index.
@@ -230,14 +221,12 @@ mod tests {
         let active = attributed(&[(0, None, 0), (3, Some(900), 10), (3, Some(50), 20)]);
         let limits = SchedulerLimits { engine_slots: 2, max_batch_tokens: 1024 };
         assert_eq!(
-            form_batch(&active, ScheduleMode::Batched, &limits, SchedulePolicy::SloAware, false),
+            form_batch(&active, &limits, SchedulePolicy::SloAware, false),
             vec![2, 1],
             "tight-deadline high-priority first, low priority shut out of 2 slots"
         );
-        assert_eq!(
-            form_batch(&active, ScheduleMode::Solo, &limits, SchedulePolicy::SloAware, false),
-            vec![2]
-        );
+        let one = SchedulerLimits { engine_slots: 1, ..limits };
+        assert_eq!(form_batch(&active, &one, SchedulePolicy::SloAware, false), vec![2]);
     }
 
     #[test]
@@ -245,8 +234,8 @@ mod tests {
         let active = sessions(5);
         let limits = SchedulerLimits { engine_slots: 3, max_batch_tokens: 1024 };
         assert_eq!(
-            form_batch(&active, ScheduleMode::Batched, &limits, SchedulePolicy::SloAware, false),
-            form_batch(&active, ScheduleMode::Batched, &limits, FCFS, false),
+            form_batch(&active, &limits, SchedulePolicy::SloAware, false),
+            form_batch(&active, &limits, FCFS, false),
         );
     }
 
@@ -256,20 +245,16 @@ mod tests {
         // arrival without one.
         let active = attributed(&[(1, None, 0), (1, Some(1_000_000), 5)]);
         let limits = SchedulerLimits { engine_slots: 1, max_batch_tokens: 1024 };
-        assert_eq!(
-            form_batch(&active, ScheduleMode::Batched, &limits, SchedulePolicy::SloAware, false),
-            vec![1]
-        );
+        assert_eq!(form_batch(&active, &limits, SchedulePolicy::SloAware, false), vec![1]);
     }
 
     #[test]
     fn yield_head_rotates_but_never_starves_a_lone_session() {
         let active = sessions(3);
         let limits = SchedulerLimits { engine_slots: 1, max_batch_tokens: 1024 };
-        assert_eq!(form_batch(&active, ScheduleMode::Batched, &limits, FCFS, true), vec![1]);
+        assert_eq!(form_batch(&active, &limits, FCFS, true), vec![1]);
         let lone = sessions(1);
         // A lone session must still run on a yield tick.
-        assert_eq!(form_batch(&lone, ScheduleMode::Batched, &limits, FCFS, true), vec![0]);
-        assert_eq!(form_batch(&lone, ScheduleMode::Solo, &limits, FCFS, true), vec![0]);
+        assert_eq!(form_batch(&lone, &limits, FCFS, true), vec![0]);
     }
 }

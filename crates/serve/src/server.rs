@@ -66,9 +66,11 @@ pub struct ServeConfig {
     /// exists) and save the grown state back at the end of the run. The
     /// image ([`pade_cache::KvCacheManager::save_to`]) is a versioned header, the
     /// prefix index as a stream of chunk records and the stored
-    /// sessions' packed planes; a missing file starts cold, while a
-    /// corrupt, shape-mismatched or older-version one panics rather than
-    /// silently serving cold.
+    /// sessions' packed planes. A missing file starts cold. A corrupt,
+    /// shape-mismatched or older-version one also starts cold, but never
+    /// silently: the node prints one stderr line naming the file and the
+    /// error and counts the fault in
+    /// [`CacheStats::tier_faults`](pade_cache::CacheStats::tier_faults).
     pub cache_file: Option<PathBuf>,
     /// Spill tier of the prefix cache: budget-evicted sealed chunks are
     /// demoted here ([`TierConfig::Memory`] or a

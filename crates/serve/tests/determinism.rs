@@ -285,6 +285,56 @@ fn cache_file_round_trip_preserves_outputs_and_warms_the_index() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A cache file that fails to load never stops a run: the node starts
+/// cold, counts one tier fault and serves oracle-identical outputs, and
+/// the image it saves at the end loads warm on the next run. Covers a
+/// garbage file and a valid image of another chunk shape.
+#[test]
+fn unloadable_cache_file_starts_cold_and_counts_a_fault() {
+    let arrivals = pade_workload::prompt::generate_shared_prefix_arrivals(&prompt_workload(7));
+    let path = std::env::temp_dir()
+        .join(format!("pade_serve_unloadable_cache_{}.bin", std::process::id()));
+    let config = ServeConfig {
+        cache_file: Some(path.clone()),
+        kv_chunk_tokens: 16,
+        ..ServeConfig::standard()
+    };
+    let other_shape = ServeConfig { kv_chunk_tokens: 8, ..config.clone() };
+    let garbage = || std::fs::write(&path, b"definitely not a PADE cache image").unwrap();
+    let mismatched = || drop(serve(&other_shape, &arrivals, ScheduleMode::Batched));
+    for (label, corrupt) in [("garbage", &garbage as &dyn Fn()), ("shape", &mismatched)] {
+        corrupt();
+        let cold = serve(&config, &arrivals, ScheduleMode::Batched);
+        assert_eq!(cold.metrics.cache.tier_faults, 1, "{label}: the failed load is one fault");
+        assert_eq!(cold.completions.len(), arrivals.len(), "{label}");
+        for completion in &cold.completions {
+            let oracle = reference_outputs(&arrivals[completion.id], &config.engine);
+            assert_eq!(completion.output_bytes(), output_bytes(&oracle), "{label}");
+        }
+        let warm = serve(&config, &arrivals, ScheduleMode::Batched);
+        assert_eq!(warm.metrics.cache.tier_faults, 0, "{label}: the rewritten file loads");
+        assert!(warm.summary.cache_hit_tokens > cold.summary.cache_hit_tokens, "{label}");
+        pade_serve::assert_outputs_identical(&cold, &warm);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `Solo` is a one-slot batched node: the same completion order, summary
+/// and output bytes as a `Batched` run with `engine_slots: 1`.
+#[test]
+fn solo_equals_a_one_slot_batched_node() {
+    let arrivals = generate_arrivals(&workload(2026, 6, 300.0));
+    let config = ServeConfig::standard();
+    let solo = serve(&config, &arrivals, ScheduleMode::Solo);
+    let one_slot =
+        serve(&ServeConfig { engine_slots: 1, ..config }, &arrivals, ScheduleMode::Batched);
+    assert_eq!(solo.completion_order(), one_slot.completion_order());
+    assert_eq!(solo.summary, one_slot.summary);
+    for (a, b) in solo.completions.iter().zip(&one_slot.completions) {
+        assert_eq!(a.output_bytes(), b.output_bytes(), "request {}", a.id);
+    }
+}
+
 /// A saturated many-request run exercises deep queues, the token cap and
 /// multi-iteration sessions at once; the completion order must still be a
 /// permutation of the ids and FCFS-compatible per arrival time.

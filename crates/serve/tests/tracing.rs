@@ -1,10 +1,10 @@
 //! Observability invariants of the serving loop:
 //!
 //! 1. **Telemetry is a pure side channel** — `serve_traced` with a
-//!    recorder attached, with a disabled tracer, or compiled without the
-//!    `trace` feature produces byte-identical completions and an
-//!    identical metrics summary; spot-checked against the solo seed
-//!    oracle (`run_qk_block_reference`).
+//!    recorder attached or with a disabled tracer produces
+//!    byte-identical completions and an identical metrics summary;
+//!    spot-checked against the solo seed oracle
+//!    (`run_qk_block_reference`).
 //! 2. **Span streams are well-formed and deterministic** — strictly
 //!    nested begin/end pairs with monotone per-track clocks, and the
 //!    snapshot fingerprint is identical at any `PADE_THREADS` (tracks
@@ -128,40 +128,36 @@ fn traced_serve_is_identical_and_fingerprint_stable_across_worker_counts() {
             "workers={workers}: streamed snapshot diverged from the recorder"
         );
 
-        if cfg!(feature = "trace") {
-            let stages = snap.stage_names();
-            assert!(stages.len() >= 6, "workers={workers}: stages {stages:?}");
-            for expect in ["serve.prefill", "serve.decode", "cache.attach", "engine.qk_block"] {
-                assert!(stages.contains(expect), "workers={workers}: missing {expect}");
-            }
-            // Flight parity: timelines assembled from the *streamed* link
-            // events must reproduce the node's native cycle accounting.
-            let timelines = assemble_timelines(&streamed);
-            check_linked(&timelines).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-            let flight = report.summary.flight;
-            assert_eq!(timelines.len() as u64, flight.requests, "workers={workers}");
-            let sums = timelines.iter().fold([0u64; 5], |mut acc, t| {
-                acc[0] += t.queue_cycles;
-                acc[1] += t.prefill_cycles;
-                acc[2] += t.decode_cycles;
-                acc[3] += t.preempted_cycles;
-                acc[4] += t.stalled_cycles;
-                acc
-            });
-            assert_eq!(
-                sums,
-                [
-                    flight.queue_cycles,
-                    flight.prefill_cycles,
-                    flight.decode_cycles,
-                    flight.preempted_cycles,
-                    flight.stalled_cycles
-                ],
-                "workers={workers}: assembled flight sums diverged from native accounting"
-            );
-        } else {
-            assert_eq!(snap.event_count(), 0);
+        let stages = snap.stage_names();
+        assert!(stages.len() >= 6, "workers={workers}: stages {stages:?}");
+        for expect in ["serve.prefill", "serve.decode", "cache.attach", "engine.qk_block"] {
+            assert!(stages.contains(expect), "workers={workers}: missing {expect}");
         }
+        // Flight parity: timelines assembled from the *streamed* link
+        // events must reproduce the node's native cycle accounting.
+        let timelines = assemble_timelines(&streamed);
+        check_linked(&timelines).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        let flight = report.summary.flight;
+        assert_eq!(timelines.len() as u64, flight.requests, "workers={workers}");
+        let sums = timelines.iter().fold([0u64; 5], |mut acc, t| {
+            acc[0] += t.queue_cycles;
+            acc[1] += t.prefill_cycles;
+            acc[2] += t.decode_cycles;
+            acc[3] += t.preempted_cycles;
+            acc[4] += t.stalled_cycles;
+            acc
+        });
+        assert_eq!(
+            sums,
+            [
+                flight.queue_cycles,
+                flight.prefill_cycles,
+                flight.decode_cycles,
+                flight.preempted_cycles,
+                flight.stalled_cycles
+            ],
+            "workers={workers}: assembled flight sums diverged from native accounting"
+        );
     }
     std::env::remove_var("PADE_THREADS");
     assert!(
@@ -198,10 +194,6 @@ fn chunked_prefill_slices_link_to_the_dispatch_that_ran_their_tile() {
     assert_eq!(report.summary, untraced.summary);
     let snap = recorder.snapshot();
     snap.check_well_formed().unwrap();
-    if !cfg!(feature = "trace") {
-        assert_eq!(snap.event_count(), 0);
-        return;
-    }
     let fanout_tracks: Vec<u64> = snap
         .tracks
         .iter()
@@ -250,7 +242,7 @@ fn chunked_prefill_slices_link_to_the_dispatch_that_ran_their_tile() {
 }
 
 proptest! {
-    /// Telemetry on, off, or compiled out never changes a byte: the
+    /// Telemetry on or off never changes a byte: the
     /// traced run equals the untraced run request for request (and the
     /// first request equals the solo seed oracle).
     #[test]

@@ -4,7 +4,7 @@
 //! [`RequestTimeline`] per request.
 //!
 //! The serving layer computes the same cycle accounting natively (so
-//! summaries are identical with tracing on, off or compiled out); this
+//! summaries are identical with tracing on or off); this
 //! module reconstructs it *from the trace alone*, which is what
 //! `pade-trace-query` runs on and what the parity tests pin against the
 //! native digests.

@@ -20,13 +20,11 @@
 //! `pade-par` interleaves worker flushes — the same idiom as the ordered
 //! fork-join itself.
 //!
-//! # Zero cost when disabled
+//! # Cheap when disabled
 //!
-//! The `enabled` cargo feature gates every recording body. Without it
-//! [`Tracer::is_active`] is a constant `false`, all methods are empty
-//! inlinable stubs, and instrumented hot loops fold their telemetry
-//! branches away entirely. Downstream crates expose this as their own
-//! `trace` feature.
+//! A [`Tracer::disabled`] handle has no sink: every recording method is
+//! one `None` check, and instrumented hot loops guard their telemetry on
+//! [`Tracer::is_active`], so an untraced run skips it entirely.
 //!
 //! # Example
 //!
@@ -43,12 +41,8 @@
 //! ctx.end(Cycle(42));
 //! ctx.flush();
 //! let snap = recorder.snapshot();
-//! # let _ = &snap;
-//! #[cfg(feature = "enabled")]
-//! {
-//!     assert_eq!(snap.span_count(), 1);
-//!     snap.check_well_formed().unwrap();
-//! }
+//! assert_eq!(snap.span_count(), 1);
+//! snap.check_well_formed().unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -217,12 +211,10 @@ pub mod track {
     }
 }
 
-/// A cloneable handle to a [`TraceSink`]. Disabled handles (and every
-/// handle when the `enabled` feature is off) make all recording methods
-/// no-ops.
+/// A cloneable handle to a [`TraceSink`]. A disabled handle makes all
+/// recording methods no-ops.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    #[cfg(feature = "enabled")]
     sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -239,57 +231,33 @@ impl Tracer {
         Self::default()
     }
 
-    /// A handle recording into `sink`. With the `enabled` feature off the
-    /// sink is dropped and the handle stays inert.
+    /// A handle recording into `sink`.
     #[must_use]
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Self { sink: Some(sink) }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = sink;
-            Self {}
-        }
+        Self { sink: Some(sink) }
     }
 
-    /// `true` when recording. A constant `false` when the `enabled`
-    /// feature is off, so guarded telemetry folds away.
+    /// `true` when recording, so callers can skip building telemetry
+    /// that a disabled handle would drop.
     #[inline]
     #[must_use]
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.sink.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
+        self.sink.is_some()
     }
 
     /// Opens a buffering context that records onto `track` and submits on
     /// [`TraceCtx::flush`] / drop.
     #[must_use]
     pub fn ctx(&self, track: u64) -> TraceCtx {
-        #[cfg(feature = "enabled")]
-        {
-            TraceCtx {
-                inner: self.sink.as_ref().map(|sink| {
-                    Box::new(CtxInner {
-                        sink: sink.clone(),
-                        track,
-                        events: Vec::new(),
-                        open: Vec::new(),
-                    })
-                }),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = track;
-            TraceCtx {}
+        TraceCtx {
+            inner: self.sink.as_ref().map(|sink| {
+                Box::new(CtxInner {
+                    sink: sink.clone(),
+                    track,
+                    events: Vec::new(),
+                    open: Vec::new(),
+                })
+            }),
         }
     }
 
@@ -303,7 +271,6 @@ impl Tracer {
         end: Cycle,
         wall_nanos: u64,
     ) {
-        #[cfg(feature = "enabled")]
         if let Some(sink) = &self.sink {
             sink.submit(
                 track,
@@ -313,66 +280,41 @@ impl Tracer {
                 ],
             );
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (track, name, begin, end, wall_nanos);
-        }
     }
 
     /// One-shot point event.
     #[inline]
     pub fn instant(&self, track: u64, name: &'static str, clock: Cycle) {
-        #[cfg(feature = "enabled")]
         if let Some(sink) = &self.sink {
             sink.submit(track, &[TraceEvent::Instant { name, clock }]);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (track, name, clock);
         }
     }
 
     /// One-shot counter increment.
     #[inline]
     pub fn count(&self, track: u64, name: &'static str, clock: Cycle, delta: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(sink) = &self.sink {
             sink.submit(track, &[TraceEvent::Count { name, clock, delta }]);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (track, name, clock, delta);
         }
     }
 
     /// One-shot gauge sample.
     #[inline]
     pub fn gauge(&self, track: u64, name: &'static str, clock: Cycle, value: f64) {
-        #[cfg(feature = "enabled")]
         if let Some(sink) = &self.sink {
             sink.submit(track, &[TraceEvent::Gauge { name, clock, value }]);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (track, name, clock, value);
         }
     }
 
     /// One-shot causality link: one hop of request `request`'s journey.
     #[inline]
     pub fn link(&self, track: u64, name: &'static str, clock: Cycle, request: u64, info: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(sink) = &self.sink {
             sink.submit(track, &[TraceEvent::Link { name, clock, request, info }]);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (track, name, clock, request, info);
         }
     }
 }
 
-#[cfg(feature = "enabled")]
 struct CtxInner {
     sink: Arc<dyn TraceSink>,
     track: u64,
@@ -386,7 +328,6 @@ struct CtxInner {
 /// or drop, as one ordered batch.
 #[derive(Default)]
 pub struct TraceCtx {
-    #[cfg(feature = "enabled")]
     inner: Option<Box<CtxInner>>,
 }
 
@@ -407,27 +348,15 @@ impl TraceCtx {
     #[inline]
     #[must_use]
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Opens a span at `clock`.
     #[inline]
     pub fn begin(&mut self, name: &'static str, clock: Cycle) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             inner.events.push(TraceEvent::Begin { name, clock });
             inner.open.push(None);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, clock);
         }
     }
 
@@ -435,31 +364,21 @@ impl TraceCtx {
     /// nanoseconds annotate the matching [`end`](TraceCtx::end).
     #[inline]
     pub fn begin_timed(&mut self, name: &'static str, clock: Cycle) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             inner.events.push(TraceEvent::Begin { name, clock });
             inner.open.push(Some(std::time::Instant::now()));
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, clock);
         }
     }
 
     /// Closes the innermost open span at `clock`.
     #[inline]
     pub fn end(&mut self, clock: Cycle) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             let wall_nanos = match inner.open.pop() {
                 Some(Some(t)) => u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 _ => 0,
             };
             inner.events.push(TraceEvent::End { clock, wall_nanos });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = clock;
         }
     }
 
@@ -473,59 +392,38 @@ impl TraceCtx {
     /// Records a point event.
     #[inline]
     pub fn instant(&mut self, name: &'static str, clock: Cycle) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             inner.events.push(TraceEvent::Instant { name, clock });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, clock);
         }
     }
 
     /// Records a counter increment.
     #[inline]
     pub fn count(&mut self, name: &'static str, clock: Cycle, delta: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             inner.events.push(TraceEvent::Count { name, clock, delta });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, clock, delta);
         }
     }
 
     /// Records a gauge sample.
     #[inline]
     pub fn gauge(&mut self, name: &'static str, clock: Cycle, value: f64) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             inner.events.push(TraceEvent::Gauge { name, clock, value });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, clock, value);
         }
     }
 
     /// Records a causality link for request `request`.
     #[inline]
     pub fn link(&mut self, name: &'static str, clock: Cycle, request: u64, info: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             inner.events.push(TraceEvent::Link { name, clock, request, info });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, clock, request, info);
         }
     }
 
     /// Submits all buffered events to the sink. Called automatically on
     /// drop; explicit flushes let a long-lived context publish early.
     pub fn flush(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = &mut self.inner {
             if !inner.events.is_empty() {
                 inner.sink.submit(inner.track, &inner.events);
@@ -565,7 +463,6 @@ mod tests {
         ctx.flush();
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ctx_buffers_and_flushes_in_order() {
         let rec = Arc::new(Recorder::new());
