@@ -87,10 +87,10 @@ pub struct CacheStats {
     pub fetched_tokens: u64,
     /// Faults of the optional plane sources — at attach, a spill-tier
     /// `get` that failed or a record adoption refused as invalid; at
-    /// startup, a cache image that failed to load
-    /// ([`KvCacheManager::count_tier_fault`]). Each one falls back to
-    /// decomposing the chunk (or to a cold start), so outputs are
-    /// unaffected; this counter surfaces it.
+    /// peer export, a spill-tier `get` that failed; at startup, a cache
+    /// image that failed to load ([`KvCacheManager::count_tier_fault`]).
+    /// Each one falls back to decomposing the chunk, a shorter export or
+    /// a cold start, so outputs are unaffected; this counter surfaces it.
     pub tier_faults: u64,
 }
 
@@ -437,16 +437,7 @@ impl KvCacheManager {
             // pure I/O waste over an equal-cost parse. A failed fetch or a
             // record that fails validation is a counted tier fault and
             // falls back to decomposition.
-            let spilled = match &self.tier {
-                Some(tier) if indexable => match tier.get(key) {
-                    Ok(rec) => rec.filter(|rec| rec.parent == parent && *rec.ids == *chunk_ids),
-                    Err(_) => {
-                        self.stats.tier_faults = self.stats.tier_faults.saturating_add(1);
-                        None
-                    }
-                },
-                _ => None,
-            };
+            let spilled = if indexable { self.fetch_spilled(key, parent, chunk_ids) } else { None };
             if let Some(rec) = spilled {
                 match self.adopt(rec) {
                     Ok((resident, _)) => {
@@ -585,9 +576,11 @@ impl KvCacheManager {
     /// root-to-leaf order, at most `max_chunks` of them. The building
     /// block of peer shard fetch and shard migration: every record is
     /// content-addressed, so an importer re-validates each key before
-    /// adopting anything. Read-only — no LRU touch, no stats.
+    /// adopting anything. No LRU touch; the only stat it moves is
+    /// [`CacheStats::tier_faults`], counted once when a tier read fails
+    /// and the export stops at that chunk.
     #[must_use]
-    pub fn export_prefix_path(&self, ids: &[u32], max_chunks: usize) -> Vec<ChunkRecord> {
+    pub fn export_prefix_path(&mut self, ids: &[u32], max_chunks: usize) -> Vec<ChunkRecord> {
         let chunk_tokens = self.config.chunk_tokens;
         let mut out = Vec::new();
         let mut parent = None;
@@ -607,12 +600,7 @@ impl KvCacheManager {
                 Some(_) => break,
                 None => {}
             }
-            let spilled = self
-                .tier
-                .as_ref()
-                .and_then(|tier| tier.get(key).ok().flatten())
-                .filter(|rec| rec.parent == parent && *rec.ids == *chunk);
-            match spilled {
+            match self.fetch_spilled(key, parent, chunk) {
                 Some(rec) => {
                     out.push(rec);
                     parent = Some(key);
@@ -642,6 +630,24 @@ impl KvCacheManager {
         }
         self.evict_to_budget();
         imported
+    }
+
+    /// Reads the spilled record under `key` if it sits at this exact
+    /// prefix position (`parent`, `ids`). A failed read is a counted
+    /// [`CacheStats::tier_faults`] and, like a miss, returns `None`.
+    fn fetch_spilled(
+        &mut self,
+        key: u128,
+        parent: Option<u128>,
+        ids: &[u32],
+    ) -> Option<ChunkRecord> {
+        match self.tier.as_ref()?.get(key) {
+            Ok(rec) => rec.filter(|rec| rec.parent == parent && *rec.ids == *ids),
+            Err(_) => {
+                self.stats.tier_faults = self.stats.tier_faults.saturating_add(1);
+                None
+            }
+        }
     }
 
     /// Adopts one already-built chunk record into the shared index — the
@@ -1172,6 +1178,31 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].parent, None);
         assert_eq!(records[1].parent, Some(records[0].key));
+    }
+
+    #[test]
+    fn export_stops_at_a_failing_tier_get_and_counts_the_fault() {
+        let p = ids(8, 67);
+        let rows = rows_for(&p, 8);
+        let mut probe = manager(4);
+        let att = probe.attach(1, &p, &rows).unwrap();
+        probe.release(att.lease);
+        let chunk_bytes = probe.resident_bytes() / 2;
+        // A one-chunk budget evicts leaf first: the root stays resident
+        // and the leaf spills into a tier that fails every read.
+        let mut m = KvCacheManager::new(
+            CacheConfig::new(8, 8, 4).with_budget(CacheBudget::bytes(chunk_bytes)),
+        )
+        .unwrap();
+        m.set_tier(Some(Box::new(FailingGets::default())));
+        let att = m.attach(1, &p, &rows).unwrap();
+        m.release(att.lease);
+        assert_eq!((m.resident_chunks(), m.tier().unwrap().len()), (1, 1));
+        let before = m.stats().tier_faults;
+        let records = m.export_prefix_path(&p, usize::MAX);
+        assert_eq!(records.len(), 1, "the export stops at the chunk the tier failed to return");
+        assert_eq!(records[0].parent, None);
+        assert_eq!(m.stats().tier_faults, before + 1, "the failed read is one counted fault");
     }
 
     #[test]

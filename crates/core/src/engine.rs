@@ -697,8 +697,7 @@ pub fn run_qk_batch_traced(
 }
 
 /// The seed's hash-map-based implementation, kept verbatim as the
-/// bit-exact oracle for [`run_qk_block`] and as the sequential baseline
-/// the `pade-bench` harness measures speedups against.
+/// bit-exact oracle for [`run_qk_block`].
 ///
 /// # Panics
 ///

@@ -26,7 +26,7 @@ pub enum Decision {
     /// Verdict unknown: request the next bit plane.
     NeedMore,
     /// All planes processed and never pruned: the key is retained
-    /// (the tile-friendly criterion of §IV-C).
+    /// (the tile-friendly rule of §IV-C).
     Retain,
 }
 

@@ -1,5 +1,5 @@
 //! Fig. 5(f) — why tiling is mandatory: normalized memory access versus
-//! query parallelism P when the row-dependent pruning criterion forbids
+//! query parallelism P when the row-dependent pruning rule forbids
 //! tiling, for 240 KB and 320 KB on-chip SRAM (Llama2-7B, S = 2048).
 //!
 //! Without tiling, P parallel queries materialize a P×S score block plus

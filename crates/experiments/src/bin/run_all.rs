@@ -31,7 +31,6 @@ const BINS: &[&str] = &[
     "ext_distributed",
     "ext_decode_session",
     "ext_calibration_ablation",
-    "perf_trajectory",
 ];
 
 fn print_table_iii() {

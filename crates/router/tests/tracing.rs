@@ -114,7 +114,13 @@ fn traced_route_is_identical_and_fingerprint_stable_across_worker_counts() {
 
         // Stream parity: the file round-trips to the recorder's exact
         // fingerprint, with resident memory bounded by the frame size.
+        // The run must span several frames, or the bound is vacuous.
         stream.finish().unwrap_or_else(|e| panic!("workers={workers}: stream write: {e}"));
+        assert!(
+            stream.frames_written() >= 2,
+            "workers={workers}: stream spanned only {} frame(s)",
+            stream.frames_written()
+        );
         assert!(
             stream.peak_buffered_bytes() <= FRAME,
             "workers={workers}: stream buffered {} bytes over the {FRAME}-byte frame",

@@ -225,15 +225,17 @@ impl Node {
     /// Exports the content-addressed chunk records covering the longest
     /// prefix of `ids` this node can produce (resident or spilled), up
     /// to `max_chunks` — the payload of a peer shard fetch or a
-    /// migration. Empty when the manager has not engaged. Read-only.
+    /// migration. Empty when the manager has not engaged. A failed tier
+    /// read ends the export and counts in
+    /// [`CacheStats::tier_faults`](pade_cache::CacheStats::tier_faults).
     #[must_use]
     pub fn export_prefix_records(
-        &self,
+        &mut self,
         ids: &[u32],
         max_chunks: usize,
     ) -> Vec<pade_cache::ChunkRecord> {
         self.cache_manager
-            .as_ref()
+            .as_mut()
             .map(|m| m.export_prefix_path(ids, max_chunks))
             .unwrap_or_default()
     }
