@@ -33,27 +33,14 @@ use pade_cache::{CacheBudget, TierConfig};
 use pade_router::{route_traced, DrainPlan, FleetTierConfig, RoutePolicy, RouterConfig};
 use pade_serve::scheduler::ScheduleMode;
 use pade_serve::server::ServeConfig;
-use pade_trace::{save_chrome_trace, Recorder, StreamSink, TraceSink, Tracer};
+use pade_trace::{save_chrome_trace, Recorder, TraceSink, Tracer};
 use pade_workload::prompt::{generate_multi_tenant_arrivals, MultiTenantConfig};
-
-/// Fans one event stream out to both the in-memory recorder and the
-/// on-disk stream sink when `--trace-out` and `--trace-stream` are both
-/// given.
-struct TeeSink(Arc<Recorder>, Arc<StreamSink>);
-
-impl TraceSink for TeeSink {
-    fn submit(&self, track: u64, events: &[pade_trace::TraceEvent]) {
-        self.0.submit(track, events);
-        self.1.submit(track, events);
-    }
-}
 
 struct Args {
     quick: bool,
     nodes: usize,
     policy: RoutePolicy,
     trace_out: Option<std::path::PathBuf>,
-    trace_stream: Option<std::path::PathBuf>,
     sessions: Option<usize>,
     seed: Option<u64>,
     spill_dir: Option<std::path::PathBuf>,
@@ -74,7 +61,6 @@ fn parse_args() -> Args {
         nodes: 3,
         policy: RoutePolicy::Affinity,
         trace_out: None,
-        trace_stream: None,
         sessions: None,
         seed: None,
         spill_dir: None,
@@ -105,10 +91,6 @@ fn parse_args() -> Args {
                 args.trace_out =
                     Some(std::path::PathBuf::from(parse::<String>("--trace-out", it.next())));
             }
-            "--trace-stream" => {
-                args.trace_stream =
-                    Some(std::path::PathBuf::from(parse::<String>("--trace-stream", it.next())));
-            }
             "--sessions" => args.sessions = Some(parse("--sessions", it.next())),
             "--seed" => args.seed = Some(parse("--seed", it.next())),
             "--spill-dir" => {
@@ -120,7 +102,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: pade-router [--quick] [--nodes N] [--policy affinity|round-robin|\
-                     least-loaded] [--trace-out PATH] [--trace-stream PATH] [--sessions N] \
+                     least-loaded] [--trace-out PATH] [--sessions N] \
                      [--seed X] [--spill-dir PATH] [--drain-node K] [--cache-budget BYTES]"
                 );
                 exit(0);
@@ -191,19 +173,9 @@ fn main() {
     }
 
     let recorder = args.trace_out.as_ref().map(|_| Arc::new(Recorder::new()));
-    let stream = args.trace_stream.as_ref().map(|path| {
-        Arc::new(StreamSink::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create stream file {}: {e}", path.display());
-            exit(1);
-        }))
-    });
-    let tracer = match (&recorder, &stream) {
-        (Some(r), Some(s)) => {
-            Tracer::new(Arc::new(TeeSink(Arc::clone(r), Arc::clone(s))) as Arc<dyn TraceSink>)
-        }
-        (Some(r), None) => Tracer::new(Arc::clone(r) as Arc<dyn TraceSink>),
-        (None, Some(s)) => Tracer::new(Arc::clone(s) as Arc<dyn TraceSink>),
-        (None, None) => Tracer::disabled(),
+    let tracer = match &recorder {
+        Some(r) => Tracer::new(Arc::clone(r) as Arc<dyn TraceSink>),
+        None => Tracer::disabled(),
     };
 
     println!(
@@ -288,17 +260,5 @@ fn main() {
             path.display()
         );
         println!("trace stages: {}", stages.join(", "));
-    }
-    if let (Some(path), Some(stream)) = (&args.trace_stream, &stream) {
-        stream
-            .finish()
-            .unwrap_or_else(|e| panic!("failed to write stream file {}: {e}", path.display()));
-        println!(
-            "trace stream: {} frames of {} B (peak {} B buffered) -> {}",
-            stream.frames_written(),
-            stream.frame_size(),
-            stream.peak_buffered_bytes(),
-            path.display()
-        );
     }
 }

@@ -9,11 +9,11 @@
 //!    pairs and monotone per-track clocks, and its fingerprint is
 //!    identical at any `PADE_THREADS` (tracks are keyed by node id and
 //!    logical dispatch index, never worker identity).
-//! 3. **The on-disk stream is lossless at fleet scale** — the same run
-//!    teed into a bounded-memory `StreamSink` reads back to the
-//!    recorder's exact fingerprint, every request's causality chain is
-//!    complete (place → admit → retire), and the assembled flight
-//!    timelines match the fleet's native cycle accounting.
+//! 3. **The trace file is lossless at fleet scale** — the run's Chrome
+//!    JSON reads back to the recorder's exact fingerprint, every
+//!    request's causality chain is complete (place → admit → retire),
+//!    and the assembled flight timelines match the fleet's native cycle
+//!    accounting.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,22 +22,11 @@ use pade_router::{route, route_traced, RoutePolicy, RouterConfig};
 use pade_serve::scheduler::ScheduleMode;
 use pade_serve::server::ServeConfig;
 use pade_trace::flight::{assemble_timelines, check_linked};
-use pade_trace::{read_stream, Recorder, StreamSink, TraceSink, Tracer};
+use pade_trace::{read_chrome_trace, write_chrome_trace, Recorder, TraceSink, Tracer};
 use pade_workload::prompt::{
     generate_multi_tenant_arrivals, MultiTenantConfig, SharedPrefixConfig,
 };
 use proptest::prelude::*;
-
-/// Fans one event stream into both the in-memory recorder and the
-/// on-disk stream sink, so one run feeds both parity sides.
-struct Tee(Arc<Recorder>, Arc<StreamSink>);
-
-impl TraceSink for Tee {
-    fn submit(&self, track: u64, events: &[pade_trace::TraceEvent]) {
-        self.0.submit(track, events);
-        self.1.submit(track, events);
-    }
-}
 
 /// A small multi-tenant workload: every request carries a prompt,
 /// several sessions return for a second turn.
@@ -86,19 +75,10 @@ fn traced_route_is_identical_and_fingerprint_stable_across_worker_counts() {
     let baseline = route(&fleet, &arrivals, ScheduleMode::Batched);
     let baseline_bytes = output_map(&baseline);
 
-    // Tiny frames force many flushes, so the bounded-memory assertion
-    // below actually exercises the frame boundary path.
-    const FRAME: usize = 1024;
     let mut fingerprints = Vec::new();
     for workers in ["1", "2", "4"] {
         std::env::set_var("PADE_THREADS", workers);
-        let stream_path = std::env::temp_dir()
-            .join(format!("pade-router-tracing-{}-{workers}.padetrace", std::process::id()));
-        let recorder = Arc::new(Recorder::new());
-        let stream = Arc::new(StreamSink::with_frame_size(&stream_path, FRAME).unwrap());
-        let tracer = Tracer::new(
-            Arc::new(Tee(Arc::clone(&recorder), Arc::clone(&stream))) as Arc<dyn TraceSink>
-        );
+        let (recorder, tracer) = recording_tracer();
         let report = route_traced(&fleet, &arrivals, ScheduleMode::Batched, &tracer);
         assert_eq!(report.summary, baseline.summary, "workers={workers}");
         for completion in &report.completions_by_id() {
@@ -112,28 +92,17 @@ fn traced_route_is_identical_and_fingerprint_stable_across_worker_counts() {
         snap.check_well_formed().unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         fingerprints.push(snap.fingerprint());
 
-        // Stream parity: the file round-trips to the recorder's exact
-        // fingerprint, with resident memory bounded by the frame size.
-        // The run must span several frames, or the bound is vacuous.
-        stream.finish().unwrap_or_else(|e| panic!("workers={workers}: stream write: {e}"));
-        assert!(
-            stream.frames_written() >= 2,
-            "workers={workers}: stream spanned only {} frame(s)",
-            stream.frames_written()
-        );
-        assert!(
-            stream.peak_buffered_bytes() <= FRAME,
-            "workers={workers}: stream buffered {} bytes over the {FRAME}-byte frame",
-            stream.peak_buffered_bytes()
-        );
-        let streamed = read_stream(&stream_path)
-            .unwrap_or_else(|e| panic!("workers={workers}: stream read: {e}"));
-        std::fs::remove_file(&stream_path).ok();
-        streamed.check_well_formed().unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        // File parity: the run's Chrome JSON reads back to the recorder's
+        // exact fingerprint.
+        let mut json = Vec::new();
+        write_chrome_trace(&snap, &mut json).unwrap();
+        let read = read_chrome_trace(&String::from_utf8(json).unwrap())
+            .unwrap_or_else(|e| panic!("workers={workers}: trace read: {e}"));
+        read.check_well_formed().unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         assert_eq!(
-            streamed.fingerprint(),
+            read.fingerprint(),
             snap.fingerprint(),
-            "workers={workers}: streamed snapshot diverged from the recorder"
+            "workers={workers}: read-back snapshot diverged from the recorder"
         );
 
         let stages = snap.stage_names();
@@ -141,10 +110,10 @@ fn traced_route_is_identical_and_fingerprint_stable_across_worker_counts() {
         for expect in ["router.route", "serve.prefill", "cache.attach", "engine.qk_block"] {
             assert!(stages.contains(expect), "workers={workers}: missing {expect}");
         }
-        // Causality + flight parity from the *streamed* snapshot: a
+        // Causality + flight parity from the *read-back* snapshot: a
         // router trace must place every request, chain admit → retire,
         // and reproduce the fleet's native flight totals.
-        let timelines = assemble_timelines(&streamed);
+        let timelines = assemble_timelines(&read);
         check_linked(&timelines).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         assert!(
             timelines.iter().all(|t| t.placed),

@@ -41,23 +41,11 @@ use std::sync::Arc;
 use pade_cache::{CacheBudget, TierConfig};
 use pade_serve::scheduler::{ScheduleMode, SchedulePolicy};
 use pade_serve::server::{serve, serve_traced, ServeConfig, ServeReport};
-use pade_trace::{save_chrome_trace, Recorder, StreamSink, TraceSink, Tracer};
+use pade_trace::{save_chrome_trace, Recorder, TraceSink, Tracer};
 use pade_workload::prompt::{generate_shared_prefix_arrivals, SharedPrefixConfig};
 use pade_workload::trace::{
     generate_arrivals, generate_tenant_mix, ArrivalConfig, RequestArrival, TenantLoad,
 };
-
-/// Fans one event stream out to both the in-memory recorder and the
-/// on-disk stream sink when `--trace-out` and `--trace-stream` are both
-/// given.
-struct TeeSink(Arc<Recorder>, Arc<StreamSink>);
-
-impl TraceSink for TeeSink {
-    fn submit(&self, track: u64, events: &[pade_trace::TraceEvent]) {
-        self.0.submit(track, events);
-        self.1.submit(track, events);
-    }
-}
 
 struct Args {
     quick: bool,
@@ -69,7 +57,6 @@ struct Args {
     cache_file: Option<std::path::PathBuf>,
     spill_dir: Option<std::path::PathBuf>,
     trace_out: Option<std::path::PathBuf>,
-    trace_stream: Option<std::path::PathBuf>,
     requests: Option<usize>,
     mean_gap: Option<f64>,
     seq_len: Option<usize>,
@@ -97,7 +84,6 @@ fn parse_args() -> Args {
         cache_file: None,
         spill_dir: None,
         trace_out: None,
-        trace_stream: None,
         requests: None,
         mean_gap: None,
         seq_len: None,
@@ -127,10 +113,6 @@ fn parse_args() -> Args {
                 args.trace_out =
                     Some(std::path::PathBuf::from(parse::<String>("--trace-out", it.next())));
             }
-            "--trace-stream" => {
-                args.trace_stream =
-                    Some(std::path::PathBuf::from(parse::<String>("--trace-stream", it.next())));
-            }
             "--requests" => args.requests = Some(parse("--requests", it.next())),
             "--mean-gap" => args.mean_gap = Some(parse("--mean-gap", it.next())),
             "--seq-len" => args.seq_len = Some(parse("--seq-len", it.next())),
@@ -147,8 +129,7 @@ fn parse_args() -> Args {
                     "usage: pade-serve [--quick] [--shared-prefix] [--slo-aware] \
                      [--no-prefix-cache] [--hit-aware] [--cache-budget BYTES] \
                      [--cache-file PATH] [--spill-dir PATH] [--trace-out PATH] \
-                     [--trace-stream PATH] [--requests N] \
-                     [--mean-gap CYCLES] [--seq-len S] [--slots K] [--max-batch-tokens T] \
+                     [--requests N] [--mean-gap CYCLES] [--seq-len S] [--slots K] [--max-batch-tokens T] \
                      [--decode-fraction F] [--seed X]"
                 );
                 exit(0);
@@ -506,19 +487,9 @@ fn main() {
     );
 
     let recorder = args.trace_out.as_ref().map(|_| Arc::new(Recorder::new()));
-    let stream = args.trace_stream.as_ref().map(|path| {
-        Arc::new(StreamSink::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create stream file {}: {e}", path.display());
-            exit(1);
-        }))
-    });
-    let tracer = match (&recorder, &stream) {
-        (Some(r), Some(s)) => {
-            Tracer::new(Arc::new(TeeSink(Arc::clone(r), Arc::clone(s))) as Arc<dyn TraceSink>)
-        }
-        (Some(r), None) => Tracer::new(Arc::clone(r) as Arc<dyn TraceSink>),
-        (None, Some(s)) => Tracer::new(Arc::clone(s) as Arc<dyn TraceSink>),
-        (None, None) => Tracer::disabled(),
+    let tracer = match &recorder {
+        Some(r) => Tracer::new(Arc::clone(r) as Arc<dyn TraceSink>),
+        None => Tracer::disabled(),
     };
 
     let start = std::time::Instant::now();
@@ -562,18 +533,6 @@ fn main() {
             path.display()
         );
         println!("trace stages: {}", stages.join(", "));
-    }
-    if let (Some(path), Some(stream)) = (&args.trace_stream, &stream) {
-        stream
-            .finish()
-            .unwrap_or_else(|e| panic!("failed to write stream file {}: {e}", path.display()));
-        println!(
-            "trace stream: {} frames of {} B (peak {} B buffered) -> {}",
-            stream.frames_written(),
-            stream.frame_size(),
-            stream.peak_buffered_bytes(),
-            path.display()
-        );
     }
 
     let gain = batched.summary.tokens_per_s / solo.summary.tokens_per_s.max(f64::MIN_POSITIVE);

@@ -9,11 +9,11 @@
 //!    nested begin/end pairs with monotone per-track clocks, and the
 //!    snapshot fingerprint is identical at any `PADE_THREADS` (tracks
 //!    are keyed by logical dispatch index, never worker identity).
-//! 3. **The on-disk stream is lossless** — teeing the same run into a
-//!    bounded-memory `StreamSink` and reading the file back reconstructs
-//!    a snapshot whose fingerprint equals the in-memory recorder's, and
-//!    the flight timelines assembled from its link events match the
-//!    node's native cycle accounting request for request.
+//! 3. **The trace file is lossless** — the run's Chrome JSON reads back
+//!    to a well-formed snapshot whose fingerprint equals the in-memory
+//!    recorder's, and the flight timelines assembled from its link
+//!    events match the node's native cycle accounting request for
+//!    request.
 //! 4. **Chunked prefill traces every slice** — slices that start no
 //!    engine run still emit well-formed serve spans, and every
 //!    `req.dispatch` link names the engine dispatch that ran its tile.
@@ -25,21 +25,10 @@ use pade_serve::server::{serve, serve_traced, Completion, ServeConfig, ServeRepo
 use pade_serve::{output_bytes, reference_outputs};
 use pade_trace::flight::hop;
 use pade_trace::flight::{assemble_timelines, check_linked};
-use pade_trace::{read_stream, Recorder, StreamSink, TraceEvent, TraceSink, Tracer};
+use pade_trace::{read_chrome_trace, write_chrome_trace, Recorder, TraceEvent, TraceSink, Tracer};
 use pade_workload::prompt::{generate_shared_prefix_arrivals, SharedPrefixConfig};
 use pade_workload::trace::{generate_arrivals, ArrivalConfig, RequestKind};
 use proptest::prelude::*;
-
-/// Fans one event stream into both the in-memory recorder and the
-/// on-disk stream sink, so one run feeds both parity sides.
-struct Tee(Arc<Recorder>, Arc<StreamSink>);
-
-impl TraceSink for Tee {
-    fn submit(&self, track: u64, events: &[pade_trace::TraceEvent]) {
-        self.0.submit(track, events);
-        self.1.submit(track, events);
-    }
-}
 
 /// A small shared-prefix / multi-turn workload whose requests carry
 /// prompt token-id sequences, so the cache and quant layers emit too.
@@ -83,19 +72,10 @@ fn traced_serve_is_identical_and_fingerprint_stable_across_worker_counts() {
     let baseline = serve(&config, &arrivals, ScheduleMode::Batched);
     let baseline_by_id = by_id(&baseline);
 
-    // Tiny frames force many flushes, so the bounded-memory assertion
-    // below actually exercises the frame boundary path.
-    const FRAME: usize = 1024;
     let mut fingerprints = Vec::new();
     for workers in ["1", "2", "4"] {
         std::env::set_var("PADE_THREADS", workers);
-        let stream_path = std::env::temp_dir()
-            .join(format!("pade-serve-tracing-{}-{workers}.padetrace", std::process::id()));
-        let recorder = Arc::new(Recorder::new());
-        let stream = Arc::new(StreamSink::with_frame_size(&stream_path, FRAME).unwrap());
-        let tracer = Tracer::new(
-            Arc::new(Tee(Arc::clone(&recorder), Arc::clone(&stream))) as Arc<dyn TraceSink>
-        );
+        let (recorder, tracer) = recording_tracer();
         let report = serve_traced(&config, &arrivals, ScheduleMode::Batched, &tracer, 0);
         assert_eq!(report.summary, baseline.summary, "workers={workers}");
         for (traced, untraced) in by_id(&report).iter().zip(&baseline_by_id) {
@@ -110,22 +90,17 @@ fn traced_serve_is_identical_and_fingerprint_stable_across_worker_counts() {
         snap.check_well_formed().unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         fingerprints.push(snap.fingerprint());
 
-        // Stream parity: the file round-trips to the recorder's exact
-        // fingerprint, with resident memory bounded by the frame size.
-        stream.finish().unwrap_or_else(|e| panic!("workers={workers}: stream write: {e}"));
-        assert!(
-            stream.peak_buffered_bytes() <= FRAME,
-            "workers={workers}: stream buffered {} bytes over the {FRAME}-byte frame",
-            stream.peak_buffered_bytes()
-        );
-        let streamed = read_stream(&stream_path)
-            .unwrap_or_else(|e| panic!("workers={workers}: stream read: {e}"));
-        std::fs::remove_file(&stream_path).ok();
-        streamed.check_well_formed().unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        // File parity: the run's Chrome JSON reads back to the recorder's
+        // exact fingerprint.
+        let mut json = Vec::new();
+        write_chrome_trace(&snap, &mut json).unwrap();
+        let read = read_chrome_trace(&String::from_utf8(json).unwrap())
+            .unwrap_or_else(|e| panic!("workers={workers}: trace read: {e}"));
+        read.check_well_formed().unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         assert_eq!(
-            streamed.fingerprint(),
+            read.fingerprint(),
             snap.fingerprint(),
-            "workers={workers}: streamed snapshot diverged from the recorder"
+            "workers={workers}: read-back snapshot diverged from the recorder"
         );
 
         let stages = snap.stage_names();
@@ -133,9 +108,9 @@ fn traced_serve_is_identical_and_fingerprint_stable_across_worker_counts() {
         for expect in ["serve.prefill", "serve.decode", "cache.attach", "engine.qk_block"] {
             assert!(stages.contains(expect), "workers={workers}: missing {expect}");
         }
-        // Flight parity: timelines assembled from the *streamed* link
+        // Flight parity: timelines assembled from the *read-back* link
         // events must reproduce the node's native cycle accounting.
-        let timelines = assemble_timelines(&streamed);
+        let timelines = assemble_timelines(&read);
         check_linked(&timelines).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         let flight = report.summary.flight;
         assert_eq!(timelines.len() as u64, flight.requests, "workers={workers}");

@@ -1,21 +1,21 @@
-//! `pade-trace-query` — interrogate a `.padetrace` stream file: per-stage
-//! cycle histogram, per-request flight timelines (queue / prefill /
-//! decode / preempted / stalled accounting assembled from the run's link
-//! events), top-K slowest requests, and the `--assert-linked` causality
-//! check CI runs after `--trace-stream` smoke runs.
+//! `pade-trace-query` — interrogate a Chrome-trace JSON file written by
+//! `--trace-out`: per-stage cycle histogram, per-request flight timelines
+//! (queue / prefill / decode / preempted / stalled accounting assembled
+//! from the run's link events), top-K slowest requests, and the
+//! `--assert-linked` causality check CI runs after its trace smoke run.
 //!
 //! ```text
-//! pade-trace-query run.padetrace                       # histogram + top-10 slowest
-//! pade-trace-query run.padetrace --tenant 1 --top 5    # one tenant's slowest 5
-//! pade-trace-query run.padetrace --request 42          # one request's full timeline
-//! pade-trace-query run.padetrace --stage serve         # stages matching "serve"
-//! pade-trace-query run.padetrace --assert-linked       # fail on broken hop chains
+//! pade-trace-query run.json                       # histogram + top-10 slowest
+//! pade-trace-query run.json --tenant 1 --top 5    # one tenant's slowest 5
+//! pade-trace-query run.json --request 42          # one request's full timeline
+//! pade-trace-query run.json --stage serve         # stages matching "serve"
+//! pade-trace-query run.json --assert-linked       # fail on broken hop chains
 //! ```
 
 use std::process::ExitCode;
 
 use pade_trace::flight::{assemble_timelines, check_linked};
-use pade_trace::stream::{is_stream_file, read_stream};
+use pade_trace::read_chrome_trace;
 
 struct Args {
     path: String,
@@ -26,7 +26,7 @@ struct Args {
     assert_linked: bool,
 }
 
-const USAGE: &str = "usage: pade-trace-query <trace.padetrace> [--tenant T] [--request R] \
+const USAGE: &str = "usage: pade-trace-query <trace.json> [--tenant T] [--request R] \
                      [--stage SUBSTR] [--top K] [--assert-linked]";
 
 fn parse_args() -> Result<Args, String> {
@@ -73,15 +73,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if !is_stream_file(&args.path) {
-        eprintln!(
-            "error: {} is not a .padetrace stream (pade-trace-query reads stream files; \
-             use pade-trace-validate for Chrome-trace JSON)",
-            args.path
-        );
-        return ExitCode::FAILURE;
-    }
-    let snapshot = match read_stream(&args.path) {
+    let text = std::fs::read_to_string(&args.path).map_err(|e| format!("cannot read: {e}"));
+    let snapshot = match text.and_then(|text| read_chrome_trace(&text)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {}: {e}", args.path);

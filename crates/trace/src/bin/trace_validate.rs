@@ -1,46 +1,14 @@
-//! `pade-trace-validate` — checks a trace file emitted by `--trace-out`
-//! (Chrome-trace JSON: must parse, every `B` closed by an `E` on the same
-//! track) or `--trace-stream` (a binary `.padetrace` stream, detected by
-//! magic: frames must decode cleanly and the reconstructed snapshot must
-//! be well-formed). Used by the CI smoke step.
+//! `pade-trace-validate` — checks a Chrome-trace JSON file written by
+//! `--trace-out`: it must read back exactly (`read_chrome_trace`), every
+//! track's spans must nest with monotone clocks (`check_well_formed`),
+//! and it must hold at least `--min-stages` distinct span stage names.
+//! Used by the CI smoke step.
 //!
-//! Usage: `pade-trace-validate <trace.json|trace.padetrace> [--min-stages N]`
+//! Usage: `pade-trace-validate <trace.json> [--min-stages N]`
 
 use std::process::ExitCode;
 
-/// Validates a binary stream file: strict read (torn tails fail), then
-/// the same balanced-span and stage-count checks the JSON path runs.
-fn validate_stream(path: &str, min_stages: usize) -> ExitCode {
-    let snapshot = match pade_trace::read_stream(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = snapshot.check_well_formed() {
-        eprintln!("error: {path}: reconstructed snapshot is malformed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let stages = snapshot.stage_names();
-    println!(
-        "{path}: valid stream — {} events, {} spans, {} links, {} stage names \
-         (fingerprint {:016x})",
-        snapshot.event_count(),
-        snapshot.span_count(),
-        snapshot.link_count(),
-        stages.len(),
-        snapshot.fingerprint()
-    );
-    for name in &stages {
-        println!("  stage {name}");
-    }
-    if stages.len() < min_stages {
-        eprintln!("error: only {} distinct stage names, need >= {min_stages}", stages.len());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
+const USAGE: &str = "usage: pade-trace-validate <trace.json> [--min-stages N]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -59,9 +27,7 @@ fn main() -> ExitCode {
                 }
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: pade-trace-validate <trace.json|trace.padetrace> [--min-stages N]"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other if path.is_none() => path = Some(other.to_string()),
@@ -72,43 +38,35 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else {
-        eprintln!("usage: pade-trace-validate <trace.json|trace.padetrace> [--min-stages N]");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    if pade_trace::stream::is_stream_file(&path) {
-        return validate_stream(&path, min_stages);
-    }
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
+    let snapshot = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|text| pade_trace::read_chrome_trace(&text))
+        .and_then(|snapshot| snapshot.check_well_formed().map(|()| snapshot));
+    let snapshot = match snapshot {
+        Ok(s) => s,
         Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
+            eprintln!("error: {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match pade_trace::validate_chrome_trace(&text) {
-        Ok(summary) => {
-            println!(
-                "{path}: valid — {} events, {} spans, {} counter events, {} stage names",
-                summary.events,
-                summary.spans,
-                summary.counter_events,
-                summary.stage_names.len()
-            );
-            for name in &summary.stage_names {
-                println!("  stage {name}");
-            }
-            if summary.stage_names.len() < min_stages {
-                eprintln!(
-                    "error: only {} distinct stage names, need >= {min_stages}",
-                    summary.stage_names.len()
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            ExitCode::FAILURE
-        }
+    let stages = snapshot.stage_names();
+    println!(
+        "{path}: valid — {} events, {} spans, {} links, {} stage names (fingerprint {:016x})",
+        snapshot.event_count(),
+        snapshot.span_count(),
+        snapshot.link_count(),
+        stages.len(),
+        snapshot.fingerprint()
+    );
+    for name in &stages {
+        println!("  stage {name}");
     }
+    if stages.len() < min_stages {
+        eprintln!("error: only {} distinct stage names, need >= {min_stages}", stages.len());
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

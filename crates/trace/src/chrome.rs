@@ -1,20 +1,27 @@
-//! Chrome-trace/Perfetto JSON export and a dependency-free validator.
+//! Chrome-trace/Perfetto JSON: the one trace file format, its writer and
+//! its exact reader.
 //!
 //! The exporter writes the [Trace Event Format] consumed by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): spans as
-//! `B`/`E` phase pairs, counters and gauges as `C` events, instants as
-//! `i`, and request link chains as flow events (`s`/`t`/`f` phases keyed
-//! by request id) so a request's journey across router/serve/engine/tier
-//! tracks renders as connected arrows. Timestamps are the **logical**
-//! cycle values (one trace-µs per cycle), so the rendered timeline is
-//! deterministic; wall-clock span annotations ride in `args.wall_ns`.
+//! `B`/`E` phase pairs, counters (running totals) and gauges (tagged
+//! `"cat":"gauge"`, with their exact f64 bits in `bits`) as `C` events,
+//! instants and links as `i`, and request link chains as flow events
+//! (`s`/`t`/`f` phases keyed by request id) so a request's journey across
+//! router/serve/engine/tier tracks renders as connected arrows.
+//! Timestamps are the **logical** cycle values (one trace-µs per cycle),
+//! so the rendered timeline is deterministic; wall-clock span annotations
+//! ride in `args.wall_ns`. [`read_chrome_trace`] inverts the writer event
+//! for event, so `pade-trace-query` and `pade-trace-validate` work from
+//! the same file Perfetto opens.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::{track, TraceEvent, TraceSnapshot};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::{track, TraceEvent, TraceSnapshot, TrackEvents};
+use pade_sim::Cycle;
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// Escapes a string for embedding in a JSON literal.
 #[must_use]
@@ -152,7 +159,7 @@ pub fn write_chrome_trace<W: Write>(snapshot: &TraceSnapshot, mut w: W) -> io::R
                 ),
                 TraceEvent::Count { name, clock, delta } => {
                     let total = totals.entry(name).or_insert(0);
-                    *total += delta;
+                    *total = total.wrapping_add(delta);
                     format!(
                         "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":{tid},\
                          \"args\":{{\"value\":{}}}}}",
@@ -161,18 +168,27 @@ pub fn write_chrome_trace<W: Write>(snapshot: &TraceSnapshot, mut w: W) -> io::R
                         *total
                     )
                 }
-                TraceEvent::Gauge { name, clock, value } => format!(
-                    "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"value\":{value}}}}}",
-                    escape(name),
-                    clock.0
-                ),
+                TraceEvent::Gauge { name, clock, value } => {
+                    // JSON has no NaN or infinity: the viewer gets `null`
+                    // for those, and `bits` carries every value exactly.
+                    let shown =
+                        if value.is_finite() { value.to_string() } else { "null".to_string() };
+                    format!(
+                        "{{\"name\":\"{}\",\"cat\":\"gauge\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\
+                         \"tid\":{tid},\"bits\":{},\"args\":{{\"value\":{shown}}}}}",
+                        escape(name),
+                        clock.0,
+                        value.to_bits()
+                    )
+                }
                 TraceEvent::Link { .. } => unreachable!("links are emitted above"),
             };
             emit(&mut w, &line)?;
         }
     }
-    w.write_all(b"\n],\"displayTimeUnit\":\"ns\"}\n")
+    // No trailing newline: every proper prefix of the file is then
+    // unbalanced JSON, so a torn write never reads back as a trace.
+    w.write_all(b"\n],\"displayTimeUnit\":\"ns\"}")
 }
 
 /// Writes a snapshot as Chrome-trace JSON to `path`.
@@ -187,75 +203,114 @@ pub fn save_chrome_trace(snapshot: &TraceSnapshot, path: &Path) -> io::Result<()
     buf.flush()
 }
 
-/// What [`validate_chrome_trace`] found in a well-formed trace file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChromeTraceSummary {
-    /// Total events in `traceEvents`.
-    pub events: usize,
-    /// Matched `B`/`E` span pairs.
-    pub spans: usize,
-    /// Distinct span stage names.
-    pub stage_names: BTreeSet<String>,
-    /// `C` (counter/gauge) events.
-    pub counter_events: usize,
-    /// Flow events (`s`/`t`/`f` phases — request link arrows).
-    pub flow_events: usize,
-}
-
-/// Validates Chrome-trace JSON text: it must parse as JSON, carry a
-/// `traceEvents` array, and every `B` must close with an `E` on the same
-/// `tid` (per-track balanced, stack-wise). This is the check the CI smoke
-/// step runs over `pade-serve --trace-out` output.
+/// Reads Chrome-trace JSON written by [`write_chrome_trace`] back into
+/// the snapshot it came from, event for event: tracks in file order
+/// (one per `tid`, metadata-only tracks included), counter running
+/// totals turned back into deltas per (track, name), gauges from their
+/// exact `bits`, links from their `request`/`info` args and span ends
+/// with their `wall_ns` annotation. Flow events are skipped — the writer
+/// derives them from links. Every integer is parsed exactly as a `u64`.
+///
+/// The reader checks syntax and field types only; run
+/// [`TraceSnapshot::check_well_formed`] on the result for span balance
+/// and clock order.
 ///
 /// # Errors
 ///
-/// Describes the first syntax or balance violation.
-pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceSummary, String> {
-    let value = json::parse(text)?;
-    let root = value.as_object().ok_or("root is not an object")?;
-    let events = root
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .and_then(|(_, v)| v.as_array())
-        .ok_or("missing traceEvents array")?;
-    let mut summary = ChromeTraceSummary { events: events.len(), ..Default::default() };
-    let mut open: BTreeMap<String, Vec<String>> = BTreeMap::new();
+/// Describes the first syntax error or the first event whose phase or
+/// fields the writer could not have produced.
+pub fn read_chrome_trace(text: &str) -> Result<TraceSnapshot, String> {
+    use json::Value;
+    let root = json::parse(text)?;
+    let events =
+        root.get("traceEvents").and_then(Value::as_array).ok_or("missing traceEvents array")?;
+    let mut tracks: Vec<TrackEvents> = Vec::new();
+    let mut slots: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut totals: BTreeMap<(u64, &'static str), u64> = BTreeMap::new();
     for (i, e) in events.iter().enumerate() {
-        let obj = e.as_object().ok_or_else(|| format!("event {i} is not an object"))?;
-        let field = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        let ph = field("ph")
-            .and_then(json::Value::as_str)
-            .ok_or_else(|| format!("event {i} has no ph"))?;
-        let tid = field("tid").map(json::Value::render).unwrap_or_default();
-        let name = field("name").and_then(json::Value::as_str).unwrap_or("");
-        match ph {
-            "B" => {
-                summary.stage_names.insert(name.to_string());
-                open.entry(tid).or_default().push(name.to_string());
-            }
+        let u64_at = |v: Option<&Value>, key: &str| {
+            v.and_then(|v| v.get(key))
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("event {i}: '{key}' is missing or not a u64"))
+        };
+        let ph = e.get("ph").and_then(Value::as_str).ok_or_else(|| format!("event {i}: no ph"))?;
+        if matches!(ph, "s" | "t" | "f") {
+            continue;
+        }
+        let tid = u64_at(Some(e), "tid")?;
+        let slot = *slots.entry(tid).or_insert_with(|| {
+            tracks.push(TrackEvents { track: tid, events: Vec::new() });
+            tracks.len() - 1
+        });
+        if ph == "M" {
+            continue;
+        }
+        let clock = Cycle(u64_at(Some(e), "ts")?);
+        let name = || {
+            e.get("name")
+                .and_then(Value::as_str)
+                .map(intern)
+                .ok_or_else(|| format!("event {i}: no name"))
+        };
+        let args = e.get("args");
+        let event = match ph {
+            "B" => TraceEvent::Begin { name: name()?, clock },
             "E" => {
-                let stack = open.entry(tid.clone()).or_default();
-                if stack.pop().is_none() {
-                    return Err(format!("event {i}: E without open B on tid {tid}"));
-                }
-                summary.spans += 1;
+                let wall_nanos = match args.and_then(|a| a.get("wall_ns")) {
+                    Some(_) => u64_at(args, "wall_ns")?,
+                    None => 0,
+                };
+                TraceEvent::End { clock, wall_nanos }
             }
-            "C" => summary.counter_events += 1,
-            "s" | "t" | "f" => summary.flow_events += 1,
-            _ => {}
-        }
+            "i" if args.is_none() => TraceEvent::Instant { name: name()?, clock },
+            "i" => TraceEvent::Link {
+                name: name()?,
+                clock,
+                request: u64_at(args, "request")?,
+                info: u64_at(args, "info")?,
+            },
+            "C" if e.get("cat").and_then(Value::as_str) == Some("gauge") => TraceEvent::Gauge {
+                name: name()?,
+                clock,
+                value: f64::from_bits(u64_at(Some(e), "bits")?),
+            },
+            "C" => {
+                let name = name()?;
+                let total = u64_at(args, "value")?;
+                let last = totals.insert((tid, name), total).unwrap_or(0);
+                TraceEvent::Count { name, clock, delta: total.wrapping_sub(last) }
+            }
+            other => return Err(format!("event {i}: unknown phase '{other}'")),
+        };
+        tracks[slot].events.push(event);
     }
-    for (tid, stack) in &open {
-        if let Some(name) = stack.last() {
-            return Err(format!("tid {tid}: span '{name}' never closed"));
-        }
+    Ok(TraceSnapshot { tracks })
+}
+
+/// Interns a name read from a trace file, yielding the `&'static str`
+/// names [`TraceEvent`] requires. Stage-name sets are small and fixed per
+/// build, so the leak is bounded.
+fn intern(name: &str) -> &'static str {
+    static POOL: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
+    let mut pool = POOL.lock().expect("intern pool poisoned");
+    if let Some(&s) = pool.get(name) {
+        return s;
     }
-    Ok(summary)
+    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+    pool.insert(name.to_owned(), leaked);
+    leaked
 }
 
 /// A minimal recursive-descent JSON parser — the workspace vendors no
-/// serde, and the validator must check real syntax, not grep for tokens.
+/// serde, and the reader must check real syntax, not grep for tokens.
+/// Numbers keep their source text so integers read back exactly (track
+/// ids reach 2^56 and payloads 2^64, past f64's 53-bit mantissa), and
+/// nesting is capped so hostile input returns an error instead of
+/// overflowing the stack.
 mod json {
+    /// Deepest array/object nesting accepted; trace files nest 3 deep.
+    const MAX_DEPTH: usize = 64;
+
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
@@ -263,8 +318,8 @@ mod json {
         Null,
         /// `true` / `false`.
         Bool(bool),
-        /// Any number.
-        Num(f64),
+        /// Any number, as its source text.
+        Num(String),
         /// A string.
         Str(String),
         /// An array.
@@ -274,9 +329,10 @@ mod json {
     }
 
     impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        /// The value of `key` when `self` is an object holding it.
+        pub fn get(&self, key: &str) -> Option<&Value> {
             match self {
-                Value::Obj(fields) => Some(fields),
+                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
                 _ => None,
             }
         }
@@ -292,15 +348,11 @@ mod json {
                 _ => None,
             }
         }
-        /// Canonical rendering used to key tids regardless of JSON type.
-        pub fn render(&self) -> String {
+        /// The number as an exact `u64`: no sign, fraction or exponent.
+        pub fn as_u64(&self) -> Option<u64> {
             match self {
-                Value::Null => "null".into(),
-                Value::Bool(b) => b.to_string(),
-                Value::Num(n) => n.to_string(),
-                Value::Str(s) => s.clone(),
-                Value::Arr(_) => "[..]".into(),
-                Value::Obj(_) => "{..}".into(),
+                Value::Num(n) => n.parse().ok(),
+                _ => None,
             }
         }
     }
@@ -308,7 +360,7 @@ mod json {
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
+        let v = value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -331,11 +383,14 @@ mod json {
         }
     }
 
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
         match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+            }
+            Some(b'{') => object(b, pos, depth + 1),
+            Some(b'[') => array(b, pos, depth + 1),
             Some(b'"') => Ok(Value::Str(string(b, pos)?)),
             Some(b't') => literal(b, pos, "true", Value::Bool(true)),
             Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
@@ -360,7 +415,10 @@ mod json {
             *pos += 1;
         }
         let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        s.parse::<f64>().map(Value::Num).map_err(|_| format!("bad number '{s}' at byte {start}"))
+        match s.parse::<f64>() {
+            Ok(_) => Ok(Value::Num(s.to_string())),
+            Err(_) => Err(format!("bad number '{s}' at byte {start}")),
+        }
     }
 
     fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -414,7 +472,7 @@ mod json {
         }
     }
 
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -423,7 +481,7 @@ mod json {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(value(b, pos)?);
+            items.push(value(b, pos, depth)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -436,7 +494,7 @@ mod json {
         }
     }
 
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'{')?;
         let mut fields = Vec::new();
         skip_ws(b, pos);
@@ -449,7 +507,7 @@ mod json {
             let key = string(b, pos)?;
             skip_ws(b, pos);
             expect(b, pos, b':')?;
-            fields.push((key, value(b, pos)?));
+            fields.push((key, value(b, pos, depth)?));
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -492,16 +550,22 @@ mod tests {
         rec.snapshot()
     }
 
-    #[test]
-    fn export_round_trips_through_validator() {
+    fn export(snapshot: &TraceSnapshot) -> String {
         let mut out = Vec::new();
-        write_chrome_trace(&sample_snapshot(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let summary = validate_chrome_trace(&text).unwrap();
-        assert_eq!(summary.spans, 2);
-        assert!(summary.stage_names.contains("engine.qk_block"));
-        assert!(summary.stage_names.contains("serve.dispatch"));
-        assert_eq!(summary.counter_events, 3);
+        write_chrome_trace(snapshot, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn export_round_trips_through_reader() {
+        let snapshot = sample_snapshot();
+        let text = export(&snapshot);
+        let read = read_chrome_trace(&text).unwrap();
+        assert_eq!(read, snapshot);
+        read.check_well_formed().unwrap();
+        assert_eq!(read.span_count(), 2);
+        assert!(read.stage_names().contains("engine.qk_block"));
+        assert!(read.stage_names().contains("serve.dispatch"));
         // Delta counters render as running totals.
         assert!(text.contains("\"value\":3"));
         // Wall annotation rides in args.
@@ -509,17 +573,85 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_unbalanced_and_garbage() {
-        assert!(validate_chrome_trace("not json").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":3}").is_err());
+    fn reader_rejects_garbage_and_validation_rejects_unbalanced_spans() {
+        assert!(read_chrome_trace("not json").is_err());
+        assert!(read_chrome_trace("{\"traceEvents\":3}").is_err());
+        assert!(read_chrome_trace(r#"{"traceEvents":[{"ph":"B","ts":0,"tid":1.5}]}"#).is_err());
         let unbalanced = r#"{"traceEvents":[
             {"name":"x","ph":"B","ts":0,"pid":1,"tid":1}
         ]}"#;
-        assert!(validate_chrome_trace(unbalanced).unwrap_err().contains("never closed"));
+        let err = read_chrome_trace(unbalanced).unwrap().check_well_formed().unwrap_err();
+        assert!(err.contains("never ended"), "{err}");
         let orphan = r#"{"traceEvents":[
             {"name":"x","ph":"E","ts":0,"pid":1,"tid":1}
         ]}"#;
-        assert!(validate_chrome_trace(orphan).unwrap_err().contains("without open B"));
+        let err = read_chrome_trace(orphan).unwrap().check_well_formed().unwrap_err();
+        assert!(err.contains("end without begin"), "{err}");
+    }
+
+    /// Track ids start at 2^56, where f64 cannot tell neighbours apart:
+    /// a span opened on one track and closed on the next must not pair up.
+    #[test]
+    fn neighbouring_track_ids_stay_distinct() {
+        let text = r#"{"traceEvents":[
+            {"name":"a","ph":"B","ts":0,"pid":1,"tid":72057594037927936},
+            {"name":"a","ph":"E","ts":1,"pid":1,"tid":72057594037927937}
+        ]}"#;
+        let read = read_chrome_trace(text).unwrap();
+        let tids: Vec<u64> = read.tracks.iter().map(|t| t.track).collect();
+        assert_eq!(tids, [72_057_594_037_927_936, 72_057_594_037_927_937]);
+        assert!(read.check_well_formed().is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(read_chrome_trace(&deep).unwrap_err().contains("nesting"));
+        let nested = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        assert!(json::parse(&nested).is_ok());
+        let nested = format!("{}{}", "[".repeat(65), "]".repeat(65));
+        assert!(json::parse(&nested).is_err());
+    }
+
+    #[test]
+    fn every_torn_trace_is_rejected() {
+        let text = export(&sample_snapshot());
+        assert!(text.is_ascii());
+        for cut in 0..text.len() {
+            assert!(
+                read_chrome_trace(&text[..cut]).is_err(),
+                "a {cut}-byte prefix of a {}-byte trace read back",
+                text.len()
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_gauges_and_wrapping_counters_round_trip() {
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let rec = Recorder::new();
+        rec.submit(
+            1,
+            &[
+                TraceEvent::Gauge { name: "g", clock: Cycle(0), value: nan },
+                TraceEvent::Gauge { name: "g", clock: Cycle(1), value: f64::NEG_INFINITY },
+                TraceEvent::Gauge { name: "g", clock: Cycle(2), value: -0.0 },
+                TraceEvent::Count { name: "c", clock: Cycle(3), delta: u64::MAX },
+                TraceEvent::Count { name: "c", clock: Cycle(4), delta: 5 },
+            ],
+        );
+        let read = read_chrome_trace(&export(&rec.snapshot())).unwrap();
+        let bits: Vec<u64> = read.tracks[0]
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Gauge { value, .. } => Some(value.to_bits()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bits, [nan.to_bits(), f64::NEG_INFINITY.to_bits(), (-0.0f64).to_bits()]);
+        assert_eq!(read.tracks[0].events[3..], rec.snapshot().tracks[0].events[3..]);
+        assert_eq!(read.fingerprint(), rec.snapshot().fingerprint());
     }
 
     #[test]
@@ -539,25 +671,22 @@ mod tests {
                 TraceEvent::Link { name: "req.admit", clock: Cycle(8), request: 6, info: 0 },
             ],
         );
-        let mut out = Vec::new();
-        write_chrome_trace(&rec.snapshot(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let summary = validate_chrome_trace(&text).unwrap();
+        let text = export(&rec.snapshot());
         // Request 5's three hops draw s → t → f; request 6's single hop
         // draws no arrow (instant only).
-        assert_eq!(summary.flow_events, 3);
+        assert_eq!(text.matches("\"cat\":\"req\"").count(), 3);
         assert!(text.contains("\"ph\":\"s\""));
         assert!(text.contains("\"ph\":\"t\""));
         assert!(text.contains("\"ph\":\"f\""));
         assert!(text.contains("\"bp\":\"e\""));
         assert!(text.contains("\"request\":5"));
+        // The reader skips the derived flow events and restores the links.
+        assert_eq!(read_chrome_trace(&text).unwrap(), rec.snapshot());
     }
 
     #[test]
     fn empty_snapshot_exports_valid_json() {
-        let mut out = Vec::new();
-        write_chrome_trace(&TraceSnapshot::default(), &mut out).unwrap();
-        let summary = validate_chrome_trace(&String::from_utf8(out).unwrap()).unwrap();
-        assert_eq!(summary.events, 0);
+        let text = export(&TraceSnapshot::default());
+        assert!(read_chrome_trace(&text).unwrap().is_empty());
     }
 }

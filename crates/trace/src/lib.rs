@@ -1,6 +1,6 @@
 //! Deterministic observability for the PADE stack: hierarchical spans
 //! keyed by the logical [`Cycle`] clock, a typed metrics registry, and a
-//! Chrome-trace/Perfetto exporter.
+//! Chrome-trace/Perfetto exporter with its exact reader.
 //!
 //! # Design
 //!
@@ -19,6 +19,15 @@
 //! id, so a snapshot is ordered by `(track, emission order)` no matter how
 //! `pade-par` interleaves worker flushes — the same idiom as the ordered
 //! fork-join itself.
+//!
+//! # One trace file
+//!
+//! Runs record into a [`Recorder`] and save Chrome-trace JSON
+//! ([`save_chrome_trace`], the CLIs' `--trace-out`). The same file opens
+//! in Perfetto and reads back through [`read_chrome_trace`] to the
+//! recorder's snapshot event for event, which is what `pade-trace-query`
+//! (stage histogram, [`flight`] timelines, `--assert-linked`) and
+//! `pade-trace-validate` (well-formedness, stage count) work from.
 //!
 //! # Cheap when disabled
 //!
@@ -52,15 +61,11 @@ mod chrome;
 pub mod flight;
 mod metrics;
 mod sink;
-pub mod stream;
 
-pub use chrome::{
-    save_chrome_trace, validate_chrome_trace, write_chrome_trace, ChromeTraceSummary,
-};
+pub use chrome::{read_chrome_trace, save_chrome_trace, write_chrome_trace};
 pub use flight::{assemble_timelines, RequestTimeline};
 pub use metrics::{MetricsRegistry, StageBreakdown, StageStat};
-pub use sink::{NullSink, Recorder, TraceSink, TraceSnapshot, TrackEvents};
-pub use stream::{read_stream, read_stream_lossy, StreamSink};
+pub use sink::{Recorder, TraceSink, TraceSnapshot, TrackEvents};
 
 /// Re-exported so layers without a `pade-sim` dependency can stamp events.
 pub use pade_sim::Cycle;

@@ -17,14 +17,6 @@ pub trait TraceSink: Send + Sync {
     fn submit(&self, track: u64, events: &[TraceEvent]);
 }
 
-/// Discards everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn submit(&self, _track: u64, _events: &[TraceEvent]) {}
-}
-
 /// In-memory sink whose [`snapshot`](Recorder::snapshot) is deterministic:
 /// tracks come out ordered by id and each track's events in emission
 /// order, independent of worker count or flush interleaving.
