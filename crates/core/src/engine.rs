@@ -27,7 +27,7 @@ use crate::bitserial::{plane_contribution, plane_contribution_lut, q_sum, BsMode
 use crate::bui::Bui;
 use crate::config::PadeConfig;
 use crate::filter::{Decision, GuardFilter};
-use crate::gsat::{Gsat, PlaneAbsorb};
+use crate::gsat::Gsat;
 use crate::scoreboard::Scoreboard;
 
 mod wheel;
@@ -63,6 +63,7 @@ struct Job {
     plane: u32,
 }
 
+/// A lane of the seed oracle [`run_qk_block_reference`].
 #[derive(Debug)]
 struct Lane {
     row: usize,
@@ -74,6 +75,28 @@ struct Lane {
     resolved_keys: usize,
     sb: Scoreboard,
     busy_until: Cycle,
+    util: UtilizationCounter,
+    done: bool,
+}
+
+/// A lane of the production walk in [`run_qk_block`]: the oracle's
+/// [`Lane`] with its key list replaced by a cursor and a parked state.
+#[derive(Debug)]
+struct WalkLane {
+    row: usize,
+    /// Next key to issue; the lane owns every `lanes_per_row`-th token
+    /// from its index within the row.
+    next_token: usize,
+    ready: VecDeque<Job>,
+    outstanding: usize,
+    inflight_keys: usize,
+    resolved_keys: usize,
+    sb: Scoreboard,
+    busy_until: Cycle,
+    /// Set while the lane is parked — nothing ready, a plane outstanding —
+    /// to the cycle it parked at; delivery charges the wait as memory
+    /// stall, and the walk skips the lane until then.
+    wait_since: Option<Cycle>,
     util: UtilizationCounter,
     done: bool,
 }
@@ -101,9 +124,13 @@ enum PlaneState {
 /// - each query row gets one byte-lookup [`QRowLut`], so every plane
 ///   absorption is `⌈H/8⌉` table reads shared read-only by the row's lanes;
 /// - per-plane GSAT bookkeeping is the single-sweep [`Gsat::absorb_stats`]
-///   (one SWAR byte-popcount per word at the Table III shape), memoized per
-///   `(token, plane)` across the block's query rows (the stats are
-///   query-independent);
+///   (one SWAR byte-popcount per word at the Table III shape, with the
+///   shape's divisions hoisted out of the sweep);
+/// - the block walk makes one pass over the lanes per step, finding the
+///   next busy time on the way; a lane waiting on DRAM is parked and costs
+///   nothing until its plane lands, which charges it the whole wait;
+/// - a per-token slot table, built once per block, maps each plane request
+///   to its flat K-buffer slot;
 /// - each scoreboard fold is one [`Scoreboard::accumulate`] scan;
 /// - plane arrivals go through an engine-local event wheel (per-cycle
 ///   buckets) in place of [`EventQueue`]'s binary heap, delivering in the
@@ -178,9 +205,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let wall_start = tr_active.then(std::time::Instant::now);
     let mut tr_popcounts = 0u64;
     let mut tr_absorb_cycles = 0u64;
-    let mut tr_gsat_sweeps = 0u64;
     let mut tr_gsat_cycles = 0u64;
-    let mut tr_memo_hits = 0u64;
     assert_eq!(luts.len(), queries.len(), "one lookup table per query row");
     for (q, lut) in queries.iter().zip(luts) {
         assert_eq!(lut.len(), q.len(), "lookup table width must match its query row");
@@ -218,28 +243,26 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         .collect();
     let buis: Vec<Bui> = queries.iter().map(|q| Bui::new(q, bits)).collect();
     let mut retained: Vec<Vec<(usize, i64)>> = vec![Vec::new(); queries.len()];
-    // GSAT absorption stats are query-independent, so each `(token, plane)`
-    // is swept once and reused by every other query row of the block.
-    let mut gsat_memo: Vec<Option<PlaneAbsorb>> = vec![None; n_keys * bits as usize];
 
     for q in queries {
         q_sram.write(q.len() as u64);
     }
 
     // Lanes: row-major, keys distributed round-robin within each row.
-    let mut lanes: Vec<Lane> = Vec::new();
+    let stride = config.lanes_per_row;
+    let mut lanes: Vec<WalkLane> = Vec::with_capacity(queries.len() * stride);
     for row in 0..queries.len() {
-        for lane_idx in 0..config.lanes_per_row {
-            lanes.push(Lane {
+        for first in 0..stride {
+            lanes.push(WalkLane {
                 row,
-                keys: (lane_idx..n_keys).step_by(config.lanes_per_row).collect(),
-                next_key: 0,
+                next_token: first,
                 ready: VecDeque::new(),
                 outstanding: 0,
                 inflight_keys: 0,
                 resolved_keys: 0,
                 sb: Scoreboard::new(config.scoreboard_entries),
                 busy_until: Cycle::ZERO,
+                wait_since: None,
                 util: UtilizationCounter::new(),
                 done: false,
             });
@@ -256,19 +279,24 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         }
         _ => 1,
     };
+    // Slot table: each token's plane-0 slot in the flat K-buffer state,
+    // built once so a request or delivery costs an index, not divisions.
+    // Interleaved tokens `idx·c + channel` share the slot of their
+    // coalescing group, `(idx / coalesce)·coalesce·c + channel`.
     let bits_us = bits as usize;
-    let cache_slot = |token: usize, plane: u32| -> usize {
-        match config.layout {
-            KeyLayout::ValueRowMajor => token * bits_us,
-            KeyLayout::BitPlaneLinear => token * bits_us + plane as usize,
-            KeyLayout::BitPlaneInterleaved => {
-                let c = config.hbm.channels;
-                let channel = token % c;
-                let idx = token / c;
-                ((idx / coalesce) * coalesce * c + channel) * bits_us + plane as usize
-            }
+    let slot_base: Vec<usize> = match config.layout {
+        KeyLayout::ValueRowMajor | KeyLayout::BitPlaneLinear => {
+            (0..n_keys).map(|token| token * bits_us).collect()
+        }
+        KeyLayout::BitPlaneInterleaved => {
+            let c = config.hbm.channels;
+            let group = coalesce * c;
+            (0..n_keys).map(|token| (token - token % group + token % c) * bits_us).collect()
         }
     };
+    // A value-major fetch carries every plane of its token.
+    let plane_step = usize::from(config.layout != KeyLayout::ValueRowMajor);
+    let cache_slot = |token: usize, plane: u32| slot_base[token] + plane as usize * plane_step;
 
     let request_plane = |token: usize,
                          plane: u32,
@@ -296,12 +324,17 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let extra_subs =
         if config.enable_bs { (config.gsat_width / config.subgroup) as u64 / 2 } else { 0 };
 
-    while lanes.iter().any(|l| !l.done) && now < hard_stop {
-        // Deliver arrivals due this cycle.
+    let mut live = lanes.len();
+    while live > 0 && now < hard_stop {
+        // Deliver arrivals due this cycle; a parked lane is charged the
+        // memory stall of every cycle it waited.
         while let Some((lane_id, job)) = events.pop_ready(now) {
             let lane = &mut lanes[lane_id];
             lane.outstanding -= 1;
             lane.ready.push_back(job);
+            if let Some(since) = lane.wait_since.take() {
+                lane.util.stall_mem((now - since).0);
+            }
             let slot = cache_slot(job.token, job.plane);
             if let SlotState::InFlight(_) = plane_cache[slot] {
                 plane_cache[slot] = SlotState::Present;
@@ -309,20 +342,27 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
             }
         }
 
+        // One pass: visit every free lane and find the next busy time.
+        // Busy, parked and done lanes cost a branch each.
+        let mut next_busy = Cycle(u64::MAX);
         // `lane_id` travels into the event queue alongside the borrow, so
         // the indexed form is clearer than enumerate-with-reborrow here.
         #[allow(clippy::needless_range_loop)]
         for lane_id in 0..lanes.len() {
             let lane = &mut lanes[lane_id];
-            if lane.done || now < lane.busy_until {
+            if lane.done || lane.wait_since.is_some() {
+                continue;
+            }
+            if now < lane.busy_until {
+                next_busy = next_busy.min(lane.busy_until);
                 continue;
             }
 
             let dynamic_window =
                 if config.enable_ooe { window.min(2 + 2 * lane.resolved_keys) } else { 1 };
-            while lane.inflight_keys < dynamic_window && lane.next_key < lane.keys.len() {
-                let token = lane.keys[lane.next_key];
-                lane.next_key += 1;
+            while lane.inflight_keys < dynamic_window && lane.next_token < n_keys {
+                let token = lane.next_token;
+                lane.next_token += stride;
                 lane.inflight_keys += 1;
                 lane.outstanding += 1;
                 let arrival =
@@ -333,107 +373,93 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                 }
             }
 
-            if let Some(job) = lane.ready.pop_front() {
-                let plane = keys.token(job.token).plane(job.plane);
-                k_sram.read(plane_sram_bytes);
-                let contrib = plane_contribution_lut(luts[lane.row], plane, job.plane, bits, false);
-                let memo_slot = job.token * bits_us + job.plane as usize;
-                let stats = match gsat_memo[memo_slot] {
-                    Some(s) => {
-                        if tr_active {
-                            tr_memo_hits += 1;
-                        }
-                        s
-                    }
-                    None => {
-                        let s = gsat.absorb_stats(plane, config.enable_bs);
-                        gsat_memo[memo_slot] = Some(s);
-                        if tr_active {
-                            tr_gsat_sweeps += 1;
-                            tr_gsat_cycles += s.cycles;
-                        }
-                        s
-                    }
-                };
-                let (cycles, selected) = (stats.cycles, stats.selected);
-                let balanced = stats.balanced;
-                if tr_active {
-                    tr_popcounts += 1;
-                    tr_absorb_cycles += balanced;
+            let Some(job) = lane.ready.pop_front() else {
+                if lane.outstanding > 0 {
+                    // Park until a plane lands: a waiting lane has nothing
+                    // to issue (the window was just refilled).
+                    lane.wait_since = Some(now);
+                } else {
+                    // Every in-flight key has exactly one pending job, and
+                    // the window refill above issued any key left.
+                    assert!(
+                        lane.inflight_keys == 0 && lane.next_token >= n_keys,
+                        "lane {lane_id} idle with keys unresolved"
+                    );
+                    lane.done = true;
+                    live -= 1;
                 }
-                lane.util.busy(balanced);
-                lane.util.stall_intra(cycles - balanced);
-                lane.busy_until = now + Cycle(cycles);
-                ops.bit_serial_acc += u64::from(selected) + extra_subs;
-                ops.shift_add += 1; // plane-weight application
+                continue;
+            };
+            let plane = keys.token(job.token).plane(job.plane);
+            k_sram.read(plane_sram_bytes);
+            let contrib = plane_contribution_lut(luts[lane.row], plane, job.plane, bits, false);
+            let stats = gsat.absorb_stats(plane, config.enable_bs);
+            if tr_active {
+                tr_popcounts += 1;
+                tr_absorb_cycles += stats.balanced;
+                tr_gsat_cycles += stats.cycles;
+            }
+            lane.util.busy(stats.balanced);
+            lane.util.stall_intra(stats.cycles - stats.balanced);
+            lane.busy_until = now + Cycle(stats.cycles);
+            next_busy = next_busy.min(lane.busy_until);
+            ops.bit_serial_acc += u64::from(stats.selected) + extra_subs;
+            ops.shift_add += 1; // plane-weight application
 
-                // Fold into the scoreboard and decide.
-                let partial = lane
-                    .sb
-                    .accumulate(job.token, job.plane + 1, contrib.value)
-                    .expect("window bounds in-flight keys to scoreboard capacity");
-                let f = &mut filters[lane.row];
-                let bui = &buis[lane.row];
-                f.observe_lower_bound(bui.lower_bound(partial, job.plane));
-                ops.lut_lookup += 1; // BUI LUT read
-                match f.decide(bui.upper_bound(partial, job.plane), job.plane) {
-                    Decision::Prune => {
-                        lane.sb.evict(job.token);
-                        lane.inflight_keys -= 1;
-                        lane.resolved_keys += 1;
-                    }
-                    Decision::Retain => {
-                        lane.sb.evict(job.token);
-                        lane.inflight_keys -= 1;
-                        lane.resolved_keys += 1;
-                        retained[lane.row].push((job.token, partial));
-                    }
-                    Decision::NeedMore => {
-                        lane.outstanding += 1;
-                        let arrival = request_plane(
-                            job.token,
-                            job.plane + 1,
-                            now,
-                            &mut hbm,
-                            &mut plane_cache,
-                            &mut planes_fetched,
-                        );
-                        events.schedule(
-                            arrival,
-                            (lane_id, Job { token: job.token, plane: job.plane + 1 }),
-                        );
-                    }
+            // Fold into the scoreboard and decide.
+            let partial = lane
+                .sb
+                .accumulate(job.token, job.plane + 1, contrib.value)
+                .expect("window bounds in-flight keys to scoreboard capacity");
+            let f = &mut filters[lane.row];
+            let bui = &buis[lane.row];
+            f.observe_lower_bound(bui.lower_bound(partial, job.plane));
+            ops.lut_lookup += 1; // BUI LUT read
+            match f.decide(bui.upper_bound(partial, job.plane), job.plane) {
+                Decision::Prune => {
+                    lane.sb.evict(job.token);
+                    lane.inflight_keys -= 1;
+                    lane.resolved_keys += 1;
                 }
-            } else if lane.outstanding > 0 {
-                lane.util.stall_mem(1);
-            } else if lane.inflight_keys == 0 && lane.next_key >= lane.keys.len() {
-                lane.done = true;
-            } else {
-                lane.util.stall_mem(1);
+                Decision::Retain => {
+                    lane.sb.evict(job.token);
+                    lane.inflight_keys -= 1;
+                    lane.resolved_keys += 1;
+                    retained[lane.row].push((job.token, partial));
+                }
+                Decision::NeedMore => {
+                    lane.outstanding += 1;
+                    let arrival = request_plane(
+                        job.token,
+                        job.plane + 1,
+                        now,
+                        &mut hbm,
+                        &mut plane_cache,
+                        &mut planes_fetched,
+                    );
+                    events.schedule(
+                        arrival,
+                        (lane_id, Job { token: job.token, plane: job.plane + 1 }),
+                    );
+                }
             }
         }
 
-        // Advance to the next interesting time (skip long memory waits).
-        let next_busy =
-            lanes.iter().filter(|l| !l.done && l.busy_until > now).map(|l| l.busy_until).min();
-        let next_event = events.next_time().filter(|&t| t > now);
-        let target = match (next_busy, next_event) {
-            (Some(b), Some(e)) => b.min(e),
-            (Some(b), None) => b,
-            (None, Some(e)) => e,
-            (None, None) => now + Cycle(1),
-        }
-        .max(now + Cycle(1));
-        let skipped = (target - now).0;
-        if skipped > 1 {
-            for lane in lanes.iter_mut().filter(|l| !l.done) {
-                if lane.busy_until <= now && lane.ready.is_empty() && lane.outstanding > 0 {
-                    lane.util.stall_mem(skipped - 1);
-                }
-            }
-        }
-        now = target;
+        // Advance to the next interesting time (skip long memory waits);
+        // both candidates lie past `now`, and with neither, step a cycle.
+        let next_event = events.next_time().filter(|&t| t > now).unwrap_or(Cycle(u64::MAX));
+        now = match next_busy.min(next_event) {
+            Cycle(u64::MAX) => now + Cycle(1),
+            t => t,
+        };
     }
+    assert_eq!(
+        live,
+        0,
+        "engine block of {} rows × {n_keys} keys ({dims} dims, {bits} bits) still had \
+         {live} lanes live at {now}, past the {hard_stop} livelock bound",
+        queries.len()
+    );
 
     for r in &mut retained {
         r.sort_unstable_by_key(|&(t, _)| t);
@@ -457,15 +483,14 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         // The block span rides the dispatch's main track; the per-stage
         // aggregates are *summed lane-time*, not bracketed intervals
         // (lanes overlap), so they get their own subtracks and every
-        // track stays strictly nested.
+        // track stays strictly nested. Every absorption is one GSAT sweep.
         let t = trace.tracer;
         let tk = trace.track;
         t.span_at(tk, "engine.qk_block", Cycle::ZERO, horizon, t0.elapsed().as_nanos() as u64);
         t.span_at(tk + 1, "engine.plane_score", Cycle::ZERO, Cycle(tr_absorb_cycles), 0);
         t.span_at(tk + 2, "engine.gsat_absorb", Cycle::ZERO, Cycle(tr_gsat_cycles), 0);
         t.count(tk, "engine.popcounts", horizon, tr_popcounts);
-        t.count(tk, "engine.gsat_sweeps", horizon, tr_gsat_sweeps);
-        t.count(tk, "engine.gsat_memo_hits", horizon, tr_memo_hits);
+        t.count(tk, "engine.gsat_sweeps", horizon, tr_popcounts);
         t.count(tk, "engine.planes_fetched", horizon, planes_fetched);
         t.count(tk, "engine.dram_read_bytes", horizon, traffic.dram_read_bytes);
         t.count(tk, "engine.sram_read_bytes", horizon, traffic.sram_read_bytes);

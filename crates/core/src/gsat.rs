@@ -16,6 +16,13 @@ use crate::bitserial::BsMode;
 pub struct Gsat {
     width: usize,
     subgroup: usize,
+    /// Shape divisions [`Gsat::absorb_stats`] would otherwise repeat on
+    /// every plane, computed once by [`Gsat::new`].
+    muxes: u32,
+    total_muxes: u64,
+    /// Words per pass when the shape takes the SWAR byte path (sub-groups
+    /// of 8, passes of whole words), else 0.
+    swar_words: usize,
 }
 
 impl Gsat {
@@ -29,7 +36,14 @@ impl Gsat {
     pub fn new(width: usize, subgroup: usize) -> Self {
         assert!(width > 0 && subgroup > 0, "GSAT dimensions must be positive");
         assert_eq!(width % subgroup, 0, "width must be divisible by sub-group size");
-        Self { width, subgroup }
+        let muxes = (subgroup / 2).max(1);
+        Self {
+            width,
+            subgroup,
+            muxes: muxes as u32,
+            total_muxes: (muxes * (width / subgroup)) as u64,
+            swar_words: if subgroup == 8 && width.is_multiple_of(64) { width / 64 } else { 0 },
+        }
     }
 
     /// Dot-product width.
@@ -48,7 +62,7 @@ impl Gsat {
     /// under BS.
     #[must_use]
     pub fn muxes_per_subgroup(&self) -> usize {
-        (self.subgroup / 2).max(1)
+        self.muxes as usize
     }
 
     /// Selected bits per sub-group for the `pass`-th GSAT-width slice of a
@@ -187,18 +201,17 @@ impl Gsat {
     /// [`Gsat::plane_cycles`] / [`Gsat::balanced_cycles`] calls (each of
     /// which re-scans the plane bit by bit and allocates). Values are
     /// identical to the naive methods — property-tested in this module.
+    /// The shape's divisions are hoisted into [`Gsat::new`] and the ones
+    /// count is the plane's cached [`PlaneRow::count_ones`].
     #[must_use]
     pub fn absorb_stats(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
-        if self.subgroup == 8 && self.width.is_multiple_of(64) && plane.len().is_multiple_of(8) {
+        if self.swar_words > 0 && plane.len().is_multiple_of(8) {
             return self.absorb_stats_bytes(plane, enable_bs);
         }
-        let muxes = self.muxes_per_subgroup() as u32;
         let groups = self.width / self.subgroup;
         let passes = self.passes(plane.len());
-        let total_muxes = (self.muxes_per_subgroup() * groups) as u64;
         let mut cycles = 0u64;
         let mut selected = 0u32;
-        let mut ones_total = 0u32;
         for pass in 0..passes {
             let base = pass * self.width;
             let mut worst = 0u64;
@@ -207,17 +220,13 @@ impl Gsat {
                 let hi = (lo + self.subgroup).min(plane.len());
                 let present = hi.saturating_sub(lo) as u32;
                 let ones = plane.count_ones_in_range(lo, lo + self.subgroup);
-                ones_total += ones;
                 let sel = if enable_bs { ones.min(present - ones) } else { ones };
                 selected += sel;
-                worst = worst.max(u64::from(sel.div_ceil(muxes)));
+                worst = worst.max(u64::from(sel.div_ceil(self.muxes)));
             }
             cycles += worst.max(1);
         }
-        // `balanced_cycles(plane, BsMode::Ones)` — always the one-sided
-        // count, matching the engine's imbalance accounting.
-        let balanced = u64::from(ones_total).div_ceil(total_muxes).max(passes as u64);
-        PlaneAbsorb { cycles, selected, balanced: balanced.min(cycles) }
+        self.finish(plane, cycles, selected, passes as u64)
     }
 
     /// [`Gsat::absorb_stats`] for the Table III shape — byte-wide
@@ -225,41 +234,58 @@ impl Gsat {
     /// SWAR byte-popcount per word instead of one masked popcount per
     /// sub-group. Each byte of the popcount is one sub-group's ones count
     /// (0..=8); sub-groups past the plane's end are zero bytes or missing
-    /// words, which select nothing either way.
+    /// words, which select nothing either way. Passes are counted, not
+    /// divided out: `⌈⌈len/64⌉ / words⌉ = ⌈len / width⌉`.
     fn absorb_stats_bytes(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
         const LSB: u64 = 0x0101_0101_0101_0101;
         const MSB: u64 = 0x8080_8080_8080_8080;
-        let passes = self.passes(plane.len()) as u64;
+        let byte_ones = |word: u64| {
+            let pairs = word - ((word >> 1) & (0x55 * LSB));
+            let nibbles = (pairs & (0x33 * LSB)) + ((pairs >> 2) & (0x33 * LSB));
+            (nibbles + (nibbles >> 4)) & (0x0F * LSB)
+        };
         // Every pass costs at least one cycle; four muxes per sub-group
         // absorb up to four selections, so a pass takes a second cycle only
-        // when some sub-group selects five or more.
-        let mut cycles = passes;
-        let mut selected = 0u32;
-        let mut ones_total = 0u32;
-        for pass in plane.words().chunks(self.width / 64) {
-            let mut second_cycle = false;
-            for &word in pass {
-                let pairs = word - ((word >> 1) & (0x55 * LSB));
-                let nibbles = (pairs & (0x33 * LSB)) + ((pairs >> 2) & (0x33 * LSB));
-                let ones = (nibbles + (nibbles >> 4)) & (0x0F * LSB);
-                ones_total += (ones.wrapping_mul(LSB) >> 56) as u32;
-                let sel = if enable_bs {
+        // when some sub-group selects five or more — never under
+        // per-sub-group BS, which selects at most four.
+        let mut passes = 0u64;
+        let mut second_cycles = 0u64;
+        let mut bs_selected = 0u32;
+        for pass in plane.words().chunks(self.swar_words) {
+            passes += 1;
+            if enable_bs {
+                for &word in pass {
                     // Per-byte min(ones, 8 - ones): the high bit of
                     // `(zeros | 0x80) - ones` is set where zeros >= ones.
+                    let ones = byte_ones(word);
                     let zeros = 8 * LSB - ones;
                     let keep_ones = ((((zeros | MSB) - ones) & MSB) >> 7) * 0xFF;
-                    (ones & keep_ones) | (zeros & !keep_ones)
-                } else {
-                    ones
-                };
-                selected += (sel.wrapping_mul(LSB) >> 56) as u32;
-                second_cycle |= (sel + 0x7B * LSB) & MSB != 0;
+                    let sel = (ones & keep_ones) | (zeros & !keep_ones);
+                    bs_selected += (sel.wrapping_mul(LSB) >> 56) as u32;
+                }
+            } else {
+                let five_plus = pass.iter().any(|&word| (byte_ones(word) + 0x7B * LSB) & MSB != 0);
+                second_cycles += u64::from(five_plus);
             }
-            cycles += u64::from(second_cycle);
         }
-        let total_muxes = (self.muxes_per_subgroup() * (self.width / self.subgroup)) as u64;
-        let balanced = u64::from(ones_total).div_ceil(total_muxes).max(passes);
-        PlaneAbsorb { cycles, selected, balanced: balanced.min(cycles) }
+        // An empty plane still takes the one pass that recognises it.
+        let passes = passes.max(1);
+        let selected = if enable_bs { bs_selected } else { plane.count_ones() };
+        self.finish(plane, passes + second_cycles, selected, passes)
+    }
+
+    /// Packs a sweep's totals, adding the balanced cycles:
+    /// `balanced_cycles(plane, BsMode::Ones)` — always the one-sided count,
+    /// matching the engine's imbalance accounting — clamped to `cycles`.
+    /// The balanced count is at least `passes`, so a sweep of one cycle per
+    /// pass (every BS sweep at the Table III shape) skips the division.
+    fn finish(&self, plane: &PlaneRow, cycles: u64, selected: u32, passes: u64) -> PlaneAbsorb {
+        let balanced = if cycles == passes {
+            passes
+        } else {
+            u64::from(plane.count_ones()).div_ceil(self.total_muxes).max(passes).min(cycles)
+        };
+        PlaneAbsorb { cycles, selected, balanced }
     }
 }
 

@@ -16,14 +16,15 @@ use pade_core::config::PadeConfig;
 use pade_core::engine::{
     run_qk_batch, run_qk_batch_traced, run_qk_block, run_qk_block_reference, KeySource, QkBatchJob,
 };
-use pade_mem::KeyLayout;
+use pade_mem::{HbmConfig, KeyLayout};
 use pade_quant::{BitPlaneMatrix, GrowableKeyCache, PlaneSource};
 use pade_testutil::{mix, vec_i8_bits};
 use proptest::prelude::*;
 
 /// A config whose width/pruning knobs are driven from hash bits so the
 /// differential sweep touches the restructured code paths (BS, OOE,
-/// layouts, narrow scoreboards) without enumerating them by hand.
+/// layouts, narrow scoreboards, GSAT shapes on and off the SWAR byte path,
+/// lane counts) without enumerating them by hand.
 fn config_for(bits: u32, knobs: u64) -> PadeConfig {
     let layout = match knobs % 3 {
         0 => KeyLayout::BitPlaneInterleaved,
@@ -37,6 +38,9 @@ fn config_for(bits: u32, knobs: u64) -> PadeConfig {
         enable_ooe: knobs & 8 != 0,
         enable_bui_gf: knobs & 16 != 0,
         scoreboard_entries: if knobs & 32 != 0 { 4 } else { 16 },
+        gsat_width: [32, 64, 128][(knobs >> 6) as usize % 3],
+        subgroup: if knobs & 256 != 0 { 4 } else { 8 },
+        lanes_per_row: [1, 4, 16][(knobs >> 9) as usize % 3],
         ..PadeConfig::standard()
     }
 }
@@ -64,6 +68,31 @@ proptest! {
         let scale = 1.0 / 64.0;
         let fast = run_qk_block(&config, &queries, &keys, scale);
         let oracle = run_qk_block_reference(&config, &queries, &keys, scale);
+        prop_assert_eq!(fast, oracle);
+    }
+
+    /// The decode shape at serving length: one query row over a long
+    /// context, on 1, 2 or 16 HBM channels. Few channels queue hundreds
+    /// of plane fetches, so lanes wait on DRAM for hundreds of cycles and
+    /// arrivals land past the event wheel's ring; this pins the
+    /// parked-lane memory-stall accounting, the wheel's overflow path and
+    /// multi-word GSAT passes (dims 128) against the oracle.
+    #[test]
+    fn one_row_long_context_matches_oracle(
+        s in 256usize..700,
+        dims in prop_oneof![Just(64usize), Just(128)],
+        knobs in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let base = config_for(8, knobs);
+        let channels = [1, 2, 16][(knobs >> 12) as usize % 3];
+        let config = PadeConfig { hbm: HbmConfig { channels, ..base.hbm }, ..base };
+        let keys_data = vec_i8_bits(s * dims, seed, 8);
+        let keys = BitPlaneMatrix::from_rows(&keys_data, dims, 8).unwrap();
+        let query = vec_i8_bits(dims, !seed, 8);
+        let scale = 1.0 / 64.0;
+        let fast = run_qk_block(&config, &[&query], &keys, scale);
+        let oracle = run_qk_block_reference(&config, &[&query], &keys, scale);
         prop_assert_eq!(fast, oracle);
     }
 
