@@ -45,12 +45,12 @@ pub struct PlaneContribution {
 ///
 /// ```
 /// use pade_core::bitserial::{plane_contribution, BsMode};
-/// use pade_quant::PlaneRow;
+/// use pade_quant::BitPlaneMatrix;
 ///
 /// let q: [i8; 4] = [1, 2, 3, 4];
-/// // A dense plane (three 1s): BS flips to accumulate the single 0.
-/// let plane = PlaneRow::from_bits([true, true, false, true].into_iter());
-/// let c = plane_contribution(&q, &plane, 7, 8, 10, true);
+/// // A dense LSB plane (three 1s): BS flips to accumulate the single 0.
+/// let keys = BitPlaneMatrix::from_rows(&[1, 1, 0, 1], 4, 8).unwrap();
+/// let c = plane_contribution(&q, keys.token(0).plane(7), 7, 8, 10, true);
 /// assert_eq!(c.mode, BsMode::Zeros);
 /// assert_eq!(c.selected, 1);
 /// assert_eq!(c.value, (1 + 2 + 4) as i64); // w_7 = 1
@@ -58,7 +58,7 @@ pub struct PlaneContribution {
 #[must_use]
 pub fn plane_contribution(
     q: &[i8],
-    plane: &PlaneRow,
+    plane: PlaneRow<'_>,
     r: u32,
     bits: u32,
     q_sum: i64,
@@ -152,7 +152,7 @@ impl QRowLut {
     ///
     /// Panics if the plane's width differs from the query row's.
     #[must_use]
-    pub fn masked_sum(&self, plane: &PlaneRow) -> i32 {
+    pub fn masked_sum(&self, plane: PlaneRow<'_>) -> i32 {
         assert_eq!(plane.len(), self.len, "query length must match plane length");
         let mut acc = 0i32;
         for (&word, tables) in plane.words().iter().zip(self.tables.chunks(8)) {
@@ -181,7 +181,7 @@ impl QRowLut {
 #[must_use]
 pub fn plane_contribution_lut(
     lut: &QRowLut,
-    plane: &PlaneRow,
+    plane: PlaneRow<'_>,
     r: u32,
     bits: u32,
     bidirectional: bool,
@@ -200,16 +200,22 @@ pub fn plane_contribution_lut(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pade_quant::TokenPlanes;
+    use pade_quant::BitPlaneMatrix;
     use proptest::prelude::*;
+
+    /// One token of 0/1 values at 2 bits: plane 1 (the LSB) holds `bits`.
+    fn lsb_plane(bits: impl IntoIterator<Item = bool>) -> BitPlaneMatrix {
+        let values: Vec<i8> = bits.into_iter().map(i8::from).collect();
+        BitPlaneMatrix::from_rows(&values, values.len(), 2).unwrap()
+    }
 
     #[test]
     fn bs_bounds_selection_at_half() {
         let q: Vec<i8> = (0..64).map(|i| (i % 11) as i8 - 5).collect();
         let qs = q_sum(&q);
         for fill in 0..=64usize {
-            let plane = PlaneRow::from_bits((0..64).map(|i| i < fill));
-            let c = plane_contribution(&q, &plane, 3, 8, qs, true);
+            let keys = lsb_plane((0..64).map(|i| i < fill));
+            let c = plane_contribution(&q, keys.token(0).plane(1), 3, 8, qs, true);
             assert!(c.selected <= 32, "fill {fill}: selected {}", c.selected);
         }
     }
@@ -217,11 +223,12 @@ mod tests {
     #[test]
     fn naive_mode_selects_all_ones() {
         let q: Vec<i8> = vec![1; 8];
-        let plane = PlaneRow::from_bits([true; 8]);
-        let c = plane_contribution(&q, &plane, 1, 8, 8, false);
+        let keys = lsb_plane([true; 8]);
+        let plane = keys.token(0).plane(1);
+        let c = plane_contribution(&q, plane, 1, 8, 8, false);
         assert_eq!(c.selected, 8);
         assert_eq!(c.mode, BsMode::Ones);
-        let c_bs = plane_contribution(&q, &plane, 1, 8, 8, true);
+        let c_bs = plane_contribution(&q, plane, 1, 8, 8, true);
         assert_eq!(c_bs.selected, 0);
         assert_eq!(c_bs.value, c.value);
     }
@@ -229,8 +236,8 @@ mod tests {
     #[test]
     fn sign_plane_weight_is_negative() {
         let q: [i8; 2] = [3, 3];
-        let plane = PlaneRow::from_bits([true, false]);
-        let c = plane_contribution(&q, &plane, 0, 8, 6, true);
+        let keys = lsb_plane([true, false]);
+        let c = plane_contribution(&q, keys.token(0).plane(1), 0, 8, 6, true);
         assert_eq!(c.value, -128 * 3);
     }
 
@@ -239,8 +246,9 @@ mod tests {
         for len in [1usize, 7, 8, 9, 63, 64, 65, 130] {
             let q: Vec<i8> = (0..len).map(|i| (i as i8).wrapping_mul(37)).collect();
             let lut = QRowLut::new(&q);
-            let plane = PlaneRow::from_bits((0..len).map(|i| i % 3 != 1));
-            assert_eq!(lut.masked_sum(&plane), plane.masked_sum(&q), "len {len}");
+            let keys = lsb_plane((0..len).map(|i| i % 3 != 1));
+            let plane = keys.token(0).plane(1);
+            assert_eq!(lut.masked_sum(plane), plane.masked_sum(&q), "len {len}");
         }
     }
 
@@ -264,7 +272,8 @@ mod tests {
                     (lo + ((h >> 17) as i32).rem_euclid(hi - lo + 1)) as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, kbits);
+            let keys = BitPlaneMatrix::from_rows(&k, k.len(), kbits).unwrap();
+            let planes = keys.token(0);
             let lut = QRowLut::new(&q);
             let qs = q_sum(&q);
             let oracle = plane_contribution(&q, planes.plane(r), r, kbits, qs, bidirectional);
@@ -286,7 +295,8 @@ mod tests {
             let k: Vec<i8> = (0..len)
                 .map(|i| (seed.wrapping_mul(i as u64 + 29) >> 31) as u8 as i8)
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let keys = BitPlaneMatrix::from_rows(&k, k.len(), 8).unwrap();
+            let planes = keys.token(0);
             let lut = QRowLut::new(&q);
             for r in 0..8u32 {
                 let plane = planes.plane(r);
@@ -306,7 +316,8 @@ mod tests {
                     (h >> 17) as u8 as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let keys = BitPlaneMatrix::from_rows(&k, k.len(), 8).unwrap();
+            let planes = keys.token(0);
             let qs = q_sum(&q);
             let direct = plane_contribution(&q, planes.plane(r), r, 8, qs, false);
             let bs = plane_contribution(&q, planes.plane(r), r, 8, qs, true);
@@ -328,7 +339,8 @@ mod tests {
                     (h >> 40) as u8 as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let keys = BitPlaneMatrix::from_rows(&k, k.len(), 8).unwrap();
+            let planes = keys.token(0);
             let qs = q_sum(&q);
             let total: i64 = (0..8u32)
                 .map(|r| plane_contribution(&q, planes.plane(r), r, 8, qs, true).value)

@@ -155,11 +155,11 @@ impl MxBui {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pade_quant::{plane_weight, TokenPlanes};
+    use pade_quant::{plane_weight, BitPlaneMatrix, TokenPlanes};
     use proptest::prelude::*;
 
     /// Conservative partial score: planes 0..=r with unknown bits zeroed.
-    fn partial_score(q: &[i8], k: &TokenPlanes, r: u32) -> i64 {
+    fn partial_score(q: &[i8], k: TokenPlanes<'_>, r: u32) -> i64 {
         (0..=r)
             .map(|p| i64::from(plane_weight(p, k.bits())) * i64::from(k.plane(p).masked_sum(q)))
             .sum()
@@ -209,9 +209,10 @@ mod tests {
     fn bounds_are_exact_at_lsb() {
         let q: [i8; 3] = [3, -7, 2];
         let k: [i8; 3] = [-50, 99, 4];
-        let planes = TokenPlanes::from_values(&k, 8);
+        let key_planes = BitPlaneMatrix::from_rows(&k, k.len(), 8).unwrap();
+        let planes = key_planes.token(0);
         let bui = Bui::new(&q, 8);
-        let s = partial_score(&q, &planes, 7);
+        let s = partial_score(&q, planes, 7);
         assert_eq!(bui.upper_bound(s, 7), exact_dot(&q, &k));
         assert_eq!(bui.lower_bound(s, 7), exact_dot(&q, &k));
     }
@@ -230,11 +231,12 @@ mod tests {
                     (h >> 24) as u8 as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let key_planes = BitPlaneMatrix::from_rows(&k, k.len(), 8).unwrap();
+            let planes = key_planes.token(0);
             let bui = Bui::new(&q, 8);
             let exact = exact_dot(&q, &k);
             for round in 0..=r {
-                let s = partial_score(&q, &planes, round);
+                let s = partial_score(&q, planes, round);
                 prop_assert!(bui.lower_bound(s, round) <= exact,
                     "round {}: lb {} > exact {}", round, bui.lower_bound(s, round), exact);
                 prop_assert!(bui.upper_bound(s, round) >= exact,
@@ -253,7 +255,8 @@ mod tests {
                     ((h >> 13) % 16) as i8 - 8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 4);
+            let key_planes = BitPlaneMatrix::from_rows(&k, k.len(), 4).unwrap();
+            let planes = key_planes.token(0);
             let bui = Bui::new(&q, 4);
             let exact = exact_dot(&q, &k);
             for round in 0..4u32 {
@@ -283,7 +286,9 @@ mod tests {
                 // Per-group conservative partial scores.
                 let partials: Vec<i64> = (0..q.groups())
                     .map(|g| {
-                        let planes = TokenPlanes::from_values(k.group_codes(g), 8);
+                        let codes = k.group_codes(g);
+                        let key_planes = BitPlaneMatrix::from_rows(codes, codes.len(), 8).unwrap();
+                        let planes = key_planes.token(0);
                         (0..=r)
                             .map(|p| {
                                 i64::from(plane_weight(p, 8))

@@ -119,6 +119,9 @@ enum PlaneState {
 /// This is the allocation-lean hot path, working on whole words where the
 /// oracle works on bits and hash maps:
 ///
+/// - key planes are read as `Copy` [`PlaneRow`](pade_quant::PlaneRow)
+///   views into the source's flat word store, so an absorption reaches
+///   its words through two slice offsets and allocates nothing;
 /// - the shared K-buffer state lives in a flat `Vec` indexed by
 ///   `(token, plane)`;
 /// - each query row gets one byte-lookup [`QRowLut`], so every plane
@@ -133,14 +136,15 @@ enum PlaneState {
 ///   to its flat K-buffer slot;
 /// - each scoreboard fold is one [`Scoreboard::accumulate`] scan;
 /// - plane arrivals go through an engine-local event wheel (per-cycle
-///   buckets) in place of [`EventQueue`]'s binary heap, delivering in the
-///   same `(time, insertion)` order.
+///   buckets threaded through one recycled node arena) in place of
+///   [`EventQueue`]'s binary heap, delivering in the same
+///   `(time, insertion)` order.
 ///
 /// Results are bit-identical to [`run_qk_block_reference`]
 /// (property-tested below): the restructuring only changes *how* the same
 /// integers are computed, and the storage behind `keys` never reaches the
 /// arithmetic — only the per-token
-/// [`TokenPlanes`](pade_quant::TokenPlanes) do.
+/// [`TokenPlanes`](pade_quant::TokenPlanes) views do.
 ///
 /// Batches of tiles — many jobs, more than `pe_rows` rows, threads or a
 /// tracer — go through [`run_qk_batch`] / [`run_qk_batch_traced`].
@@ -562,7 +566,7 @@ impl PlaneSource for KeySource {
             KeySource::Cache(c) => c.bits(),
         }
     }
-    fn token(&self, j: usize) -> &pade_quant::TokenPlanes {
+    fn token(&self, j: usize) -> pade_quant::TokenPlanes<'_> {
         match self {
             KeySource::Planes(p) => PlaneSource::token(p, j),
             KeySource::Cache(c) => c.token(j),

@@ -1,28 +1,45 @@
 //! The engine's event wheel: [`EventQueue`]'s delivery order at the cost
-//! of a bucket push and pop per event.
+//! of a bucket push and pop per event, with no allocation once warm.
 //!
 //! Plane arrivals land a few tens of cycles after the cycle that issues
 //! them, so a ring of per-cycle FIFO buckets covering the next
 //! [`SLOTS`] cycles holds nearly every pending event; the rare arrival
 //! further out (a deep queue on one HBM channel) waits in an overflow
 //! [`EventQueue`] and moves into its bucket once the wheel comes within
-//! [`SLOTS`] cycles of it.
-
-use std::collections::VecDeque;
+//! [`SLOTS`] cycles of it. The buckets are linked lists threaded through
+//! one node arena: a delivered event's node goes on a free list and the
+//! next scheduled event reuses it, so the arena never holds more nodes
+//! than the most events ever bucketed at once.
 
 use pade_sim::{Cycle, EventQueue};
 
 /// Ring size in cycles (a power of two).
 const SLOTS: u64 = 256;
 
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena node: an event (`None` while on the free list) and the next
+/// node of its list.
+#[derive(Debug)]
+struct Node<T> {
+    event: Option<T>,
+    next: u32,
+}
+
 /// A time-bucketed event queue delivering events in `(time, insertion)`
 /// order, exactly as [`EventQueue`] does, for the engine's use pattern:
 /// events are scheduled no earlier than the last delivered event's time.
 #[derive(Debug)]
 pub(super) struct EventWheel<T> {
-    /// Bucket `t % SLOTS` holds, in insertion order, the events due at
-    /// `t` for every `t` in `[pos, pos + SLOTS)`.
-    slots: Vec<VecDeque<T>>,
+    /// Bucket `t % SLOTS` is the list from `heads[..]` to `tails[..]`
+    /// holding, in insertion order, the events due at `t` for every `t`
+    /// in `[pos, pos + SLOTS)`.
+    heads: [u32; SLOTS as usize],
+    tails: [u32; SLOTS as usize],
+    nodes: Vec<Node<T>>,
+    /// First node of the free list.
+    free: u32,
     /// Time of the last delivered event: nothing pending is due earlier.
     pos: u64,
     /// No bucketed event is due before `scan` (a search hint).
@@ -36,7 +53,10 @@ pub(super) struct EventWheel<T> {
 impl<T> EventWheel<T> {
     pub(super) fn new() -> Self {
         Self {
-            slots: (0..SLOTS).map(|_| VecDeque::new()).collect(),
+            heads: [NIL; SLOTS as usize],
+            tails: [NIL; SLOTS as usize],
+            nodes: Vec::new(),
+            free: NIL,
             pos: 0,
             scan: 0,
             near: 0,
@@ -44,8 +64,25 @@ impl<T> EventWheel<T> {
         }
     }
 
-    fn bucket(&mut self, t: u64) -> &mut VecDeque<T> {
-        &mut self.slots[(t % SLOTS) as usize]
+    /// Appends `event` to the bucket of time `t`.
+    fn push(&mut self, t: u64, event: T) {
+        let node = Node { event: Some(event), next: NIL };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 - 1 pending events")
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        let slot = (t % SLOTS) as usize;
+        match self.tails[slot] {
+            NIL => self.heads[slot] = i,
+            tail => self.nodes[tail as usize].next = i,
+        }
+        self.tails[slot] = i;
+        self.near += 1;
     }
 
     /// Schedules `event` to fire at `time`.
@@ -63,8 +100,7 @@ impl<T> EventWheel<T> {
             self.pos
         );
         if t - self.pos < SLOTS {
-            self.bucket(t).push_back(event);
-            self.near += 1;
+            self.push(t, event);
             self.scan = self.scan.min(t);
         } else {
             self.far.schedule(time, event);
@@ -79,7 +115,7 @@ impl<T> EventWheel<T> {
         // Buckets before `scan` are known empty; every overflow event is
         // due after every bucketed one.
         let mut t = self.scan.max(self.pos);
-        while self.slots[(t % SLOTS) as usize].is_empty() {
+        while self.heads[(t % SLOTS) as usize] == NIL {
             t += 1;
         }
         self.scan = t;
@@ -94,10 +130,18 @@ impl<T> EventWheel<T> {
         // anything new can be scheduled there, so insertion order holds.
         while let Some(due) = self.far.next_time().filter(|d| d.0 - t < SLOTS) {
             let event = self.far.pop_ready(due).expect("peeked event is due");
-            self.bucket(due.0).push_back(event);
-            self.near += 1;
+            self.push(due.0, event);
         }
-        let event = self.bucket(t).pop_front().expect("next_time names a non-empty bucket");
+        let slot = (t % SLOTS) as usize;
+        let i = self.heads[slot];
+        let node = &mut self.nodes[i as usize];
+        let event = node.event.take().expect("next_time names a non-empty bucket");
+        self.heads[slot] = node.next;
+        if node.next == NIL {
+            self.tails[slot] = NIL;
+        }
+        node.next = self.free;
+        self.free = i;
         self.near -= 1;
         Some(event)
     }
@@ -195,6 +239,37 @@ mod tests {
         wheel.schedule(Cycle(6), 2);
         assert_eq!(wheel.pop_ready(Cycle(20)), Some(2));
         assert_eq!(wheel.pop_ready(Cycle(20)), Some(3));
+    }
+
+    #[test]
+    fn the_arena_never_outgrows_the_peak_pending_count() {
+        // Thousands of rounds with at most `k` events pending, a fifth of
+        // them due past the ring (so they move in from the overflow):
+        // delivered nodes go back on the free list and are reused, so the
+        // arena stays within the most events ever pending at once.
+        let mut rng = TestRng::for_case("wheel::arena", 0);
+        for k in [1usize, 3, 16] {
+            let mut wheel = EventWheel::new();
+            let mut queue = EventQueue::new();
+            let (mut now, mut id, mut pending, mut peak) = (Cycle::ZERO, 0u32, 0usize, 0usize);
+            for _ in 0..5000 {
+                if pending < k && (0u32..3).sample(&mut rng) > 0 {
+                    let far = if (0u32..5).sample(&mut rng) == 0 { 2 * SLOTS } else { 0 };
+                    let at = now + Cycle(u64::from((0u32..40).sample(&mut rng)) + far);
+                    wheel.schedule(at, id);
+                    queue.schedule(at, id);
+                    id += 1;
+                    pending += 1;
+                    peak = peak.max(pending);
+                } else if let Some(t) = wheel.next_time() {
+                    now = now.max(t);
+                    assert_eq!(wheel.pop_ready(now), queue.pop_ready(now));
+                    pending -= 1;
+                }
+                assert!(wheel.nodes.len() <= peak, "k {k}: {} nodes", wheel.nodes.len());
+            }
+            assert!(peak == k && id > 1000, "k {k}: peak {peak}, {id} events");
+        }
     }
 
     #[test]

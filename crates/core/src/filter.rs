@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use crate::bitserial::{plane_contribution, q_sum};
     use crate::bui::Bui;
-    use pade_quant::TokenPlanes;
+    use pade_quant::BitPlaneMatrix;
     use proptest::prelude::*;
 
     #[test]
@@ -172,7 +172,8 @@ mod tests {
         let mut f = GuardFilter::new(margin, scale, 8);
         let mut retained = Vec::new();
         for (j, k) in keys.iter().enumerate() {
-            let planes = TokenPlanes::from_values(k, 8);
+            let key_planes = BitPlaneMatrix::from_rows(k, k.len(), 8).unwrap();
+            let planes = key_planes.token(0);
             let mut partial = 0i64;
             for r in 0..8u32 {
                 partial += plane_contribution(q, planes.plane(r), r, 8, qs, true).value;

@@ -71,7 +71,7 @@ impl Gsat {
     /// The slice may be narrower than the GSAT (tail sub-vector); missing
     /// positions count as unselected.
     #[must_use]
-    pub fn subgroup_selected(&self, plane: &PlaneRow, mode: BsMode, pass: usize) -> Vec<u32> {
+    pub fn subgroup_selected(&self, plane: PlaneRow<'_>, mode: BsMode, pass: usize) -> Vec<u32> {
         let groups = self.width / self.subgroup;
         let mut counts = vec![0u32; groups];
         let base = pass * self.width;
@@ -99,7 +99,7 @@ impl Gsat {
     /// dominates (`⌈selected / muxes⌉`, minimum 1 — even an all-skip pass
     /// costs the pipeline beat that recognises it); passes serialize.
     #[must_use]
-    pub fn plane_cycles(&self, plane: &PlaneRow, mode: BsMode) -> u64 {
+    pub fn plane_cycles(&self, plane: PlaneRow<'_>, mode: BsMode) -> u64 {
         let muxes = self.muxes_per_subgroup() as u32;
         (0..self.passes(plane.len()))
             .map(|pass| {
@@ -116,7 +116,7 @@ impl Gsat {
     /// Ideal (perfectly balanced) cycles for the same plane: total selected
     /// bits spread evenly over every mux.
     #[must_use]
-    pub fn balanced_cycles(&self, plane: &PlaneRow, mode: BsMode) -> u64 {
+    pub fn balanced_cycles(&self, plane: PlaneRow<'_>, mode: BsMode) -> u64 {
         let total_muxes = (self.muxes_per_subgroup() * (self.width / self.subgroup)) as u64;
         let selected: u64 = (0..self.passes(plane.len()))
             .map(|pass| {
@@ -129,7 +129,7 @@ impl Gsat {
     /// Intra-lane imbalance of one plane in cycles: actual minus perfectly
     /// balanced (the intra-PE stall source of Fig. 23(a)).
     #[must_use]
-    pub fn plane_imbalance(&self, plane: &PlaneRow, mode: BsMode) -> u64 {
+    pub fn plane_imbalance(&self, plane: PlaneRow<'_>, mode: BsMode) -> u64 {
         self.plane_cycles(plane, mode).saturating_sub(self.balanced_cycles(plane, mode))
     }
 }
@@ -141,7 +141,7 @@ impl Gsat {
     /// four sliding 5:1 muxes always absorb a sub-group in one cycle — at
     /// the price of one subtractor and local q-sum per sub-group (§V-D).
     #[must_use]
-    pub fn bs_subgroup_selected(&self, plane: &PlaneRow, pass: usize) -> Vec<u32> {
+    pub fn bs_subgroup_selected(&self, plane: PlaneRow<'_>, pass: usize) -> Vec<u32> {
         let ones = self.subgroup_selected(plane, BsMode::Ones, pass);
         let base = pass * self.width;
         let groups = self.width / self.subgroup;
@@ -157,7 +157,7 @@ impl Gsat {
 
     /// Total selected bits over all passes under per-sub-group BS.
     #[must_use]
-    pub fn bs_selected_total(&self, plane: &PlaneRow) -> u32 {
+    pub fn bs_selected_total(&self, plane: PlaneRow<'_>) -> u32 {
         (0..self.passes(plane.len()))
             .map(|pass| self.bs_subgroup_selected(plane, pass).iter().sum::<u32>())
             .sum()
@@ -167,7 +167,7 @@ impl Gsat {
     /// holds ≤ subgroup/2 selections, matching the mux count — one cycle
     /// per pass, always.
     #[must_use]
-    pub fn bs_plane_cycles(&self, plane: &PlaneRow) -> u64 {
+    pub fn bs_plane_cycles(&self, plane: PlaneRow<'_>) -> u64 {
         let muxes = self.muxes_per_subgroup() as u32;
         (0..self.passes(plane.len()))
             .map(|pass| {
@@ -204,7 +204,7 @@ impl Gsat {
     /// The shape's divisions are hoisted into [`Gsat::new`] and the ones
     /// count is the plane's cached [`PlaneRow::count_ones`].
     #[must_use]
-    pub fn absorb_stats(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
+    pub fn absorb_stats(&self, plane: PlaneRow<'_>, enable_bs: bool) -> PlaneAbsorb {
         if self.swar_words > 0 && plane.len().is_multiple_of(8) {
             return self.absorb_stats_bytes(plane, enable_bs);
         }
@@ -236,7 +236,7 @@ impl Gsat {
     /// (0..=8); sub-groups past the plane's end are zero bytes or missing
     /// words, which select nothing either way. Passes are counted, not
     /// divided out: `⌈⌈len/64⌉ / words⌉ = ⌈len / width⌉`.
-    fn absorb_stats_bytes(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
+    fn absorb_stats_bytes(&self, plane: PlaneRow<'_>, enable_bs: bool) -> PlaneAbsorb {
         const LSB: u64 = 0x0101_0101_0101_0101;
         const MSB: u64 = 0x8080_8080_8080_8080;
         let byte_ones = |word: u64| {
@@ -279,7 +279,7 @@ impl Gsat {
     /// matching the engine's imbalance accounting — clamped to `cycles`.
     /// The balanced count is at least `passes`, so a sweep of one cycle per
     /// pass (every BS sweep at the Table III shape) skips the division.
-    fn finish(&self, plane: &PlaneRow, cycles: u64, selected: u32, passes: u64) -> PlaneAbsorb {
+    fn finish(&self, plane: PlaneRow<'_>, cycles: u64, selected: u32, passes: u64) -> PlaneAbsorb {
         let balanced = if cycles == passes {
             passes
         } else {
@@ -300,15 +300,18 @@ impl Default for Gsat {
 mod tests {
     use super::*;
 
-    fn plane(bits: &[bool]) -> PlaneRow {
-        PlaneRow::from_bits(bits.iter().copied())
+    /// One token of 0/1 values at 2 bits: plane 1 (the LSB) holds `bits`.
+    fn lsb_plane(bits: &[bool]) -> pade_quant::BitPlaneMatrix {
+        let values: Vec<i8> = bits.iter().map(|&b| i8::from(b)).collect();
+        pade_quant::BitPlaneMatrix::from_rows(&values, values.len(), 2).unwrap()
     }
 
     #[test]
     fn empty_plane_costs_one_cycle() {
         let g = Gsat::default();
-        let p = plane(&[false; 64]);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 1);
+        let keys = lsb_plane(&[false; 64]);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 1);
     }
 
     #[test]
@@ -317,17 +320,19 @@ mod tests {
         // absorb them in a single cycle.
         let g = Gsat::default();
         let bits: Vec<bool> = (0..64).map(|i| i % 2 == 0).collect();
-        let p = plane(&bits);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 1);
+        let keys = lsb_plane(&bits);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 1);
     }
 
     #[test]
     fn dense_plane_without_bs_takes_two_cycles() {
         let g = Gsat::default();
-        let p = plane(&[true; 64]);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
+        let keys = lsb_plane(&[true; 64]);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
         // BS would flip to zeros: nothing selected, 1 cycle.
-        assert_eq!(g.plane_cycles(&p, BsMode::Zeros), 1);
+        assert_eq!(g.plane_cycles(p, BsMode::Zeros), 1);
     }
 
     #[test]
@@ -335,24 +340,27 @@ mod tests {
         let g = Gsat::default();
         // First sub-group full (8 selected → 2 cycles), rest empty.
         let bits: Vec<bool> = (0..64).map(|i| i < 8).collect();
-        let p = plane(&bits);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
-        assert!(g.plane_imbalance(&p, BsMode::Ones) > 0);
+        let keys = lsb_plane(&bits);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
+        assert!(g.plane_imbalance(p, BsMode::Ones) > 0);
     }
 
     #[test]
     fn balanced_plane_has_no_imbalance() {
         let g = Gsat::default();
         let bits: Vec<bool> = (0..64).map(|i| i % 8 < 4).collect();
-        let p = plane(&bits);
-        assert_eq!(g.plane_imbalance(&p, BsMode::Ones), 0);
+        let keys = lsb_plane(&bits);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.plane_imbalance(p, BsMode::Ones), 0);
     }
 
     #[test]
     fn narrow_plane_is_padded_with_unselected() {
         let g = Gsat::default();
-        let p = plane(&[true; 16]); // only two sub-groups occupied
-        let counts = g.subgroup_selected(&p, BsMode::Ones, 0);
+        let keys = lsb_plane(&[true; 16]);
+        let p = keys.token(0).plane(1); // only two sub-groups occupied
+        let counts = g.subgroup_selected(p, BsMode::Ones, 0);
         assert_eq!(counts[0], 8);
         assert_eq!(counts[1], 8);
         assert!(counts[2..].iter().all(|&c| c == 0));
@@ -366,11 +374,13 @@ mod tests {
         assert_eq!(g.passes(1), 1);
         // 128-dim plane, alternating bits: each pass is 1 cycle → 2 total.
         let bits: Vec<bool> = (0..128).map(|i| i % 2 == 0).collect();
-        let p = plane(&bits);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
+        let keys = lsb_plane(&bits);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
         // Dense 128-dim plane without BS: 2 cycles per pass → 4 total.
-        let p_dense = plane(&[true; 128]);
-        assert_eq!(g.plane_cycles(&p_dense, BsMode::Ones), 4);
+        let dense_keys = lsb_plane(&[true; 128]);
+        let p_dense = dense_keys.token(0).plane(1);
+        assert_eq!(g.plane_cycles(p_dense, BsMode::Ones), 4);
     }
 
     #[test]
@@ -384,12 +394,13 @@ mod tests {
         let g = Gsat::default();
         // Adversarial plane: one sub-group all ones, one all zeros, rest mixed.
         let bits: Vec<bool> = (0..64).map(|i| i < 8 || (i >= 16 && i % 3 == 0)).collect();
-        let p = plane(&bits);
-        assert_eq!(g.bs_plane_cycles(&p), 1);
+        let keys = lsb_plane(&bits);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.bs_plane_cycles(p), 1);
         // Global-mode BS would take 2 cycles on the dense sub-group.
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
         // Selection bounded at half per sub-group.
-        for sel in g.bs_subgroup_selected(&p, 0) {
+        for sel in g.bs_subgroup_selected(p, 0) {
             assert!(sel <= 4);
         }
     }
@@ -411,22 +422,23 @@ mod tests {
                     for _ in 0..8 {
                         let bits: Vec<bool> =
                             (0..len).map(|_| (0u32..8).sample(&mut rng) < density).collect();
-                        let p = plane(&bits);
+                        let keys = lsb_plane(&bits);
+                        let p = keys.token(0).plane(1);
                         let case = format!("width {width} subgroup {subgroup} len {len}");
-                        let bs = g.absorb_stats(&p, true);
-                        assert_eq!(bs.cycles, g.bs_plane_cycles(&p), "{case}");
-                        assert_eq!(bs.selected, g.bs_selected_total(&p), "{case}");
+                        let bs = g.absorb_stats(p, true);
+                        assert_eq!(bs.cycles, g.bs_plane_cycles(p), "{case}");
+                        assert_eq!(bs.selected, g.bs_selected_total(p), "{case}");
                         assert_eq!(
                             bs.balanced,
-                            g.balanced_cycles(&p, BsMode::Ones).min(bs.cycles),
+                            g.balanced_cycles(p, BsMode::Ones).min(bs.cycles),
                             "{case}"
                         );
-                        let ones = g.absorb_stats(&p, false);
-                        assert_eq!(ones.cycles, g.plane_cycles(&p, BsMode::Ones), "{case}");
+                        let ones = g.absorb_stats(p, false);
+                        assert_eq!(ones.cycles, g.plane_cycles(p, BsMode::Ones), "{case}");
                         assert_eq!(ones.selected, p.count_ones(), "{case}");
                         assert_eq!(
                             ones.balanced,
-                            g.balanced_cycles(&p, BsMode::Ones).min(ones.cycles),
+                            g.balanced_cycles(p, BsMode::Ones).min(ones.cycles),
                             "{case}"
                         );
                     }
@@ -438,11 +450,13 @@ mod tests {
     #[test]
     fn per_subgroup_bs_handles_wide_and_narrow_planes() {
         let g = Gsat::default();
-        let p = plane(&[true; 128]);
-        assert_eq!(g.bs_plane_cycles(&p), 2); // two passes, 1 cycle each
-        assert_eq!(g.bs_selected_total(&p), 0); // all-ones flips to zeros
-        let narrow = plane(&[true, false, true]);
-        assert_eq!(g.bs_plane_cycles(&narrow), 1);
-        assert_eq!(g.bs_selected_total(&narrow), 1);
+        let keys = lsb_plane(&[true; 128]);
+        let p = keys.token(0).plane(1);
+        assert_eq!(g.bs_plane_cycles(p), 2); // two passes, 1 cycle each
+        assert_eq!(g.bs_selected_total(p), 0); // all-ones flips to zeros
+        let narrow_keys = lsb_plane(&[true, false, true]);
+        let narrow = narrow_keys.token(0).plane(1);
+        assert_eq!(g.bs_plane_cycles(narrow), 1);
+        assert_eq!(g.bs_selected_total(narrow), 1);
     }
 }

@@ -394,7 +394,7 @@ mod tests {
             margin in 1i64..2000,
         ) {
             use crate::bitserial::{plane_contribution, q_sum};
-            use pade_quant::TokenPlanes;
+            use pade_quant::BitPlaneMatrix;
 
             let dims = 8;
             let codes = keys_from_seed(seed, 14, dims);
@@ -410,7 +410,8 @@ mod tests {
             let mut f = GuardFilter::new(margin as f32, 1.0, 8);
             let mut reference = Vec::new();
             for (j, k) in codes.chunks(dims).enumerate() {
-                let planes = TokenPlanes::from_values(k, 8);
+                let key_planes = BitPlaneMatrix::from_rows(k, k.len(), 8).unwrap();
+                let planes = key_planes.token(0);
                 let mut partial = 0i64;
                 for r in 0..8u32 {
                     partial += plane_contribution(&q, planes.plane(r), r, 8, qs, true).value;

@@ -5,7 +5,7 @@
 use pade_core::bui::MxBui;
 use pade_experiments::report::{banner, Table};
 use pade_quant::mxint::{mx_dot, MxVector};
-use pade_quant::{plane_weight, TokenPlanes};
+use pade_quant::{plane_weight, BitPlaneMatrix};
 
 fn main() {
     banner("Fig. 25", "BUI-GF compatibility with the MX format (group-wise scaling)");
@@ -49,7 +49,9 @@ fn main() {
     for r in 0..8u32 {
         let partials: Vec<i64> = (0..q.groups())
             .map(|g| {
-                let planes = TokenPlanes::from_values(k.group_codes(g), 8);
+                let codes = k.group_codes(g);
+                let key_planes = BitPlaneMatrix::from_rows(codes, codes.len(), 8).unwrap();
+                let planes = key_planes.token(0);
                 (0..=r)
                     .map(|p| {
                         i64::from(plane_weight(p, 8))

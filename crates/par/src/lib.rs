@@ -11,10 +11,13 @@
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::thread;
 
 /// Worker-thread budget: `PADE_THREADS` if set, else the machine's
-/// available parallelism.
+/// available parallelism. The variable is read on every call (tests
+/// change it at run time); the fallback is queried once per process,
+/// since `available_parallelism` re-reads cgroup files on each call.
 #[must_use]
 pub fn max_threads() -> usize {
     if let Ok(v) = std::env::var("PADE_THREADS") {
@@ -22,7 +25,8 @@ pub fn max_threads() -> usize {
             return n.max(1);
         }
     }
-    thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
 }
 
 /// Splits `0..n` into at most `workers` contiguous ranges of near-equal
@@ -53,8 +57,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = max_threads();
-    if workers <= 1 || n <= 1 {
+    // No budget lookup when there is nothing to split.
+    let workers = if n <= 1 { 1 } else { max_threads() };
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
     let ranges = split_ranges(n, workers);

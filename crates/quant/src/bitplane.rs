@@ -61,99 +61,22 @@ pub fn uncertainty_span(r: u32, bits: u32) -> i32 {
 }
 
 /// One bit plane of one token vector: a packed bitvector over the hidden
-/// dimension.
+/// dimension, borrowed from the [`BitPlaneMatrix`] that stores it.
 ///
 /// Bit `i` is set when dimension `i` of the token has a `1` in this plane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlaneRow {
-    words: Vec<u64>,
+/// A view is `Copy`: kernels take it by value, and reading a plane never
+/// allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlaneRow<'a> {
+    words: &'a [u64],
     len: usize,
-    /// Population count of `words`, cached at construction so mode choices
-    /// (ones vs. zeros streaming) never re-scan the packed words. Derived from `words`, so the derived `PartialEq` stays
-    /// consistent.
+    /// Population count of `words`, cached by the owning matrix so mode
+    /// choices (ones vs. zeros streaming) never re-scan the packed words.
+    /// Derived from `words`, so the derived `PartialEq` stays consistent.
     ones: u32,
 }
 
-impl PlaneRow {
-    /// Builds a plane row from a boolean-per-dimension iterator.
-    pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let mut words = Vec::new();
-        let mut len = 0usize;
-        let mut current = 0u64;
-        let mut ones = 0u32;
-        for (i, b) in bits.into_iter().enumerate() {
-            let slot = i % 64;
-            if slot == 0 && i != 0 {
-                words.push(current);
-                ones += current.count_ones();
-                current = 0;
-            }
-            if b {
-                current |= 1 << slot;
-            }
-            len = i + 1;
-        }
-        if len > 0 {
-            words.push(current);
-            ones += current.count_ones();
-        }
-        let row = Self { words, len, ones };
-        row.debug_assert_tail_clear();
-        row
-    }
-
-    /// Builds a plane row directly from packed 64-bit words — the inverse
-    /// of [`PlaneRow::words`], used by the spill tier to re-adopt a
-    /// serialized plane without re-decomposing any values. The cached
-    /// `ones` count is recomputed from the words, so a round trip through
-    /// `words()` → `from_words` is `==`-identical to the original row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::DimensionMismatch`] when the word count is
-    /// not exactly `⌈len / 64⌉` or a padding bit past `len` is set (tail
-    /// garbage would corrupt word-level kernels).
-    pub fn from_words(words: Vec<u64>, len: usize) -> Result<Self, QuantError> {
-        if words.len() != len.div_ceil(64) {
-            return Err(QuantError::DimensionMismatch {
-                expected: len.div_ceil(64),
-                actual: words.len(),
-            });
-        }
-        let ones = words.iter().map(|w| w.count_ones()).sum();
-        let row = Self { words, len, ones };
-        if !row.tail_is_clear() {
-            return Err(QuantError::DimensionMismatch { expected: len, actual: len + 1 });
-        }
-        Ok(row)
-    }
-
-    /// Asserts (debug builds only) that every padding bit past `len` in the
-    /// last packed word is zero. Word-level kernels (byte-table lookups,
-    /// SWAR sub-group popcounts) rely on this: tail garbage would silently
-    /// corrupt their results even though per-bit accessors mask it out.
-    #[inline]
-    fn debug_assert_tail_clear(&self) {
-        debug_assert!(
-            self.tail_is_clear(),
-            "PlaneRow tail word has garbage bits past len={}",
-            self.len
-        );
-    }
-
-    /// `true` when all padding bits beyond [`PlaneRow::len`] are zero — the
-    /// invariant word-level kernels depend on. Always `true` for
-    /// rows built via [`PlaneRow::from_bits`]; exposed so tests can pin it.
-    #[must_use]
-    pub fn tail_is_clear(&self) -> bool {
-        let tail = self.len % 64;
-        if tail == 0 || self.words.is_empty() {
-            return true;
-        }
-        let last = self.words[self.words.len() - 1];
-        last & !((1u64 << tail) - 1) == 0
-    }
-
+impl<'a> PlaneRow<'a> {
     /// Number of dimensions covered by this plane.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -177,8 +100,8 @@ impl PlaneRow {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Number of set bits (`1`s) in the plane. Cached at construction —
-    /// `O(1)`, never re-scans the packed words.
+    /// Number of set bits (`1`s) in the plane. Cached by the owning
+    /// matrix — `O(1)`, never re-scans the packed words.
     #[must_use]
     pub fn count_ones(&self) -> u32 {
         self.ones
@@ -191,7 +114,7 @@ impl PlaneRow {
     }
 
     /// Iterates over the indices of set bits.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn iter_ones(self) -> impl Iterator<Item = usize> + 'a {
         (0..self.len).filter(move |&i| self.bit(i))
     }
 
@@ -216,25 +139,13 @@ impl PlaneRow {
         acc
     }
 
-    /// Payload size of the plane in bits (one bit per dimension).
-    #[must_use]
-    pub fn payload_bits(&self) -> usize {
-        self.len
-    }
-
     /// The packed 64-bit words backing the plane (bit `i` of the plane is
     /// bit `i % 64` of word `i / 64`; bits past [`PlaneRow::len`] are
     /// zero). Exposed so hot kernels can use word-level popcounts and
     /// table lookups instead of per-bit [`PlaneRow::bit`] calls.
     #[must_use]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Heap bytes held by the packed words backing this plane.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
+    pub fn words(&self) -> &'a [u64] {
+        self.words
     }
 
     /// Number of set bits within positions `[start, end)` (clipped to the
@@ -260,53 +171,207 @@ impl PlaneRow {
     }
 }
 
-/// All bit planes of one token vector, MSB first.
+/// All bit planes of one token vector, MSB first, borrowed from the
+/// [`BitPlaneMatrix`] that stores them.
 ///
 /// # Example
 ///
 /// ```
-/// use pade_quant::TokenPlanes;
+/// use pade_quant::BitPlaneMatrix;
 ///
-/// let planes = TokenPlanes::from_values(&[5, -5], 8);
+/// let keys = BitPlaneMatrix::from_rows(&[5, -5], 2, 8).unwrap();
+/// let planes = keys.token(0);
 /// assert_eq!(planes.reconstruct(), vec![5, -5]);
 /// // Sign plane of -5 is set, of +5 is clear.
 /// assert!(!planes.plane(0).bit(0));
 /// assert!(planes.plane(0).bit(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenPlanes {
-    planes: Vec<PlaneRow>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TokenPlanes<'a> {
+    /// The token's `bits × ⌈dims/64⌉` words, plane by plane.
+    words: &'a [u64],
+    /// Cached ones count of each plane.
+    ones: &'a [u32],
     bits: u32,
     dims: usize,
 }
 
-impl TokenPlanes {
-    /// Decomposes a token vector into `bits` MSB-first planes.
+impl<'a> TokenPlanes<'a> {
+    /// Bit width of the decomposed values.
+    #[must_use]
+    pub fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// Number of hidden dimensions.
+    #[must_use]
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
+    /// Plane `r` (0 = sign plane).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.bits()`.
+    #[must_use]
+    pub fn plane(&self, r: u32) -> PlaneRow<'a> {
+        let r = r as usize;
+        let n = self.dims.div_ceil(64);
+        PlaneRow { words: &self.words[r * n..(r + 1) * n], len: self.dims, ones: self.ones[r] }
+    }
+
+    /// Reassembles the original integers from the planes — the identity of
+    /// Eq. 2, used as the crate's primary self-check.
+    #[must_use]
+    pub fn reconstruct(&self) -> Vec<i32> {
+        let mut out = vec![0i32; self.dims];
+        for r in 0..self.bits {
+            let w = plane_weight(r, self.bits);
+            for i in self.plane(r).iter_ones() {
+                out[i] += w;
+            }
+        }
+        out
+    }
+}
+
+/// Bit planes for a whole key matrix (`tokens × dims`), MSB first.
+///
+/// This is the DRAM-resident form of the key tensor in PADE: plane `r` of
+/// token `j` is an independently addressable memory object at a fixed
+/// offset (the paper's bit-plane-interleaved layout, Fig. 22). The host
+/// store has the same shape: one token-major word array — token, then
+/// plane, then the plane's `⌈dims/64⌉` words, which is also the wire
+/// layout — plus one cached ones count per plane. [`TokenPlanes`] and
+/// [`PlaneRow`] are views into it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitPlaneMatrix {
+    words: Vec<u64>,
+    /// Population count of each plane, index `token · bits + plane`.
+    ones: Vec<u32>,
+    bits: u32,
+    dims: usize,
+}
+
+impl BitPlaneMatrix {
+    /// An empty matrix with room for `tokens` tokens. The shape is the
+    /// caller's to validate.
+    pub(crate) fn with_capacity(dims: usize, bits: u32, tokens: usize) -> Self {
+        let mut m = Self { words: Vec::new(), ones: Vec::new(), bits, dims };
+        m.reserve_exact(tokens);
+        m
+    }
+
+    /// Reserves room for exactly `tokens` more tokens.
+    pub(crate) fn reserve_exact(&mut self, tokens: usize) {
+        self.words.reserve_exact(tokens * self.token_words());
+        self.ones.reserve_exact(tokens * self.bits as usize);
+    }
+
+    /// Appends every token of `other`, which has this matrix's shape.
+    pub(crate) fn extend_from(&mut self, other: &Self) {
+        debug_assert_eq!((self.dims, self.bits), (other.dims, other.bits));
+        self.words.extend_from_slice(&other.words);
+        self.ones.extend_from_slice(&other.ones);
+    }
+
+    /// Words per token: `bits` planes of `⌈dims/64⌉` words.
+    fn token_words(&self) -> usize {
+        self.bits as usize * self.dims.div_ceil(64)
+    }
+
+    /// Decomposes every row of a row-major integer matrix.
     ///
     /// Values are interpreted in `bits`-wide two's complement; they must fit
     /// (this holds by construction for codes produced by
     /// [`QuantParams`](crate::QuantParams) of the same width).
     ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
+    /// multiple of `dims`, or [`QuantError::UnsupportedWidth`] for a width
+    /// outside `2..=8`.
+    ///
     /// # Panics
     ///
-    /// Panics if `bits` is outside `2..=8` or a value does not fit in `bits`
-    /// two's-complement bits.
-    #[must_use]
-    pub fn from_values(values: &[i8], bits: u32) -> Self {
-        Self::try_from_values(values, bits).expect("values must fit the requested width")
+    /// Panics if a value does not fit in `bits` two's-complement bits (a
+    /// caller contract violation rather than a data-dependent condition).
+    pub fn from_rows(data: &[i8], dims: usize, bits: u32) -> Result<Self, QuantError> {
+        if !(2..=8).contains(&bits) {
+            return Err(QuantError::UnsupportedWidth { bits });
+        }
+        if dims == 0 || !data.len().is_multiple_of(dims) {
+            return Err(QuantError::DimensionMismatch {
+                expected: dims.max(1),
+                actual: data.len(),
+            });
+        }
+        let mut m = Self::with_capacity(dims, bits, data.len() / dims);
+        m.append_rows(data)?;
+        Ok(m)
     }
 
-    /// Fallible variant of [`TokenPlanes::from_values`].
+    /// Adopts already-packed plane words in the token-major layout of
+    /// [`BitPlaneMatrix::words`] — the inverse of that accessor, used by
+    /// the spill tier and the cache image to re-adopt serialized planes
+    /// without re-decomposing any values. The cached ones counts are
+    /// recomputed from the words, so a round trip is `==`-identical.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::UnsupportedWidth`] for a width outside `2..=8`
-    /// (values outside the width's range still panic, as that is a caller
-    /// contract violation rather than a data-dependent condition).
-    pub fn try_from_values(values: &[i8], bits: u32) -> Result<Self, QuantError> {
+    /// and [`QuantError::DimensionMismatch`] for `dims == 0`, a word count
+    /// that is not a whole number of tokens, or a set padding bit past
+    /// `dims` in any plane (tail garbage would corrupt word-level kernels).
+    pub fn from_plane_words(words: Vec<u64>, dims: usize, bits: u32) -> Result<Self, QuantError> {
         if !(2..=8).contains(&bits) {
             return Err(QuantError::UnsupportedWidth { bits });
         }
+        if dims == 0 {
+            return Err(QuantError::DimensionMismatch { expected: 1, actual: 0 });
+        }
+        let per_plane = dims.div_ceil(64);
+        let per_token = bits as usize * per_plane;
+        if !words.len().is_multiple_of(per_token) {
+            return Err(QuantError::DimensionMismatch { expected: per_token, actual: words.len() });
+        }
+        let padding = padding_mask(dims);
+        if words.chunks(per_plane).any(|plane| plane[per_plane - 1] & padding != 0) {
+            return Err(QuantError::DimensionMismatch { expected: dims, actual: dims + 1 });
+        }
+        let ones = words.chunks(per_plane).map(|plane| plane.iter().map(|w| w.count_ones()).sum());
+        Ok(Self { ones: ones.collect(), words, bits, dims })
+    }
+
+    /// Decomposes and appends more token rows in place. Existing tokens are
+    /// untouched — indices of already-stored tokens never change.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
+    /// multiple of this matrix's `dims` (no rows are appended in that case).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value does not fit in the matrix's width.
+    pub fn append_rows(&mut self, data: &[i8]) -> Result<(), QuantError> {
+        if !data.len().is_multiple_of(self.dims) {
+            return Err(QuantError::DimensionMismatch { expected: self.dims, actual: data.len() });
+        }
+        let tokens = data.len() / self.dims;
+        self.words.reserve(tokens * self.token_words());
+        self.ones.reserve(tokens * self.bits as usize);
+        for row in data.chunks(self.dims) {
+            self.push_row(row);
+        }
+        Ok(())
+    }
+
+    /// Decomposes one `dims`-wide row into `bits` MSB-first planes at the
+    /// end of the store.
+    fn push_row(&mut self, values: &[i8]) {
+        let bits = self.bits;
         let lo = -(1i32 << (bits - 1));
         let hi = (1i32 << (bits - 1)) - 1;
         for &v in values {
@@ -322,7 +387,10 @@ impl TokenPlanes {
         // into bit `56 + k` (the partial products never overlap or carry).
         const LSB: u64 = 0x0101_0101_0101_0101;
         const GATHER: u64 = 0x0102_0408_1020_4080;
-        let mut words = vec![vec![0u64; values.len().div_ceil(64)]; bits as usize];
+        let per_plane = self.dims.div_ceil(64);
+        let start = self.words.len();
+        self.words.resize(start + self.token_words(), 0);
+        let planes = &mut self.words[start..];
         for (w, chunk) in values.chunks(64).enumerate() {
             for (c, eight) in chunk.chunks(8).enumerate() {
                 let mut bytes = [0u8; 8];
@@ -330,194 +398,22 @@ impl TokenPlanes {
                     *dst = v as u8;
                 }
                 let packed = u64::from_le_bytes(bytes);
-                for (r, plane) in words.iter_mut().enumerate() {
+                for (r, plane) in planes.chunks_mut(per_plane).enumerate() {
                     let lane_bits = (packed >> (bits as usize - 1 - r)) & LSB;
                     plane[w] |= (lane_bits.wrapping_mul(GATHER) >> 56) << (8 * c);
                 }
             }
         }
-        let planes = words
-            .into_iter()
-            .map(|words| {
-                let ones = words.iter().map(|w| w.count_ones()).sum();
-                let row = PlaneRow { words, len: values.len(), ones };
-                row.debug_assert_tail_clear();
-                row
-            })
-            .collect();
-        Ok(Self { planes, bits, dims: values.len() })
-    }
-
-    /// Reassembles a token from its already-built plane rows, MSB first —
-    /// the inverse of reading [`TokenPlanes::plane`] for each round, used
-    /// by the spill tier to re-adopt serialized planes without
-    /// re-decomposing values. Width is `planes.len()`; dims come from the
-    /// first plane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::UnsupportedWidth`] when the plane count is
-    /// outside `2..=8` and [`QuantError::DimensionMismatch`] when the
-    /// planes cover differing numbers of dimensions.
-    pub fn from_planes(planes: Vec<PlaneRow>) -> Result<Self, QuantError> {
-        let bits = planes.len() as u32;
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
+        for plane in planes.chunks(per_plane) {
+            debug_assert_eq!(plane[per_plane - 1] & padding_mask(self.dims), 0);
+            self.ones.push(plane.iter().map(|w| w.count_ones()).sum());
         }
-        let dims = planes[0].len();
-        for p in &planes {
-            if p.len() != dims {
-                return Err(QuantError::DimensionMismatch { expected: dims, actual: p.len() });
-            }
-        }
-        Ok(Self { planes, bits, dims })
-    }
-
-    /// Bit width of the decomposed values.
-    #[must_use]
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Number of hidden dimensions.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Borrow plane `r` (0 = sign plane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.bits()`.
-    #[must_use]
-    pub fn plane(&self, r: u32) -> &PlaneRow {
-        &self.planes[r as usize]
-    }
-
-    /// Heap bytes held by this token's packed plane words — the unit the
-    /// serving-side cache budget bills per token.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.planes.iter().map(PlaneRow::resident_bytes).sum()
-    }
-
-    /// Reassembles the original integers from the planes — the identity of
-    /// Eq. 2, used as the crate's primary self-check.
-    #[must_use]
-    pub fn reconstruct(&self) -> Vec<i32> {
-        let mut out = vec![0i32; self.dims];
-        for r in 0..self.bits {
-            let w = plane_weight(r, self.bits);
-            let plane = &self.planes[r as usize];
-            for i in plane.iter_ones() {
-                out[i] += w;
-            }
-        }
-        out
-    }
-}
-
-/// Bit planes for a whole key matrix (`tokens × dims`), MSB first.
-///
-/// This is the DRAM-resident form of the key tensor in PADE: plane `r` of
-/// token `j` is an independently addressable memory object (the paper's
-/// bit-plane-interleaved layout, Fig. 22).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitPlaneMatrix {
-    tokens: Vec<TokenPlanes>,
-    bits: u32,
-    dims: usize,
-}
-
-impl BitPlaneMatrix {
-    /// Decomposes every row of a row-major integer matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
-    /// multiple of `dims`, or [`QuantError::UnsupportedWidth`] for a bad width.
-    pub fn from_rows(data: &[i8], dims: usize, bits: u32) -> Result<Self, QuantError> {
-        if dims == 0 || !data.len().is_multiple_of(dims) {
-            return Err(QuantError::DimensionMismatch {
-                expected: dims.max(1),
-                actual: data.len(),
-            });
-        }
-        let tokens = data
-            .chunks(dims)
-            .map(|row| TokenPlanes::try_from_values(row, bits))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { tokens, bits, dims })
-    }
-
-    /// Builds a matrix from already-decomposed token planes — the sealing
-    /// step of a [`GrowableKeyCache`](crate::GrowableKeyCache) chunk, and
-    /// the cheap path for callers that already hold [`TokenPlanes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::UnsupportedWidth`] for a width outside `2..=8`
-    /// and [`QuantError::DimensionMismatch`] when any token's shape differs
-    /// from `dims`/`bits`.
-    pub fn from_tokens(
-        tokens: Vec<TokenPlanes>,
-        dims: usize,
-        bits: u32,
-    ) -> Result<Self, QuantError> {
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
-        }
-        if dims == 0 {
-            return Err(QuantError::DimensionMismatch { expected: 1, actual: 0 });
-        }
-        for t in &tokens {
-            if t.dims() != dims || t.bits() != bits {
-                return Err(QuantError::DimensionMismatch { expected: dims, actual: t.dims() });
-            }
-        }
-        Ok(Self { tokens, bits, dims })
-    }
-
-    /// Decomposes and appends more token rows in place. Existing tokens are
-    /// untouched — indices of already-stored tokens never change.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
-    /// multiple of this matrix's `dims` (no rows are appended in that case).
-    pub fn append_rows(&mut self, data: &[i8]) -> Result<(), QuantError> {
-        if !data.len().is_multiple_of(self.dims) {
-            return Err(QuantError::DimensionMismatch { expected: self.dims, actual: data.len() });
-        }
-        self.tokens.reserve(data.len() / self.dims);
-        for row in data.chunks(self.dims) {
-            self.tokens.push(TokenPlanes::try_from_values(row, self.bits)?);
-        }
-        Ok(())
-    }
-
-    /// Appends one already-decomposed token.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::DimensionMismatch`] when the token's shape
-    /// differs from this matrix's `dims`/`bits`.
-    pub fn push_token(&mut self, token: TokenPlanes) -> Result<(), QuantError> {
-        if token.dims() != self.dims || token.bits() != self.bits {
-            return Err(QuantError::DimensionMismatch {
-                expected: self.dims,
-                actual: token.dims(),
-            });
-        }
-        self.tokens.push(token);
-        Ok(())
     }
 
     /// Number of tokens (rows).
     #[must_use]
     pub fn tokens(&self) -> usize {
-        self.tokens.len()
+        self.ones.len() / self.bits as usize
     }
 
     /// Number of hidden dimensions per token.
@@ -538,8 +434,23 @@ impl BitPlaneMatrix {
     ///
     /// Panics if `j >= self.tokens()`.
     #[must_use]
-    pub fn token(&self, j: usize) -> &TokenPlanes {
-        &self.tokens[j]
+    pub fn token(&self, j: usize) -> TokenPlanes<'_> {
+        let n = self.token_words();
+        let b = self.bits as usize;
+        TokenPlanes {
+            words: &self.words[j * n..(j + 1) * n],
+            ones: &self.ones[j * b..(j + 1) * b],
+            bits: self.bits,
+            dims: self.dims,
+        }
+    }
+
+    /// The whole store: for every token, every plane MSB first, the
+    /// plane's `⌈dims/64⌉` packed words (bits past `dims` are zero). This
+    /// is the wire layout [`BitPlaneMatrix::from_plane_words`] reads back.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Bytes occupied by a single bit plane of a single token, rounded up to
@@ -549,14 +460,21 @@ impl BitPlaneMatrix {
         self.dims.div_ceil(8)
     }
 
-    /// Heap bytes held by all packed plane words of this matrix — what a
-    /// cache manager bills for keeping the decomposed tensor resident.
-    /// Every token stores `bits` planes of `⌈dims/64⌉` words, so this is
-    /// pure arithmetic (a budget check must stay off the hot path's
-    /// critical cost).
+    /// Bytes of packed plane words held by this matrix — what a cache
+    /// manager bills for keeping the decomposed tensor resident: `bits`
+    /// planes of `⌈dims/64⌉` words per token. The cached ones counts (4
+    /// bytes per plane) are not billed.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.tokens.len() * self.bits as usize * self.dims.div_ceil(64) * std::mem::size_of::<u64>()
+        std::mem::size_of_val(self.words.as_slice())
+    }
+}
+
+/// The padding bits past `dims` in a plane's last word.
+fn padding_mask(dims: usize) -> u64 {
+    match dims % 64 {
+        0 => 0,
+        tail => !((1u64 << tail) - 1),
     }
 }
 
@@ -564,6 +482,12 @@ impl BitPlaneMatrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One token of 0/1 values at 2 bits: plane 1 (the LSB) holds `bits`.
+    fn lsb_plane(bits: &[bool]) -> BitPlaneMatrix {
+        let values: Vec<i8> = bits.iter().map(|&b| i8::from(b)).collect();
+        BitPlaneMatrix::from_rows(&values, values.len(), 2).unwrap()
+    }
 
     #[test]
     fn plane_weights_sum_to_minus_one() {
@@ -589,9 +513,9 @@ mod tests {
         // Fig. 5(a): 4-bit MSB-only speculation of (+5)*(+5) + (+5)*(-5).
         // MSB plane of 0101 (+5) is 0 -> conservative value 0; MSB plane of
         // 1011 (-5) is 1 -> conservative value -8. Estimated: 5*0 + 5*(-8) = -40.
-        let k = TokenPlanes::from_values(&[5, -5], 4);
-        let msb = k.plane(0);
-        let est = plane_weight(0, 4) * msb.masked_sum(&[5, 5]);
+        let keys = BitPlaneMatrix::from_rows(&[5, -5], 2, 4).unwrap();
+        let k = keys.token(0);
+        let est = plane_weight(0, 4) * k.plane(0).masked_sum(&[5, 5]);
         assert_eq!(est, -40);
         // True result is 0; with all planes the reconstruction is exact.
         let q = [5i32, 5];
@@ -601,7 +525,8 @@ mod tests {
 
     #[test]
     fn masked_sum_counts_selected_queries() {
-        let plane = PlaneRow::from_bits([true, false, true, true]);
+        let keys = lsb_plane(&[true, false, true, true]);
+        let plane = keys.token(0).plane(1);
         assert_eq!(plane.masked_sum(&[1, 2, 3, 4]), 8);
         assert_eq!(plane.count_ones(), 3);
         assert_eq!(plane.count_zeros(), 1);
@@ -610,7 +535,8 @@ mod tests {
     #[test]
     fn plane_row_across_word_boundary() {
         let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
-        let plane = PlaneRow::from_bits(bits.iter().copied());
+        let keys = lsb_plane(&bits);
+        let plane = keys.token(0).plane(1);
         assert_eq!(plane.len(), 130);
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(plane.bit(i), b, "bit {i}");
@@ -638,26 +564,21 @@ mod tests {
     }
 
     #[test]
-    fn from_words_rejects_bad_shapes() {
-        // Wrong word count for the claimed length.
-        assert!(PlaneRow::from_words(vec![0u64; 2], 64).is_err());
-        assert!(PlaneRow::from_words(vec![], 1).is_err());
-        // Tail garbage past len.
-        assert!(PlaneRow::from_words(vec![0b100], 2).is_err());
-        // Exact fit round-trips.
-        let row = PlaneRow::from_words(vec![0b011], 2).unwrap();
-        assert_eq!(row.count_ones(), 2);
-    }
-
-    #[test]
-    fn from_planes_rejects_bad_shapes() {
-        let p4 = PlaneRow::from_bits([true, false, true, true]);
-        let p3 = PlaneRow::from_bits([true, false, true]);
-        assert!(TokenPlanes::from_planes(vec![p4.clone()]).is_err(), "1 plane < 2 bits");
-        assert!(TokenPlanes::from_planes(vec![p4.clone(); 9]).is_err(), "9 planes > 8 bits");
-        assert!(TokenPlanes::from_planes(vec![p4.clone(), p3]).is_err(), "ragged dims");
-        let t = TokenPlanes::from_planes(vec![p4.clone(), p4.clone()]).unwrap();
-        assert_eq!((t.bits(), t.dims()), (2, 4));
+    fn from_plane_words_rejects_bad_shapes() {
+        // Not a whole number of tokens (2 planes × 1 word each).
+        assert!(BitPlaneMatrix::from_plane_words(vec![0u64; 3], 64, 2).is_err());
+        // Bad width or zero dims.
+        assert!(BitPlaneMatrix::from_plane_words(vec![0u64; 2], 64, 1).is_err());
+        assert!(BitPlaneMatrix::from_plane_words(vec![0u64; 9], 64, 9).is_err());
+        assert!(BitPlaneMatrix::from_plane_words(Vec::new(), 0, 2).is_err());
+        // Tail garbage past dims, in the first or the second plane.
+        assert!(BitPlaneMatrix::from_plane_words(vec![0b100, 0], 2, 2).is_err());
+        assert!(BitPlaneMatrix::from_plane_words(vec![0, 0b100], 2, 2).is_err());
+        // Exact fits adopt the words and recount the ones.
+        let m = BitPlaneMatrix::from_plane_words(vec![0b011, 0b001], 2, 2).unwrap();
+        assert_eq!((m.tokens(), m.token(0).plane(0).count_ones()), (1, 2));
+        assert_eq!(m.token(0).reconstruct(), vec![-1, -2]);
+        assert_eq!(BitPlaneMatrix::from_plane_words(Vec::new(), 2, 2).unwrap().tokens(), 0);
     }
 
     proptest! {
@@ -667,21 +588,14 @@ mod tests {
             bits in 2u32..=8,
         ) {
             // Fold the full i8 range into the width (arithmetic shift keeps
-            // two's-complement semantics), decompose, then rebuild every
-            // plane and token from serialized words alone.
+            // two's-complement semantics), decompose, then rebuild the
+            // matrix from its serialized words alone.
             let narrowed: Vec<i8> = values.iter().map(|&v| v >> (8 - bits)).collect();
-            let token = TokenPlanes::from_values(&narrowed, bits);
-            let rebuilt = TokenPlanes::from_planes(
-                (0..bits)
-                    .map(|r| {
-                        let p = token.plane(r);
-                        PlaneRow::from_words(p.words().to_vec(), p.len()).unwrap()
-                    })
-                    .collect(),
-            )
-            .unwrap();
-            prop_assert_eq!(&rebuilt, &token);
-            prop_assert_eq!(rebuilt.reconstruct(), token.reconstruct());
+            let m = BitPlaneMatrix::from_rows(&narrowed, narrowed.len(), bits).unwrap();
+            let rebuilt = BitPlaneMatrix::from_plane_words(m.words().to_vec(), m.dims(), bits)
+                .unwrap();
+            prop_assert_eq!(&rebuilt, &m);
+            prop_assert_eq!(rebuilt.token(0).reconstruct(), m.token(0).reconstruct());
         }
 
         #[test]
@@ -690,29 +604,37 @@ mod tests {
             bits in 2u32..=8,
         ) {
             // Every width and every tail shape (dims % 64 and dims % 8 of
-            // any size): the word-packed decomposition must equal the
-            // one-bit-at-a-time build, cached popcount included.
+            // any size): the word-packed decomposition must hold each
+            // value's bits, cached popcount included, and clear padding.
             let narrowed: Vec<i8> = values.iter().map(|&v| v >> (8 - bits)).collect();
-            let token = TokenPlanes::from_values(&narrowed, bits);
+            let m = BitPlaneMatrix::from_rows(&narrowed, narrowed.len(), bits).unwrap();
             for r in 0..bits {
-                let per_bit = PlaneRow::from_bits(narrowed.iter().map(|&v| {
-                    (u32::from(v as u8) >> (bits - 1 - r)) & 1 == 1
-                }));
-                prop_assert_eq!(token.plane(r), &per_bit, "plane {} of {}", r, bits);
+                let plane = m.token(0).plane(r);
+                let per_bit: Vec<bool> = narrowed
+                    .iter()
+                    .map(|&v| (u32::from(v as u8) >> (bits - 1 - r)) & 1 == 1)
+                    .collect();
+                for (i, &b) in per_bit.iter().enumerate() {
+                    prop_assert_eq!(plane.bit(i), b, "plane {} of {}, bit {}", r, bits, i);
+                }
+                let ones = per_bit.iter().filter(|&&b| b).count() as u32;
+                prop_assert_eq!(plane.count_ones(), ones);
+                let last = plane.words()[plane.words().len() - 1];
+                prop_assert_eq!(last & padding_mask(plane.len()), 0);
             }
         }
 
         #[test]
         fn prop_reconstruction_is_exact_int8(values in proptest::collection::vec(any::<i8>(), 1..200)) {
-            let planes = TokenPlanes::from_values(&values, 8);
-            let rec = planes.reconstruct();
+            let m = BitPlaneMatrix::from_rows(&values, values.len(), 8).unwrap();
+            let rec = m.token(0).reconstruct();
             prop_assert_eq!(rec, values.iter().map(|&v| i32::from(v)).collect::<Vec<_>>());
         }
 
         #[test]
         fn prop_reconstruction_is_exact_int4(values in proptest::collection::vec(-8i8..=7, 1..100)) {
-            let planes = TokenPlanes::from_values(&values, 4);
-            let rec = planes.reconstruct();
+            let m = BitPlaneMatrix::from_rows(&values, values.len(), 4).unwrap();
+            let rec = m.token(0).reconstruct();
             prop_assert_eq!(rec, values.iter().map(|&v| i32::from(v)).collect::<Vec<_>>());
         }
 
@@ -725,11 +647,11 @@ mod tests {
             let k: Vec<i8> = q.iter().enumerate()
                 .map(|(i, _)| ((seed.wrapping_mul(i as u64 + 1).wrapping_add(i as u64 * 7919)) % 256) as u8 as i8)
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let m = BitPlaneMatrix::from_rows(&k, k.len(), 8).unwrap();
             let exact: i32 = q.iter().zip(&k).map(|(&a, &b)| i32::from(a) * i32::from(b)).sum();
             let mut partial = 0i32;
             for r in 0..8u32 {
-                partial += plane_weight(r, 8) * planes.plane(r).masked_sum(&q);
+                partial += plane_weight(r, 8) * m.token(0).plane(r).masked_sum(&q);
             }
             prop_assert_eq!(partial, exact);
         }
@@ -740,28 +662,27 @@ mod tests {
             base in 0usize..4,
             tail_idx in 0usize..3,
         ) {
-            // Shapes with len % 64 ∈ {0, 1, 63} exercise empty, minimal and
+            // Shapes with len % 64 ∈ {0, 1, 63} exercise full, minimal and
             // nearly-full tail words.
-            let len = base * 64 + [0usize, 1, 63][tail_idx];
+            let len = (base * 64 + [0usize, 1, 63][tail_idx]).max(1);
             let bits: Vec<bool> =
                 (0..len).map(|i| seed.wrapping_mul(i as u64 + 1).wrapping_add(i as u64).is_multiple_of(3)).collect();
-            let plane = PlaneRow::from_bits(bits.iter().copied());
-            prop_assert!(plane.tail_is_clear());
+            let keys = lsb_plane(&bits);
+            let plane = keys.token(0).plane(1);
+            prop_assert_eq!(plane.words()[plane.words().len() - 1] & padding_mask(len), 0);
             let expected_ones = bits.iter().filter(|&&b| b).count() as u32;
             prop_assert_eq!(plane.count_ones(), expected_ones);
-            if len > 0 {
-                prop_assert_eq!(plane.count_zeros(), len as u32 - expected_ones);
-            }
+            prop_assert_eq!(plane.count_zeros(), len as u32 - expected_ones);
         }
 
         #[test]
         fn prop_unknown_bits_bounded_by_span(v in any::<i8>(), r in 0u32..8) {
             // The value formed by zeroing unknown planes differs from the true
             // value by at most U_r, and never exceeds it.
-            let planes = TokenPlanes::from_values(&[v], 8);
+            let m = BitPlaneMatrix::from_rows(&[v], 1, 8).unwrap();
             let mut known = 0i32;
             for p in 0..=r {
-                if planes.plane(p).bit(0) {
+                if m.token(0).plane(p).bit(0) {
                     known += plane_weight(p, 8);
                 }
             }

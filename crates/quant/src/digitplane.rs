@@ -209,7 +209,7 @@ impl DigitPlanes {
     ///
     /// Panics if a value does not fit `bits`-wide two's complement (a
     /// caller contract violation, as in
-    /// [`TokenPlanes`](crate::TokenPlanes)).
+    /// [`BitPlaneMatrix::from_rows`](crate::BitPlaneMatrix::from_rows)).
     pub fn from_values(values: &[i8], digit_bits: u32, bits: u32) -> Result<Self, QuantError> {
         if !(2..=8).contains(&bits) || digit_bits == 0 || !bits.is_multiple_of(digit_bits) {
             return Err(QuantError::UnsupportedWidth { bits: digit_bits.max(bits) });
@@ -384,7 +384,7 @@ impl DigitPlaneMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{plane_weight, uncertainty_span, TokenPlanes};
+    use crate::{plane_weight, uncertainty_span, BitPlaneMatrix};
     use proptest::prelude::*;
 
     #[test]
@@ -492,7 +492,8 @@ mod tests {
                 })
                 .collect();
             let digits = DigitPlanes::from_values(&k, d, 8).unwrap();
-            let bits = TokenPlanes::from_values(&k, 8);
+            let keys = BitPlaneMatrix::from_rows(&k, k.len(), 8).unwrap();
+            let bits = keys.token(0);
             let mut digit_partial = 0i64;
             for r in 0..digit_rounds(8, d) {
                 digit_partial += i64::from(digit_weight(r, d, 8)) * digits.round(r).masked_dot(&q);

@@ -11,19 +11,20 @@
 //!   reallocates or invalidates a sealed chunk, so every snapshot handed
 //!   to an in-flight engine block stays valid (and cheap: one refcount
 //!   per chunk) while the session keeps growing;
-//! * the open tail collects freshly appended [`TokenPlanes`] until it
-//!   reaches `chunk_tokens` and is sealed.
+//! * the open tail is itself a [`BitPlaneMatrix`]: appended tokens are
+//!   decomposed straight into its flat word store, and when it reaches
+//!   `chunk_tokens` it is moved out whole (no copy) as the next sealed
+//!   chunk.
 //!
 //! [`GrowableKeyCache::snapshot`] freezes the current prefix into a
-//! [`KeyCacheSnapshot`]: the sealed chunks by reference plus the tail
-//! copied into one short chunk. A snapshot implements [`PlaneSource`], so
+//! [`KeyCacheSnapshot`]: the sealed chunks by reference plus a clone of
+//! the tail (two flat vectors). A snapshot implements [`PlaneSource`], so
 //! the engine runs over it exactly as over a from-scratch
-//! [`BitPlaneMatrix`] — and because appends decompose each token with the
-//! same [`TokenPlanes::try_from_values`] that
-//! [`BitPlaneMatrix::from_rows`] uses, N incremental appends produce
-//! **byte-identical** engine outputs to a from-scratch decomposition of
-//! the same N tokens (property-tested in `tests/properties.rs` and
-//! `pade-core`'s suite).
+//! [`BitPlaneMatrix`] — and because appends go through the same
+//! [`BitPlaneMatrix::append_rows`] that [`BitPlaneMatrix::from_rows`]
+//! uses, N incremental appends produce **byte-identical** engine outputs
+//! to a from-scratch decomposition of the same N tokens (property-tested
+//! in `tests/properties.rs` and `pade-core`'s suite).
 
 use std::sync::Arc;
 
@@ -44,12 +45,12 @@ pub trait PlaneSource {
     fn dims(&self) -> usize;
     /// Bit width of the decomposition.
     fn bits(&self) -> u32;
-    /// All planes of token `j`.
+    /// All planes of token `j`, as a view into the backing store.
     ///
     /// # Panics
     ///
     /// Panics if `j >= self.tokens()`.
-    fn token(&self, j: usize) -> &TokenPlanes;
+    fn token(&self, j: usize) -> TokenPlanes<'_>;
     /// Bytes occupied by a single bit plane of a single token, rounded up
     /// to whole bytes (what one OOE bit-plane fetch transfers).
     fn plane_bytes(&self) -> usize {
@@ -67,7 +68,7 @@ impl PlaneSource for BitPlaneMatrix {
     fn bits(&self) -> u32 {
         BitPlaneMatrix::bits(self)
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         BitPlaneMatrix::token(self, j)
     }
     fn plane_bytes(&self) -> usize {
@@ -85,7 +86,7 @@ impl<K: PlaneSource + ?Sized> PlaneSource for &K {
     fn bits(&self) -> u32 {
         (**self).bits()
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         (**self).token(j)
     }
     fn plane_bytes(&self) -> usize {
@@ -103,7 +104,7 @@ impl<K: PlaneSource + ?Sized> PlaneSource for Arc<K> {
     fn bits(&self) -> u32 {
         (**self).bits()
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         (**self).token(j)
     }
     fn plane_bytes(&self) -> usize {
@@ -134,7 +135,8 @@ pub struct GrowableKeyCache {
     bits: u32,
     chunk_tokens: usize,
     sealed: Vec<Arc<BitPlaneMatrix>>,
-    tail: Vec<TokenPlanes>,
+    /// The open chunk, fewer than `chunk_tokens` tokens.
+    tail: BitPlaneMatrix,
     /// Telemetry hookup: `(tracer, track)`. Events are stamped with the
     /// cache's token count (monotonic under append-only growth). A pure
     /// side channel — storage and decomposition never read it.
@@ -173,7 +175,8 @@ impl GrowableKeyCache {
         if dims == 0 || chunk_tokens == 0 {
             return Err(QuantError::DimensionMismatch { expected: 1, actual: 0 });
         }
-        Ok(Self { dims, bits, chunk_tokens, sealed: Vec::new(), tail: Vec::new(), trace: None })
+        let tail = BitPlaneMatrix::with_capacity(dims, bits, 0);
+        Ok(Self { dims, bits, chunk_tokens, sealed: Vec::new(), tail, trace: None })
     }
 
     /// Binds this cache's telemetry to `track` of `tracer`. Appends and
@@ -245,7 +248,7 @@ impl GrowableKeyCache {
     /// Total tokens appended so far.
     #[must_use]
     pub fn tokens(&self) -> usize {
-        self.sealed.len() * self.chunk_tokens + self.tail.len()
+        self.sealed.len() * self.chunk_tokens + self.tail.tokens()
     }
 
     /// The sealed (immutable, `Arc`-shared) chunks, oldest first. Exposed
@@ -260,7 +263,7 @@ impl GrowableKeyCache {
     /// Tokens still in the open (unsealed) tail.
     #[must_use]
     pub fn tail_tokens(&self) -> usize {
-        self.tail.len()
+        self.tail.tokens()
     }
 
     /// Heap bytes held by the packed plane words of every resident token
@@ -275,10 +278,9 @@ impl GrowableKeyCache {
     /// Heap bytes of the open tail alone — the part of
     /// [`resident_bytes`](Self::resident_bytes) never shared with other
     /// caches, so a deduplicating accountant bills it unconditionally.
-    /// `O(tail_tokens)`, bounded by one chunk.
     #[must_use]
     pub fn tail_resident_bytes(&self) -> usize {
-        self.tail.iter().map(TokenPlanes::resident_bytes).sum()
+        self.tail.resident_bytes()
     }
 
     /// Decomposes and appends one token's values — the per-decode-step
@@ -296,13 +298,15 @@ impl GrowableKeyCache {
                 actual: values.len(),
             });
         }
-        self.tail.push(TokenPlanes::try_from_values(values, self.bits)?);
-        if self.tail.len() == self.chunk_tokens {
+        if self.tail.tokens() == 0 {
+            // A sealed chunk keeps exactly the words it bills.
+            self.tail.reserve_exact(self.chunk_tokens);
+        }
+        self.tail.append_rows(values)?;
+        if self.tail.tokens() == self.chunk_tokens {
             let seal_wall = self.trace.is_some().then(std::time::Instant::now);
-            let chunk = std::mem::take(&mut self.tail);
-            let sealed = BitPlaneMatrix::from_tokens(chunk, self.dims, self.bits)
-                .expect("tail tokens share the cache shape by construction");
-            self.sealed.push(Arc::new(sealed));
+            let empty = BitPlaneMatrix::with_capacity(self.dims, self.bits, 0);
+            self.sealed.push(Arc::new(std::mem::replace(&mut self.tail, empty)));
             if let (Some((tracer, track)), Some(t0)) = (&self.trace, seal_wall) {
                 let clock = Cycle(self.tokens() as u64);
                 tracer.span_at(
@@ -352,15 +356,13 @@ impl GrowableKeyCache {
     }
 
     /// Freezes the current prefix into an immutable snapshot: sealed
-    /// chunks by reference (one `Arc` clone each), the open tail copied
+    /// chunks by reference (one `Arc` clone each), the open tail cloned
     /// into one short chunk. Later appends never invalidate a snapshot.
     #[must_use]
     pub fn snapshot(&self) -> KeyCacheSnapshot {
         let mut chunks = self.sealed.clone();
-        if !self.tail.is_empty() {
-            let tail = BitPlaneMatrix::from_tokens(self.tail.clone(), self.dims, self.bits)
-                .expect("tail tokens share the cache shape by construction");
-            chunks.push(Arc::new(tail));
+        if self.tail.tokens() > 0 {
+            chunks.push(Arc::new(self.tail.clone()));
         }
         KeyCacheSnapshot {
             chunks,
@@ -418,10 +420,11 @@ impl KeyCacheSnapshot {
     /// from-scratch form, for equality checks and tests.
     #[must_use]
     pub fn materialize(&self) -> BitPlaneMatrix {
-        let tokens: Vec<TokenPlanes> =
-            (0..self.tokens).map(|j| PlaneSource::token(self, j).clone()).collect();
-        BitPlaneMatrix::from_tokens(tokens, self.dims, self.bits)
-            .expect("snapshot chunks share one shape")
+        let mut all = BitPlaneMatrix::with_capacity(self.dims, self.bits, self.tokens);
+        for chunk in &self.chunks {
+            all.extend_from(chunk);
+        }
+        all
     }
 }
 
@@ -435,7 +438,7 @@ impl PlaneSource for KeyCacheSnapshot {
     fn bits(&self) -> u32 {
         self.bits
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         assert!(j < self.tokens, "token {j} out of bounds ({} tokens)", self.tokens);
         self.chunks[j / self.chunk_tokens].token(j % self.chunk_tokens)
     }

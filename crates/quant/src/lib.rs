@@ -7,15 +7,19 @@
 //!
 //! * [`QuantParams`] / [`quantize_matrix`] — symmetric integer quantization
 //!   (INT8 by default, arbitrary width 2..=8 for the PTQ4/QAT4 studies),
-//! * [`TokenPlanes`] / [`BitPlaneMatrix`] — two's-complement bit-plane views
-//!   with the exact reconstruction identity `x = -b_{p-1}·2^{p-1} + Σ b_i·2^i`,
+//! * [`BitPlaneMatrix`] — the two's-complement bit-plane store of a key
+//!   tensor: one flat token-major word array (the wire layout) plus cached
+//!   per-plane ones counts, with the exact reconstruction identity
+//!   `x = -b_{p-1}·2^{p-1} + Σ b_i·2^i`; [`TokenPlanes`] and [`PlaneRow`]
+//!   are `Copy` views borrowed from it, so reading a plane never allocates,
 //! * [`uncertainty_span`] — the residual magnitude `U_r` of all *unknown*
 //!   planes after round `r`, the quantity the Bit-wise Uncertainty Interval
 //!   (BUI) of the paper is built on,
 //! * [`GrowableKeyCache`] / [`KeyCacheSnapshot`] / [`PlaneSource`] —
 //!   chunked, append-only per-session plane storage for multi-step decode:
-//!   one token decomposed per step, sealed chunks `Arc`-shared across
-//!   snapshots, byte-identical to a from-scratch decomposition,
+//!   one token decomposed per step into a [`BitPlaneMatrix`] tail that
+//!   seals by move, sealed chunks `Arc`-shared across snapshots,
+//!   byte-identical to a from-scratch decomposition,
 //! * [`mxint`] — the MXINT micro-scaling format (32-element groups) used by
 //!   the paper's Fig. 25 extension,
 //! * [`DigitPlanes`] / [`DigitPlaneMatrix`] — multi-bit (digit-serial)
@@ -26,13 +30,13 @@
 //! # Example
 //!
 //! ```
-//! use pade_quant::{QuantParams, TokenPlanes};
+//! use pade_quant::{BitPlaneMatrix, QuantParams};
 //!
 //! let params = QuantParams::from_max_abs(1.0, 8);
 //! let q = params.quantize(0.5);
-//! let planes = TokenPlanes::from_values(&[q, -q], 8);
+//! let keys = BitPlaneMatrix::from_rows(&[q, -q], 2, 8).unwrap();
 //! // Bit planes reconstruct the original integers exactly.
-//! assert_eq!(planes.reconstruct(), vec![q as i32, -(q as i32)]);
+//! assert_eq!(keys.token(0).reconstruct(), vec![q as i32, -(q as i32)]);
 //! ```
 
 #![forbid(unsafe_code)]

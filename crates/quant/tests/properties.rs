@@ -1,20 +1,19 @@
 //! Crate-level property tests for the quantization substrate: exact
 //! bit-plane round-trips at every supported width, plane-weight /
-//! uncertainty-span algebra, and the growable-cache invariant — N
+//! uncertainty-span algebra, the growable-cache invariant — N
 //! incremental appends read byte-identically to one from-scratch
-//! decomposition — over randomized shapes including the degenerate S=1
+//! decomposition — and the flat plane store's agreement across every way
+//! of building it, over randomized shapes including the degenerate S=1
 //! and unsupported-width edges.
 
 use std::sync::Arc;
 
-use pade_quant::{
-    plane_weight, uncertainty_span, BitPlaneMatrix, GrowableKeyCache, PlaneSource, TokenPlanes,
-};
+use pade_quant::{plane_weight, uncertainty_span, BitPlaneMatrix, GrowableKeyCache, PlaneSource};
 use pade_testutil::{vec_i8, vec_i8_bits};
 use proptest::prelude::*;
 
 proptest! {
-    /// `from_values` → `reconstruct` is the identity of Eq. 2 at every
+    /// `from_rows` → `reconstruct` is the identity of Eq. 2 at every
     /// supported width and length (including a single dimension).
     #[test]
     fn round_trip_is_exact_at_every_width(
@@ -23,7 +22,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let values = vec_i8_bits(n, seed, bits);
-        let planes = TokenPlanes::from_values(&values, bits);
+        let keys = BitPlaneMatrix::from_rows(&values, n, bits).unwrap();
+        let planes = keys.token(0);
         prop_assert_eq!(planes.bits(), bits);
         prop_assert_eq!(planes.dims(), n);
         let rec = planes.reconstruct();
@@ -122,13 +122,65 @@ proptest! {
     ) {
         let k = vec_i8_bits(n, seed, bits);
         let q = vec_i8(n, seed ^ 0xDEAD);
-        let planes = TokenPlanes::from_values(&k, bits);
+        let keys = BitPlaneMatrix::from_rows(&k, n, bits).unwrap();
+        let planes = keys.token(0);
         let exact: i64 = q.iter().zip(&k).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum();
         let mut partial = 0i64;
         for r in 0..bits {
             partial += i64::from(plane_weight(r, bits)) * i64::from(planes.plane(r).masked_sum(&q));
         }
         prop_assert_eq!(partial, exact);
+    }
+
+    /// The flat plane store reads the same whichever way it was built:
+    /// decomposed at once, grown token by token across several chunk
+    /// seals and snapshotted, materialized from that snapshot, or parsed
+    /// back from the spill wire format. Every plane exposes identical
+    /// words and ones counts; the cached counts are the words' popcount;
+    /// the planes reconstruct the input rows; and the billed bytes are
+    /// exactly the stored words.
+    #[test]
+    fn flat_store_agrees_across_every_construction(
+        bits in 2u32..=8,
+        dims in 1usize..=200,
+        chunk in 1usize..8,
+        extra in 0usize..16,
+        seed in any::<u64>(),
+    ) {
+        let n = 3 * chunk + extra;
+        let data = vec_i8_bits(n * dims, seed, bits);
+        let scratch = BitPlaneMatrix::from_rows(&data, dims, bits).unwrap();
+        let mut cache = GrowableKeyCache::new(dims, bits, chunk).unwrap();
+        for row in data.chunks(dims) {
+            cache.append_token(row).unwrap();
+        }
+        let snap = cache.snapshot();
+        let materialized = snap.materialize();
+        let mut wire = Vec::new();
+        pade_tier::wire::write_planes(&mut wire, &scratch).unwrap();
+        let parsed = pade_tier::wire::read_planes(&mut wire.as_slice(), dims, bits).unwrap();
+
+        prop_assert_eq!(snap.tokens(), n);
+        prop_assert_eq!(scratch.resident_bytes(), 8 * scratch.words().len());
+        prop_assert_eq!(cache.resident_bytes(), scratch.resident_bytes());
+        prop_assert_eq!(snap.resident_bytes(), scratch.resident_bytes());
+        prop_assert_eq!(materialized.resident_bytes(), 8 * materialized.words().len());
+        prop_assert_eq!(parsed.resident_bytes(), 8 * parsed.words().len());
+        for j in 0..n {
+            let want = scratch.token(j);
+            let views = [snap.token(j), materialized.token(j), parsed.token(j)];
+            for r in 0..bits {
+                let plane = want.plane(r);
+                let popcount: u32 = plane.words().iter().map(|w| w.count_ones()).sum();
+                prop_assert_eq!(plane.count_ones(), popcount, "token {} plane {}", j, r);
+                for view in views {
+                    prop_assert_eq!(view.plane(r).words(), plane.words(), "token {} plane {}", j, r);
+                    prop_assert_eq!(view.plane(r).count_ones(), plane.count_ones());
+                }
+            }
+            let row: Vec<i32> = data[j * dims..(j + 1) * dims].iter().map(|&v| i32::from(v)).collect();
+            prop_assert_eq!(want.reconstruct(), row, "token {}", j);
+        }
     }
 }
 
@@ -155,9 +207,9 @@ fn unsupported_widths_are_rejected_everywhere() {
     // bits=1 (and 0, 9) is outside the supported 2..=8 envelope: every
     // entry point reports it as UnsupportedWidth instead of decomposing.
     for bits in [0u32, 1, 9] {
-        assert!(TokenPlanes::try_from_values(&[0], bits).is_err(), "bits={bits}");
         assert!(BitPlaneMatrix::from_rows(&[0], 1, bits).is_err(), "bits={bits}");
-        assert!(BitPlaneMatrix::from_tokens(Vec::new(), 1, bits).is_err(), "bits={bits}");
+        assert!(BitPlaneMatrix::from_rows(&[], 1, bits).is_err(), "bits={bits}");
+        assert!(BitPlaneMatrix::from_plane_words(Vec::new(), 1, bits).is_err(), "bits={bits}");
         assert!(GrowableKeyCache::new(1, bits, 4).is_err(), "bits={bits}");
     }
 }
@@ -171,10 +223,5 @@ fn appends_reject_mismatched_shapes_without_partial_growth() {
     assert_eq!(cache.tokens(), 1);
     let mut m = BitPlaneMatrix::from_rows(&[1, 2, 3, 4], 4, 8).unwrap();
     assert!(m.append_rows(&[1, 2]).is_err());
-    assert_eq!(m.tokens(), 1);
-    let narrow = TokenPlanes::from_values(&[1, 2], 8);
-    assert!(m.push_token(narrow).is_err());
-    let wrong_bits = TokenPlanes::from_values(&[1, 2, 3, 4], 4);
-    assert!(m.push_token(wrong_bits).is_err());
     assert_eq!(m.tokens(), 1);
 }

@@ -61,7 +61,7 @@ pub fn vec_i8(n: usize, seed: u64) -> Vec<i8> {
 
 /// A seeded `i8` vector whose values fit `bits`-wide two's complement
 /// (`-2^(bits-1) ..= 2^(bits-1)-1`) — valid operands for
-/// `TokenPlanes::from_values` and friends at any supported width.
+/// `BitPlaneMatrix::from_rows` and friends at any supported width.
 ///
 /// # Panics
 ///

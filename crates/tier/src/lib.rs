@@ -11,8 +11,8 @@
 //!   serialized as **packed plane words** so re-adoption parses
 //!   `⌈dims/64⌉` words per plane instead of re-running bit-plane
 //!   decomposition. A round trip is `==`-identical by construction
-//!   ([`PlaneRow::from_words`](pade_quant::PlaneRow::from_words)
-//!   recomputes every derived field from the words).
+//!   ([`BitPlaneMatrix::from_plane_words`] recomputes every derived
+//!   field from the words).
 //! * [`TierStore`] — the pluggable tier boundary (the vLLM
 //!   KV-connector `wait_for`/`maybe_save` shape): `put` on evict,
 //!   `get`/`contains` on a later prefix walk. Implementations:

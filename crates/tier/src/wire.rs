@@ -12,7 +12,7 @@
 
 use std::io::{self, Read, Write};
 
-use pade_quant::{BitPlaneMatrix, PlaneRow, TokenPlanes};
+use pade_quant::BitPlaneMatrix;
 
 /// Writes a `u32` little-endian.
 ///
@@ -108,28 +108,25 @@ pub fn read_ids<R: Read>(r: &mut R) -> io::Result<Vec<u32>> {
 
 /// Serializes a plane matrix as packed words: token count, then for
 /// every token, every plane MSB-first, the plane's `⌈dims/64⌉` raw
-/// little-endian words. Shape (`dims`, `bits`) is the reader's context,
-/// not repeated per record.
+/// little-endian words — the matrix's own [`BitPlaneMatrix::words`]
+/// layout. Shape (`dims`, `bits`) is the reader's context, not repeated
+/// per record.
 ///
 /// # Errors
 ///
 /// Propagates writer errors.
 pub fn write_planes<W: Write>(w: &mut W, planes: &BitPlaneMatrix) -> io::Result<()> {
     write_u64(w, planes.tokens() as u64)?;
-    for j in 0..planes.tokens() {
-        let token = planes.token(j);
-        for r in 0..planes.bits() {
-            for &word in token.plane(r).words() {
-                write_u64(w, word)?;
-            }
-        }
+    for &word in planes.words() {
+        write_u64(w, word)?;
     }
     Ok(())
 }
 
 /// Parses a [`write_planes`] stream back into a matrix of the given
 /// shape — pure word parsing, no decomposition. The token count is
-/// bounded (16 Mi) so a corrupt length cannot drive a huge allocation.
+/// bounded (16 Mi) and the preallocation capped, so a corrupt length or
+/// shape cannot drive a huge allocation.
 ///
 /// # Errors
 ///
@@ -143,21 +140,18 @@ pub fn read_planes<R: Read>(r: &mut R, dims: usize, bits: u32) -> io::Result<Bit
             format!("absurd token count {n_tokens}"),
         ));
     }
-    let words_per_plane = dims.div_ceil(64);
-    let invalid = |e: pade_quant::QuantError| io::Error::new(io::ErrorKind::InvalidData, e);
-    let mut tokens = Vec::with_capacity((n_tokens as usize).min(4096));
-    for _ in 0..n_tokens {
-        let mut rows = Vec::with_capacity(bits as usize);
-        for _ in 0..bits {
-            let mut words = Vec::with_capacity(words_per_plane);
-            for _ in 0..words_per_plane {
-                words.push(read_u64(r)?);
-            }
-            rows.push(PlaneRow::from_words(words, dims).map_err(invalid)?);
-        }
-        tokens.push(TokenPlanes::from_planes(rows).map_err(invalid)?);
+    let n_words = (bits as usize)
+        .checked_mul(dims.div_ceil(64))
+        .and_then(|token_words| token_words.checked_mul(n_tokens as usize))
+        .ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("absurd plane shape {dims}x{bits}b"))
+        })?;
+    let mut words = Vec::with_capacity(n_words.min(1 << 16));
+    for _ in 0..n_words {
+        words.push(read_u64(r)?);
     }
-    BitPlaneMatrix::from_tokens(tokens, dims, bits).map_err(invalid)
+    BitPlaneMatrix::from_plane_words(words, dims, bits)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -197,5 +191,51 @@ mod tests {
         assert_eq!(back, planes);
         // Short stream: truncating anywhere fails cleanly.
         assert!(read_planes(&mut buf[..buf.len() - 1].as_ref(), 70, 8).is_err());
+    }
+
+    /// Two 70-dim 8-bit tokens: 2 words per plane, the second holding 6
+    /// dims and 58 padding bits.
+    fn golden_matrix() -> BitPlaneMatrix {
+        let rows: Vec<i8> = (0..2 * 70).map(|i| ((i * 37 + 11) % 256) as u8 as i8).collect();
+        BitPlaneMatrix::from_rows(&rows, 70, 8).unwrap()
+    }
+
+    /// The `write_planes` stream of [`golden_matrix`] as little-endian
+    /// words: the token count, then token 0's planes MSB first (two words
+    /// each), then token 1's.
+    #[rustfmt::skip]
+    const GOLDEN_WORDS: [u64; 33] = [
+        2,
+        0x38f1_e3c7_8f1e_3870, 0x1c, 0x26cd_9b26_4c99_366c, 0x13,
+        0x95ab_52b5_6a54_ad4a, 0x0a, 0x38e1_c71e_38e1_c71e, 0x1e,
+        0x26d9_26d9_26d9_26d9, 0x19, 0xb4b4_b4b4_b4b4_b4b4, 0x34,
+        0x9999_9999_9999_9999, 0x19, 0x5555_5555_5555_5555, 0x15,
+        0x3c78_f1e3_870e_1c38, 0x1e, 0xb364_c993_66cd_9b26, 0x19,
+        0x2a56_ad4a_d5a9_52b5, 0x35, 0x78e3_871c_78e3_871c, 0x1c,
+        0x649b_649b_649b_649b, 0x1b, 0xd2d2_d2d2_d2d2_d2d2, 0x12,
+        0x6666_6666_6666_6666, 0x26, 0x5555_5555_5555_5555, 0x15,
+    ];
+
+    #[test]
+    fn planes_wire_bytes_are_pinned() {
+        // A round trip cannot see a layout change made the same way in
+        // the writer and the reader; these bytes can.
+        let golden: Vec<u8> = GOLDEN_WORDS.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut buf = Vec::new();
+        write_planes(&mut buf, &golden_matrix()).unwrap();
+        assert_eq!(buf, golden);
+        assert_eq!(read_planes(&mut golden.as_slice(), 70, 8).unwrap(), golden_matrix());
+    }
+
+    #[test]
+    fn a_set_padding_bit_in_any_plane_is_rejected() {
+        // Word 2 + 2p is the ragged last word of plane p (counting both
+        // tokens' planes in stream order); bit 6 is its first padding bit.
+        for p in 0..16 {
+            let mut words = GOLDEN_WORDS;
+            words[2 + 2 * p] |= 1 << 6;
+            let stream: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert!(read_planes(&mut stream.as_slice(), 70, 8).is_err(), "plane {p}");
+        }
     }
 }

@@ -5,12 +5,13 @@
 use pade::core::bui::Bui;
 use pade::core::rars::{naive_schedule, rars_schedule};
 use pade::energy::area::{gsat_cost, PadeAreaModel};
-use pade::quant::{plane_weight, TokenPlanes};
+use pade::quant::{plane_weight, BitPlaneMatrix};
 
 #[test]
 fn fig5a_msb_speculation_error_example() {
     // (+5)·(+5) + (+5)·(-5) = 0, but 1-bit MSB speculation says -40.
-    let k = TokenPlanes::from_values(&[5, -5], 4);
+    let key_planes = BitPlaneMatrix::from_rows(&[5, -5], 2, 4).unwrap();
+    let k = key_planes.token(0);
     let est = plane_weight(0, 4) * k.plane(0).masked_sum(&[5, 5]);
     assert_eq!(est, -40);
     let exact: i32 = k.reconstruct().iter().zip([5, 5].iter()).map(|(a, b)| a * b).sum();
