@@ -19,7 +19,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use pade_mem::{HbmModel, KeyLayout, SramBuffer};
-use pade_quant::{BitPlaneMatrix, KeyCacheSnapshot, PlaneSource};
+use pade_quant::{BitPlaneMatrix, KeyCacheSnapshot, PlaneSource, TokenPlanes};
 use pade_sim::{Cycle, EventQueue, OpCounts, TrafficCounts, UtilizationCounter};
 use pade_trace::{track as trace_track, Tracer};
 
@@ -63,6 +63,16 @@ struct Job {
     plane: u32,
 }
 
+/// A plane request of the production walk: [`Job`] plus the key's running
+/// partial score over the planes before `plane`, which the request carries
+/// in place of a per-lane scoreboard entry.
+#[derive(Debug, Clone, Copy)]
+struct WalkJob {
+    token: usize,
+    plane: u32,
+    partial: i64,
+}
+
 /// A lane of the seed oracle [`run_qk_block_reference`].
 #[derive(Debug)]
 struct Lane {
@@ -80,18 +90,18 @@ struct Lane {
 }
 
 /// A lane of the production walk in [`run_qk_block`]: the oracle's
-/// [`Lane`] with its key list replaced by a cursor and a parked state.
+/// [`Lane`] with its key list replaced by a cursor and a parked state, and
+/// its scoreboard replaced by the partial scores its jobs carry.
 #[derive(Debug)]
 struct WalkLane {
     row: usize,
     /// Next key to issue; the lane owns every `lanes_per_row`-th token
     /// from its index within the row.
     next_token: usize,
-    ready: VecDeque<Job>,
+    ready: VecDeque<WalkJob>,
     outstanding: usize,
     inflight_keys: usize,
     resolved_keys: usize,
-    sb: Scoreboard,
     busy_until: Cycle,
     /// Set while the lane is parked — nothing ready, a plane outstanding —
     /// to the cycle it parked at; delivery charges the wait as memory
@@ -119,22 +129,25 @@ enum PlaneState {
 /// This is the allocation-lean hot path, working on whole words where the
 /// oracle works on bits and hash maps:
 ///
-/// - key planes are read as `Copy` [`PlaneRow`](pade_quant::PlaneRow)
-///   views into the source's flat word store, so an absorption reaches
-///   its words through two slice offsets and allocates nothing;
+/// - each token's [`TokenPlanes`] view into the source's flat word store
+///   is resolved once per block, so an absorption reaches its
+///   [`PlaneRow`](pade_quant::PlaneRow) through an index and a slice
+///   offset and allocates nothing;
 /// - the shared K-buffer state lives in a flat `Vec` indexed by
 ///   `(token, plane)`;
 /// - each query row gets one byte-lookup [`QRowLut`], so every plane
 ///   absorption is `⌈H/8⌉` table reads shared read-only by the row's lanes;
-/// - per-plane GSAT bookkeeping is the single-sweep [`Gsat::absorb_stats`]
-///   (one SWAR byte-popcount per word at the Table III shape, with the
-///   shape's divisions hoisted out of the sweep);
+/// - per-plane GSAT bookkeeping is [`Gsat::absorb_stats`], which at the
+///   served shape (BS, sub-groups of 8) reads the selection count the
+///   store cached when the key entered it and sweeps nothing;
 /// - the block walk makes one pass over the lanes per step, finding the
 ///   next busy time on the way; a lane waiting on DRAM is parked and costs
 ///   nothing until its plane lands, which charges it the whole wait;
 /// - a per-token slot table, built once per block, maps each plane request
 ///   to its flat K-buffer slot;
-/// - each scoreboard fold is one [`Scoreboard::accumulate`] scan;
+/// - the partial score rides the job: each plane request carries its key's
+///   running partial, so a lane keeps no scoreboard to search (issue
+///   still asserts the window fits the scoreboard's capacity);
 /// - plane arrivals go through an engine-local event wheel (per-cycle
 ///   buckets threaded through one recycled node arena) in place of
 ///   [`EventQueue`]'s binary heap, delivering in the same
@@ -143,8 +156,7 @@ enum PlaneState {
 /// Results are bit-identical to [`run_qk_block_reference`]
 /// (property-tested below): the restructuring only changes *how* the same
 /// integers are computed, and the storage behind `keys` never reaches the
-/// arithmetic — only the per-token
-/// [`TokenPlanes`](pade_quant::TokenPlanes) views do.
+/// arithmetic — only the per-token [`TokenPlanes`] views do.
 ///
 /// Batches of tiles — many jobs, more than `pe_rows` rows, threads or a
 /// tracer — go through [`run_qk_batch`] / [`run_qk_batch_traced`].
@@ -187,7 +199,7 @@ struct BlockTrace<'a> {
 /// one table across every job (head, layer) scoring the same query rows;
 /// `luts[r]` must be built from `queries[r]`. An active tracer records the
 /// block span, its per-stage subtracks and the kernel counters (plane
-/// absorptions, GSAT sweeps, bytes touched) onto
+/// absorptions, GSAT sweeps actually performed, bytes touched) onto
 /// [`DISPATCH_STRIDE`](pade_trace::track::DISPATCH_STRIDE) consecutive
 /// tracks starting at `trace.track`.
 ///
@@ -228,7 +240,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let mut hbm = HbmModel::new(config.hbm);
     let mut k_sram = SramBuffer::new("kv", config.kv_buffer_kb as u64 * 1024);
     let mut q_sram = SramBuffer::new("q", config.q_buffer_kb as u64 * 1024);
-    let mut events: EventWheel<(usize, Job)> = EventWheel::new();
+    let mut events: EventWheel<(usize, WalkJob)> = EventWheel::new();
     let mut ops = OpCounts::default();
     // Flat shared K-buffer state: slot `token_key·bits + plane_key` (the
     // layout-dependent cache key always satisfies `token_key < n_keys`).
@@ -264,7 +276,6 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                 outstanding: 0,
                 inflight_keys: 0,
                 resolved_keys: 0,
-                sb: Scoreboard::new(config.scoreboard_entries),
                 busy_until: Cycle::ZERO,
                 wait_since: None,
                 util: UtilizationCounter::new(),
@@ -300,6 +311,8 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     };
     // A value-major fetch carries every plane of its token.
     let plane_step = usize::from(config.layout != KeyLayout::ValueRowMajor);
+    // Each token's planes, resolved once so an absorption costs an index.
+    let views: Vec<TokenPlanes<'_>> = (0..n_keys).map(|token| keys.token(token)).collect();
     let cache_slot = |token: usize, plane: u32| slot_base[token] + plane as usize * plane_step;
 
     let request_plane = |token: usize,
@@ -368,10 +381,14 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                 let token = lane.next_token;
                 lane.next_token += stride;
                 lane.inflight_keys += 1;
+                assert!(
+                    lane.inflight_keys <= config.scoreboard_entries,
+                    "window bounds in-flight keys to scoreboard capacity"
+                );
                 lane.outstanding += 1;
                 let arrival =
                     request_plane(token, 0, now, &mut hbm, &mut plane_cache, &mut planes_fetched);
-                events.schedule(arrival, (lane_id, Job { token, plane: 0 }));
+                events.schedule(arrival, (lane_id, WalkJob { token, plane: 0, partial: 0 }));
                 if !config.enable_ooe {
                     break;
                 }
@@ -394,7 +411,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                 }
                 continue;
             };
-            let plane = keys.token(job.token).plane(job.plane);
+            let plane = views[job.token].plane(job.plane);
             k_sram.read(plane_sram_bytes);
             let contrib = plane_contribution_lut(luts[lane.row], plane, job.plane, bits, false);
             let stats = gsat.absorb_stats(plane, config.enable_bs);
@@ -410,23 +427,18 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
             ops.bit_serial_acc += u64::from(stats.selected) + extra_subs;
             ops.shift_add += 1; // plane-weight application
 
-            // Fold into the scoreboard and decide.
-            let partial = lane
-                .sb
-                .accumulate(job.token, job.plane + 1, contrib.value)
-                .expect("window bounds in-flight keys to scoreboard capacity");
+            // Fold into the key's partial score and decide.
+            let partial = job.partial + contrib.value;
             let f = &mut filters[lane.row];
             let bui = &buis[lane.row];
             f.observe_lower_bound(bui.lower_bound(partial, job.plane));
             ops.lut_lookup += 1; // BUI LUT read
             match f.decide(bui.upper_bound(partial, job.plane), job.plane) {
                 Decision::Prune => {
-                    lane.sb.evict(job.token);
                     lane.inflight_keys -= 1;
                     lane.resolved_keys += 1;
                 }
                 Decision::Retain => {
-                    lane.sb.evict(job.token);
                     lane.inflight_keys -= 1;
                     lane.resolved_keys += 1;
                     retained[lane.row].push((job.token, partial));
@@ -441,10 +453,8 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                         &mut plane_cache,
                         &mut planes_fetched,
                     );
-                    events.schedule(
-                        arrival,
-                        (lane_id, Job { token: job.token, plane: job.plane + 1 }),
-                    );
+                    let next = WalkJob { token: job.token, plane: job.plane + 1, partial };
+                    events.schedule(arrival, (lane_id, next));
                 }
             }
         }
@@ -487,14 +497,16 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         // The block span rides the dispatch's main track; the per-stage
         // aggregates are *summed lane-time*, not bracketed intervals
         // (lanes overlap), so they get their own subtracks and every
-        // track stays strictly nested. Every absorption is one GSAT sweep.
+        // track stays strictly nested. An absorption sweeps its plane only
+        // off the served GSAT shape.
         let t = trace.tracer;
         let tk = trace.track;
+        let sweeps = if gsat.sweeps(config.enable_bs) { tr_popcounts } else { 0 };
         t.span_at(tk, "engine.qk_block", Cycle::ZERO, horizon, t0.elapsed().as_nanos() as u64);
         t.span_at(tk + 1, "engine.plane_score", Cycle::ZERO, Cycle(tr_absorb_cycles), 0);
         t.span_at(tk + 2, "engine.gsat_absorb", Cycle::ZERO, Cycle(tr_gsat_cycles), 0);
         t.count(tk, "engine.popcounts", horizon, tr_popcounts);
-        t.count(tk, "engine.gsat_sweeps", horizon, tr_popcounts);
+        t.count(tk, "engine.gsat_sweeps", horizon, sweeps);
         t.count(tk, "engine.planes_fetched", horizon, planes_fetched);
         t.count(tk, "engine.dram_read_bytes", horizon, traffic.dram_read_bytes);
         t.count(tk, "engine.sram_read_bytes", horizon, traffic.sram_read_bytes);
@@ -1456,6 +1468,48 @@ mod tests {
         // A KeySource wrapping the snapshot reads the same planes.
         let job = QkBatchJob { queries, keys: snap.into(), logit_scale: scale };
         assert_eq!(run_qk_batch(&config, &[job]), vec![cached]);
+    }
+
+    #[test]
+    fn traced_counters_record_only_the_gsat_sweeps_performed() {
+        // Over a growable-cache snapshot (the decode path): the served
+        // shape reads every plane's cached BS count and sweeps nothing,
+        // BS off sweeps once per absorption, and in both the GSAT span
+        // sums every absorption's cycles — the lanes' busy plus intra-stall
+        // time — as before.
+        let trace = small_trace();
+        let dims = trace.keys().cols();
+        let queries: Vec<&[i8]> =
+            (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
+        for (config, sweeps_per_absorb) in [
+            (PadeConfig::standard(), 0),
+            (PadeConfig { enable_bs: false, ..PadeConfig::standard() }, 1),
+        ] {
+            let mut cache = pade_quant::GrowableKeyCache::new(dims, config.bits, 48).unwrap();
+            cache.append_rows(trace.keys().as_slice()).unwrap();
+            let job = QkBatchJob {
+                queries: queries.clone(),
+                keys: cache.snapshot().into(),
+                logit_scale: trace.logit_scale(),
+            };
+            let recorder = Arc::new(pade_trace::Recorder::new());
+            let tracer = Tracer::new(Arc::clone(&recorder) as Arc<dyn pade_trace::TraceSink>);
+            let results = run_qk_batch_traced(&config, &[job], &tracer, 0);
+            let snap = recorder.snapshot();
+            let counters = snap.registry();
+            let absorptions: u64 = results.iter().map(|r| r.ops.shift_add).sum();
+            assert!(absorptions > 0);
+            assert_eq!(counters.counter("engine.popcounts"), absorptions);
+            assert_eq!(counters.counter("engine.gsat_sweeps"), sweeps_per_absorb * absorptions);
+            let lane_time = |f: fn(&UtilizationCounter) -> u64| -> u64 {
+                results.iter().flat_map(|r| &r.lane_utils).map(f).sum()
+            };
+            let stages = snap.breakdown();
+            let busy = lane_time(UtilizationCounter::busy_cycles);
+            let intra = lane_time(UtilizationCounter::intra_stalls);
+            assert_eq!(stages.get("engine.gsat_absorb").unwrap().total_cycles, busy + intra);
+            assert_eq!(stages.get("engine.plane_score").unwrap().total_cycles, busy);
+        }
     }
 
     #[test]

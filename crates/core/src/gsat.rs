@@ -195,18 +195,31 @@ pub struct PlaneAbsorb {
 }
 
 impl Gsat {
-    /// Fast path for the engine's per-plane bookkeeping: one word-level
-    /// sweep over sub-groups replaces the separate
+    /// The engine's per-plane bookkeeping, the one function that produces
+    /// a [`PlaneAbsorb`]. Values are identical to the naive
     /// [`Gsat::bs_plane_cycles`] / [`Gsat::bs_selected_total`] /
-    /// [`Gsat::plane_cycles`] / [`Gsat::balanced_cycles`] calls (each of
-    /// which re-scans the plane bit by bit and allocates). Values are
-    /// identical to the naive methods — property-tested in this module.
-    /// The shape's divisions are hoisted into [`Gsat::new`] and the ones
-    /// count is the plane's cached [`PlaneRow::count_ones`].
+    /// [`Gsat::plane_cycles`] / [`Gsat::balanced_cycles`] methods
+    /// (property-tested in this module), without their per-bit scans and
+    /// allocations:
+    ///
+    /// - per-sub-group BS with byte-wide sub-groups reads the plane's
+    ///   cached [`PlaneRow::bs_selected`] count and sweeps nothing;
+    /// - one-sided selection at the Table III shape takes one SWAR
+    ///   byte-popcount per word;
+    /// - every other shape takes one masked popcount per sub-group.
     #[must_use]
     pub fn absorb_stats(&self, plane: PlaneRow<'_>, enable_bs: bool) -> PlaneAbsorb {
+        if !self.sweeps(enable_bs) {
+            // Every sub-group selects at most 4 of its 8 bits and has 4
+            // muxes, so every pass takes one cycle and the balanced count
+            // equals the pass count.
+            let passes =
+                if plane.len() <= self.width { 1 } else { plane.len().div_ceil(self.width) as u64 };
+            return PlaneAbsorb { cycles: passes, selected: plane.bs_selected(), balanced: passes };
+        }
+        // A sweep at sub-group 8 is one-sided here.
         if self.swar_words > 0 && plane.len().is_multiple_of(8) {
-            return self.absorb_stats_bytes(plane, enable_bs);
+            return self.absorb_stats_bytes(plane);
         }
         let groups = self.width / self.subgroup;
         let passes = self.passes(plane.len());
@@ -229,14 +242,23 @@ impl Gsat {
         self.finish(plane, cycles, selected, passes as u64)
     }
 
-    /// [`Gsat::absorb_stats`] for the Table III shape — byte-wide
+    /// Whether [`Gsat::absorb_stats`] sweeps the plane's words. It does
+    /// not under per-sub-group BS with sub-groups of 8 — the served
+    /// configuration — where the selection count is cached per plane when
+    /// the key enters its store.
+    #[must_use]
+    pub(crate) fn sweeps(&self, enable_bs: bool) -> bool {
+        !(enable_bs && self.subgroup == 8)
+    }
+
+    /// One-sided [`Gsat::absorb_stats`] for the Table III shape — byte-wide
     /// sub-groups, passes of whole words, a plane of whole sub-groups — one
     /// SWAR byte-popcount per word instead of one masked popcount per
     /// sub-group. Each byte of the popcount is one sub-group's ones count
     /// (0..=8); sub-groups past the plane's end are zero bytes or missing
-    /// words, which select nothing either way. Passes are counted, not
-    /// divided out: `⌈⌈len/64⌉ / words⌉ = ⌈len / width⌉`.
-    fn absorb_stats_bytes(&self, plane: PlaneRow<'_>, enable_bs: bool) -> PlaneAbsorb {
+    /// words, which select nothing. Passes are counted, not divided out:
+    /// `⌈⌈len/64⌉ / words⌉ = ⌈len / width⌉`.
+    fn absorb_stats_bytes(&self, plane: PlaneRow<'_>) -> PlaneAbsorb {
         const LSB: u64 = 0x0101_0101_0101_0101;
         const MSB: u64 = 0x8080_8080_8080_8080;
         let byte_ones = |word: u64| {
@@ -246,39 +268,24 @@ impl Gsat {
         };
         // Every pass costs at least one cycle; four muxes per sub-group
         // absorb up to four selections, so a pass takes a second cycle only
-        // when some sub-group selects five or more — never under
-        // per-sub-group BS, which selects at most four.
+        // when some sub-group selects five or more.
         let mut passes = 0u64;
         let mut second_cycles = 0u64;
-        let mut bs_selected = 0u32;
         for pass in plane.words().chunks(self.swar_words) {
             passes += 1;
-            if enable_bs {
-                for &word in pass {
-                    // Per-byte min(ones, 8 - ones): the high bit of
-                    // `(zeros | 0x80) - ones` is set where zeros >= ones.
-                    let ones = byte_ones(word);
-                    let zeros = 8 * LSB - ones;
-                    let keep_ones = ((((zeros | MSB) - ones) & MSB) >> 7) * 0xFF;
-                    let sel = (ones & keep_ones) | (zeros & !keep_ones);
-                    bs_selected += (sel.wrapping_mul(LSB) >> 56) as u32;
-                }
-            } else {
-                let five_plus = pass.iter().any(|&word| (byte_ones(word) + 0x7B * LSB) & MSB != 0);
-                second_cycles += u64::from(five_plus);
-            }
+            let five_plus = pass.iter().any(|&word| (byte_ones(word) + 0x7B * LSB) & MSB != 0);
+            second_cycles += u64::from(five_plus);
         }
         // An empty plane still takes the one pass that recognises it.
         let passes = passes.max(1);
-        let selected = if enable_bs { bs_selected } else { plane.count_ones() };
-        self.finish(plane, passes + second_cycles, selected, passes)
+        self.finish(plane, passes + second_cycles, plane.count_ones(), passes)
     }
 
     /// Packs a sweep's totals, adding the balanced cycles:
     /// `balanced_cycles(plane, BsMode::Ones)` — always the one-sided count,
     /// matching the engine's imbalance accounting — clamped to `cycles`.
     /// The balanced count is at least `passes`, so a sweep of one cycle per
-    /// pass (every BS sweep at the Table III shape) skips the division.
+    /// pass skips the division.
     fn finish(&self, plane: PlaneRow<'_>, cycles: u64, selected: u32, passes: u64) -> PlaneAbsorb {
         let balanced = if cycles == passes {
             passes
@@ -411,7 +418,8 @@ mod tests {
         // Deterministic sweep over GSAT shapes, plane widths, fills and BS
         // modes rather than a hand-picked case: absorb_stats is the
         // engine's hot path and must agree with the per-bit oracles
-        // everywhere. Widths 64/128 with sub-group 8 and a length that is a
+        // everywhere. BS with sub-group 8 reads the plane's cached count;
+        // one-sided widths 64/128 with sub-group 8 and a length that is a
         // multiple of 8 take the SWAR byte path; every other combination
         // takes the per-sub-group loop.
         let mut rng = TestRng::for_case("gsat::absorb", 0);

@@ -155,37 +155,6 @@ impl Scoreboard {
         e.partial = partial;
     }
 
-    /// Folds one plane's `delta` into a token's partial score in a single
-    /// scan and returns the new partial: a tracked token is updated (a
-    /// lookup hit), an untracked one is inserted with `partial = delta` (a
-    /// miss). Counts exactly as [`Scoreboard::lookup`] followed by
-    /// [`Scoreboard::update`] or [`Scoreboard::insert`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScoreboardFullError`] when the token is untracked and the
-    /// scoreboard is at capacity (the miss is still counted).
-    pub fn accumulate(
-        &mut self,
-        token: usize,
-        next_plane: u32,
-        delta: i64,
-    ) -> Result<i64, ScoreboardFullError> {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.token == token) {
-            self.hits += 1;
-            e.next_plane = next_plane;
-            e.partial += delta;
-            return Ok(e.partial);
-        }
-        self.misses += 1;
-        if self.is_full() {
-            return Err(ScoreboardFullError);
-        }
-        self.entries.push(Entry { token, next_plane, partial: delta });
-        self.high_water = self.high_water.max(self.entries.len());
-        Ok(delta)
-    }
-
     /// Removes a key (pruned or fully resolved), returning its last state.
     pub fn evict(&mut self, token: usize) -> Option<Entry> {
         let idx = self.entries.iter().position(|e| e.token == token)?;
@@ -292,38 +261,6 @@ mod tests {
                 prop_assert_eq!(e.next_plane, 4);
             }
             prop_assert_eq!(sb.occupancy(), 0);
-        }
-
-        #[test]
-        fn prop_accumulate_matches_lookup_update_insert(
-            ops in proptest::collection::vec((0usize..12, -500i64..500, 0u32..3), 1..200),
-            capacity in 1usize..8,
-        ) {
-            // `(token, delta, action)`: action 0 evicts the token, anything
-            // else folds `delta` into it — through `accumulate` on one
-            // scoreboard and lookup + update/insert on the other.
-            let mut fused = Scoreboard::new(capacity);
-            let mut split = Scoreboard::new(capacity);
-            for (step, &(token, delta, action)) in ops.iter().enumerate() {
-                let next_plane = step as u32 + 1;
-                if action == 0 {
-                    prop_assert_eq!(fused.evict(token), split.evict(token));
-                    continue;
-                }
-                let expect = match split.lookup(token) {
-                    Some(e) => {
-                        split.update(token, next_plane, e.partial + delta);
-                        Ok(e.partial + delta)
-                    }
-                    None => split.insert(token, next_plane, delta).map(|()| delta),
-                };
-                prop_assert_eq!(fused.accumulate(token, next_plane, delta), expect);
-                prop_assert_eq!(&fused.entries, &split.entries);
-            }
-            prop_assert_eq!(fused.hits(), split.hits());
-            prop_assert_eq!(fused.misses(), split.misses());
-            prop_assert_eq!(fused.high_water(), split.high_water());
-            prop_assert_eq!(fused.evictions(), split.evictions());
         }
     }
 }

@@ -70,10 +70,56 @@ pub fn uncertainty_span(r: u32, bits: u32) -> i32 {
 pub struct PlaneRow<'a> {
     words: &'a [u64],
     len: usize,
-    /// Population count of `words`, cached by the owning matrix so mode
-    /// choices (ones vs. zeros streaming) never re-scan the packed words.
-    /// Derived from `words`, so the derived `PartialEq` stays consistent.
-    ones: u32,
+    /// Counts cached by the owning matrix so mode choices and GSAT timing
+    /// never re-scan the packed words. Derived from `words`, so the
+    /// derived `PartialEq` stays consistent.
+    meta: PlaneMeta,
+}
+
+/// The counts a [`BitPlaneMatrix`] caches per plane, computed once when
+/// the plane enters the store. Two `u16`s keep the per-plane metadata at 4
+/// bytes, which is why a matrix holds at most [`BitPlaneMatrix::MAX_DIMS`]
+/// dimensions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlaneMeta {
+    /// Set bits in the plane.
+    ones: u16,
+    /// Bits per-sub-group bidirectional selection accumulates with
+    /// byte-wide sub-groups: see [`PlaneRow::bs_selected`].
+    bs_selected: u16,
+}
+
+impl PlaneMeta {
+    /// Counts one plane's `⌈dims/64⌉` words (bits past `dims` are zero).
+    fn of(plane: &[u64], dims: usize) -> Self {
+        let ones: u32 = plane.iter().map(|w| w.count_ones()).sum();
+        let mut bs_selected: u32 = plane.iter().map(|&w| byte_min_ones_zeros(w)).sum();
+        let tail = (dims % 8) as u32;
+        if tail != 0 {
+            // The last sub-group holds only `tail` bits: the sweep above
+            // counted it as a full byte.
+            let byte = dims / 8;
+            let ones = ((plane[byte / 8] >> (8 * (byte % 8))) & 0xFF).count_ones();
+            bs_selected = bs_selected - ones.min(8 - ones) + ones.min(tail - ones);
+        }
+        // Both counts are at most `dims`, which construction caps at u16.
+        Self { ones: ones as u16, bs_selected: bs_selected as u16 }
+    }
+}
+
+/// Σ over the eight bytes of `word` of `min(ones, 8 − ones)`: one SWAR
+/// byte-popcount, then a per-byte minimum.
+fn byte_min_ones_zeros(word: u64) -> u32 {
+    const LSB: u64 = 0x0101_0101_0101_0101;
+    const MSB: u64 = 0x8080_8080_8080_8080;
+    let pairs = word - ((word >> 1) & (0x55 * LSB));
+    let nibbles = (pairs & (0x33 * LSB)) + ((pairs >> 2) & (0x33 * LSB));
+    let ones = (nibbles + (nibbles >> 4)) & (0x0F * LSB);
+    let zeros = 8 * LSB - ones;
+    // The high bit of `(zeros | 0x80) - ones` is set where zeros >= ones.
+    let keep_ones = ((((zeros | MSB) - ones) & MSB) >> 7) * 0xFF;
+    let min = (ones & keep_ones) | (zeros & !keep_ones);
+    (min.wrapping_mul(LSB) >> 56) as u32
 }
 
 impl<'a> PlaneRow<'a> {
@@ -104,7 +150,17 @@ impl<'a> PlaneRow<'a> {
     /// matrix — `O(1)`, never re-scans the packed words.
     #[must_use]
     pub fn count_ones(&self) -> u32 {
-        self.ones
+        u32::from(self.meta.ones)
+    }
+
+    /// Bits that per-sub-group bidirectional selection accumulates when
+    /// the sub-groups are the plane's bytes (the Table III GSAT shape):
+    /// `Σ min(ones, present − ones)` over byte-aligned groups, where
+    /// `present` is 8 except in a ragged last byte. Cached by the owning
+    /// matrix — `O(1)`, never re-scans the packed words.
+    #[must_use]
+    pub fn bs_selected(&self) -> u32 {
+        u32::from(self.meta.bs_selected)
     }
 
     /// Number of clear bits (`0`s) in the plane.
@@ -190,8 +246,8 @@ impl<'a> PlaneRow<'a> {
 pub struct TokenPlanes<'a> {
     /// The token's `bits × ⌈dims/64⌉` words, plane by plane.
     words: &'a [u64],
-    /// Cached ones count of each plane.
-    ones: &'a [u32],
+    /// Cached counts of each plane.
+    meta: &'a [PlaneMeta],
     bits: u32,
     dims: usize,
 }
@@ -218,7 +274,7 @@ impl<'a> TokenPlanes<'a> {
     pub fn plane(&self, r: u32) -> PlaneRow<'a> {
         let r = r as usize;
         let n = self.dims.div_ceil(64);
-        PlaneRow { words: &self.words[r * n..(r + 1) * n], len: self.dims, ones: self.ones[r] }
+        PlaneRow { words: &self.words[r * n..(r + 1) * n], len: self.dims, meta: self.meta[r] }
     }
 
     /// Reassembles the original integers from the planes — the identity of
@@ -243,22 +299,46 @@ impl<'a> TokenPlanes<'a> {
 /// offset (the paper's bit-plane-interleaved layout, Fig. 22). The host
 /// store has the same shape: one token-major word array — token, then
 /// plane, then the plane's `⌈dims/64⌉` words, which is also the wire
-/// layout — plus one cached ones count per plane. [`TokenPlanes`] and
-/// [`PlaneRow`] are views into it.
+/// layout — plus 4 bytes of cached counts per plane (its ones count and
+/// its [`PlaneRow::bs_selected`] count). [`TokenPlanes`] and [`PlaneRow`]
+/// are views into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitPlaneMatrix {
     words: Vec<u64>,
-    /// Population count of each plane, index `token · bits + plane`.
-    ones: Vec<u32>,
+    /// Cached counts of each plane, index `token · bits + plane`.
+    meta: Vec<PlaneMeta>,
     bits: u32,
     dims: usize,
 }
 
 impl BitPlaneMatrix {
+    /// Widest supported token: the cached per-plane counts are `u16`.
+    pub const MAX_DIMS: usize = u16::MAX as usize;
+
+    /// Checks a width and a dimension count every constructor accepts.
+    ///
+    /// # Errors
+    ///
+    /// [`QuantError::UnsupportedWidth`] for a width outside `2..=8`, and
+    /// [`QuantError::DimensionMismatch`] for `dims` of 0 or past
+    /// [`BitPlaneMatrix::MAX_DIMS`].
+    pub(crate) fn check_shape(dims: usize, bits: u32) -> Result<(), QuantError> {
+        if !(2..=8).contains(&bits) {
+            return Err(QuantError::UnsupportedWidth { bits });
+        }
+        match dims {
+            0 => Err(QuantError::DimensionMismatch { expected: 1, actual: 0 }),
+            d if d > Self::MAX_DIMS => {
+                Err(QuantError::DimensionMismatch { expected: Self::MAX_DIMS, actual: d })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// An empty matrix with room for `tokens` tokens. The shape is the
-    /// caller's to validate.
+    /// caller's to validate with [`BitPlaneMatrix::check_shape`].
     pub(crate) fn with_capacity(dims: usize, bits: u32, tokens: usize) -> Self {
-        let mut m = Self { words: Vec::new(), ones: Vec::new(), bits, dims };
+        let mut m = Self { words: Vec::new(), meta: Vec::new(), bits, dims };
         m.reserve_exact(tokens);
         m
     }
@@ -266,14 +346,14 @@ impl BitPlaneMatrix {
     /// Reserves room for exactly `tokens` more tokens.
     pub(crate) fn reserve_exact(&mut self, tokens: usize) {
         self.words.reserve_exact(tokens * self.token_words());
-        self.ones.reserve_exact(tokens * self.bits as usize);
+        self.meta.reserve_exact(tokens * self.bits as usize);
     }
 
     /// Appends every token of `other`, which has this matrix's shape.
     pub(crate) fn extend_from(&mut self, other: &Self) {
         debug_assert_eq!((self.dims, self.bits), (other.dims, other.bits));
         self.words.extend_from_slice(&other.words);
-        self.ones.extend_from_slice(&other.ones);
+        self.meta.extend_from_slice(&other.meta);
     }
 
     /// Words per token: `bits` planes of `⌈dims/64⌉` words.
@@ -290,17 +370,15 @@ impl BitPlaneMatrix {
     /// # Errors
     ///
     /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
-    /// multiple of `dims`, or [`QuantError::UnsupportedWidth`] for a width
-    /// outside `2..=8`.
+    /// multiple of `dims` or `dims` exceeds [`BitPlaneMatrix::MAX_DIMS`],
+    /// or [`QuantError::UnsupportedWidth`] for a width outside `2..=8`.
     ///
     /// # Panics
     ///
     /// Panics if a value does not fit in `bits` two's-complement bits (a
     /// caller contract violation rather than a data-dependent condition).
     pub fn from_rows(data: &[i8], dims: usize, bits: u32) -> Result<Self, QuantError> {
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
-        }
+        Self::check_shape(dims.max(1), bits)?;
         if dims == 0 || !data.len().is_multiple_of(dims) {
             return Err(QuantError::DimensionMismatch {
                 expected: dims.max(1),
@@ -315,22 +393,18 @@ impl BitPlaneMatrix {
     /// Adopts already-packed plane words in the token-major layout of
     /// [`BitPlaneMatrix::words`] — the inverse of that accessor, used by
     /// the spill tier and the cache image to re-adopt serialized planes
-    /// without re-decomposing any values. The cached ones counts are
-    /// recomputed from the words, so a round trip is `==`-identical.
+    /// without re-decomposing any values. The cached counts are recomputed
+    /// from the words, so a round trip is `==`-identical.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::UnsupportedWidth`] for a width outside `2..=8`
-    /// and [`QuantError::DimensionMismatch`] for `dims == 0`, a word count
-    /// that is not a whole number of tokens, or a set padding bit past
-    /// `dims` in any plane (tail garbage would corrupt word-level kernels).
+    /// and [`QuantError::DimensionMismatch`] for `dims` of 0 or past
+    /// [`BitPlaneMatrix::MAX_DIMS`], a word count that is not a whole
+    /// number of tokens, or a set padding bit past `dims` in any plane
+    /// (tail garbage would corrupt word-level kernels).
     pub fn from_plane_words(words: Vec<u64>, dims: usize, bits: u32) -> Result<Self, QuantError> {
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
-        }
-        if dims == 0 {
-            return Err(QuantError::DimensionMismatch { expected: 1, actual: 0 });
-        }
+        Self::check_shape(dims, bits)?;
         let per_plane = dims.div_ceil(64);
         let per_token = bits as usize * per_plane;
         if !words.len().is_multiple_of(per_token) {
@@ -340,8 +414,8 @@ impl BitPlaneMatrix {
         if words.chunks(per_plane).any(|plane| plane[per_plane - 1] & padding != 0) {
             return Err(QuantError::DimensionMismatch { expected: dims, actual: dims + 1 });
         }
-        let ones = words.chunks(per_plane).map(|plane| plane.iter().map(|w| w.count_ones()).sum());
-        Ok(Self { ones: ones.collect(), words, bits, dims })
+        let meta = words.chunks(per_plane).map(|plane| PlaneMeta::of(plane, dims)).collect();
+        Ok(Self { meta, words, bits, dims })
     }
 
     /// Decomposes and appends more token rows in place. Existing tokens are
@@ -361,7 +435,7 @@ impl BitPlaneMatrix {
         }
         let tokens = data.len() / self.dims;
         self.words.reserve(tokens * self.token_words());
-        self.ones.reserve(tokens * self.bits as usize);
+        self.meta.reserve(tokens * self.bits as usize);
         for row in data.chunks(self.dims) {
             self.push_row(row);
         }
@@ -406,14 +480,14 @@ impl BitPlaneMatrix {
         }
         for plane in planes.chunks(per_plane) {
             debug_assert_eq!(plane[per_plane - 1] & padding_mask(self.dims), 0);
-            self.ones.push(plane.iter().map(|w| w.count_ones()).sum());
+            self.meta.push(PlaneMeta::of(plane, self.dims));
         }
     }
 
     /// Number of tokens (rows).
     #[must_use]
     pub fn tokens(&self) -> usize {
-        self.ones.len() / self.bits as usize
+        self.meta.len() / self.bits as usize
     }
 
     /// Number of hidden dimensions per token.
@@ -439,7 +513,7 @@ impl BitPlaneMatrix {
         let b = self.bits as usize;
         TokenPlanes {
             words: &self.words[j * n..(j + 1) * n],
-            ones: &self.ones[j * b..(j + 1) * b],
+            meta: &self.meta[j * b..(j + 1) * b],
             bits: self.bits,
             dims: self.dims,
         }
@@ -462,8 +536,8 @@ impl BitPlaneMatrix {
 
     /// Bytes of packed plane words held by this matrix — what a cache
     /// manager bills for keeping the decomposed tensor resident: `bits`
-    /// planes of `⌈dims/64⌉` words per token. The cached ones counts (4
-    /// bytes per plane) are not billed.
+    /// planes of `⌈dims/64⌉` words per token. The cached counts (4 bytes
+    /// per plane) are not billed.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of_val(self.words.as_slice())

@@ -166,13 +166,11 @@ impl GrowableKeyCache {
     /// # Errors
     ///
     /// Returns [`QuantError::UnsupportedWidth`] for a width outside `2..=8`
-    /// and [`QuantError::DimensionMismatch`] for `dims == 0` or
-    /// `chunk_tokens == 0`.
+    /// and [`QuantError::DimensionMismatch`] for `chunk_tokens == 0` or
+    /// `dims` of 0 or past [`BitPlaneMatrix::MAX_DIMS`].
     pub fn new(dims: usize, bits: u32, chunk_tokens: usize) -> Result<Self, QuantError> {
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
-        }
-        if dims == 0 || chunk_tokens == 0 {
+        BitPlaneMatrix::check_shape(dims, bits)?;
+        if chunk_tokens == 0 {
             return Err(QuantError::DimensionMismatch { expected: 1, actual: 0 });
         }
         let tail = BitPlaneMatrix::with_capacity(dims, bits, 0);

@@ -8,8 +8,11 @@
 //! * [`QuantParams`] / [`quantize_matrix`] — symmetric integer quantization
 //!   (INT8 by default, arbitrary width 2..=8 for the PTQ4/QAT4 studies),
 //! * [`BitPlaneMatrix`] — the two's-complement bit-plane store of a key
-//!   tensor: one flat token-major word array (the wire layout) plus cached
-//!   per-plane ones counts, with the exact reconstruction identity
+//!   tensor: one flat token-major word array (the wire layout) plus 4
+//!   bytes of counts per plane, cached when a token enters the store —
+//!   its ones count and the bits per-sub-group BS selects over its bytes
+//!   ([`PlaneRow::bs_selected`], the GSAT cost the engine reads instead of
+//!   sweeping the plane) — with the exact reconstruction identity
 //!   `x = -b_{p-1}·2^{p-1} + Σ b_i·2^i`; [`TokenPlanes`] and [`PlaneRow`]
 //!   are `Copy` views borrowed from it, so reading a plane never allocates,
 //! * [`uncertainty_span`] — the residual magnitude `U_r` of all *unknown*

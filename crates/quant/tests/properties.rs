@@ -133,12 +133,14 @@ proptest! {
     }
 
     /// The flat plane store reads the same whichever way it was built:
-    /// decomposed at once, grown token by token across several chunk
-    /// seals and snapshotted, materialized from that snapshot, or parsed
-    /// back from the spill wire format. Every plane exposes identical
-    /// words and ones counts; the cached counts are the words' popcount;
-    /// the planes reconstruct the input rows; and the billed bytes are
-    /// exactly the stored words.
+    /// decomposed at once, grown token by token or by one batched append
+    /// across several chunk seals and snapshotted, materialized from a
+    /// snapshot, or parsed back from the spill wire format. Every plane
+    /// exposes identical words and cached counts; the ones count is the
+    /// words' popcount and the BS count is the naive per-byte
+    /// `min(ones, present − ones)` sum (ragged last bytes included); the
+    /// planes reconstruct the input rows; and the billed bytes are exactly
+    /// the stored words.
     #[test]
     fn flat_store_agrees_across_every_construction(
         bits in 2u32..=8,
@@ -156,6 +158,9 @@ proptest! {
         }
         let snap = cache.snapshot();
         let materialized = snap.materialize();
+        let mut batched = GrowableKeyCache::new(dims, bits, chunk).unwrap();
+        batched.append_rows(&data).unwrap();
+        let batched = batched.snapshot();
         let mut wire = Vec::new();
         pade_tier::wire::write_planes(&mut wire, &scratch).unwrap();
         let parsed = pade_tier::wire::read_planes(&mut wire.as_slice(), dims, bits).unwrap();
@@ -168,14 +173,24 @@ proptest! {
         prop_assert_eq!(parsed.resident_bytes(), 8 * parsed.words().len());
         for j in 0..n {
             let want = scratch.token(j);
-            let views = [snap.token(j), materialized.token(j), parsed.token(j)];
+            let views = [snap.token(j), batched.token(j), materialized.token(j), parsed.token(j)];
             for r in 0..bits {
                 let plane = want.plane(r);
                 let popcount: u32 = plane.words().iter().map(|w| w.count_ones()).sum();
                 prop_assert_eq!(plane.count_ones(), popcount, "token {} plane {}", j, r);
+                let naive_bs: u32 = (0..dims)
+                    .step_by(8)
+                    .map(|lo| {
+                        let present = (dims - lo).min(8) as u32;
+                        let ones = (lo..lo + present as usize).filter(|&i| plane.bit(i)).count();
+                        (ones as u32).min(present - ones as u32)
+                    })
+                    .sum();
+                prop_assert_eq!(plane.bs_selected(), naive_bs, "token {} plane {}", j, r);
                 for view in views {
                     prop_assert_eq!(view.plane(r).words(), plane.words(), "token {} plane {}", j, r);
                     prop_assert_eq!(view.plane(r).count_ones(), plane.count_ones());
+                    prop_assert_eq!(view.plane(r).bs_selected(), naive_bs);
                 }
             }
             let row: Vec<i32> = data[j * dims..(j + 1) * dims].iter().map(|&v| i32::from(v)).collect();
@@ -212,6 +227,20 @@ fn unsupported_widths_are_rejected_everywhere() {
         assert!(BitPlaneMatrix::from_plane_words(Vec::new(), 1, bits).is_err(), "bits={bits}");
         assert!(GrowableKeyCache::new(1, bits, 4).is_err(), "bits={bits}");
     }
+}
+
+#[test]
+fn dims_past_the_cached_count_range_are_rejected_everywhere() {
+    // The per-plane counts are u16, so 65,535 dims is the widest token.
+    let max = BitPlaneMatrix::MAX_DIMS;
+    assert_eq!(max, 65_535);
+    let row: Vec<i8> = (0..max).map(|i| if i % 3 == 0 { -1 } else { 0 }).collect();
+    let m = BitPlaneMatrix::from_rows(&row, max, 8).unwrap();
+    assert_eq!(m.token(0).plane(0).count_ones(), max.div_ceil(3) as u32);
+    assert!(BitPlaneMatrix::from_rows(&[0; 65_536], max + 1, 8).is_err());
+    assert!(BitPlaneMatrix::from_plane_words(Vec::new(), max + 1, 8).is_err());
+    assert!(GrowableKeyCache::new(max + 1, 8, 4).is_err());
+    assert!(GrowableKeyCache::new(max, 8, 4).is_ok());
 }
 
 #[test]
