@@ -86,11 +86,37 @@ impl QuantParams {
         ((1i32 << (self.bits - 1)) - 1) as i8
     }
 
-    /// Quantizes a real value, saturating at the representable range.
+    /// Quantizes a real value, saturating at the representable range:
+    /// `(x / scale).round().clamp(min, max) as i8`, with halves rounded
+    /// away from zero as [`f32::round`] does, and NaN mapped to 0.
+    ///
+    /// The body uses float operations only, so quantizing a slice
+    /// vectorizes; a `round` call and saturating casts would not on a
+    /// baseline x86-64 target.
     #[must_use]
     pub fn quantize(&self, x: f32) -> i8 {
-        let q = (x / self.scale).round();
-        q.clamp(f32::from(self.min_code()), f32::from(self.max_code())) as i8
+        // 1.5·2²³: `c + ROUNDER` has unit ulp for |c| < 2²², so the add
+        // rounds `c` to an integer (ties to even) in the low mantissa bits.
+        const ROUNDER: f32 = 12_582_912.0;
+        let (lo, hi) = (f32::from(self.min_code()), f32::from(self.max_code()));
+        let y = x / self.scale;
+        // Rounding is monotone and the bounds are integers, so clamping
+        // first gives the same code as clamping the rounded value. NaN
+        // fails both comparisons and passes through.
+        let c = if y < lo {
+            lo
+        } else if y > hi {
+            hi
+        } else {
+            y
+        };
+        let even = (c + ROUNDER) - ROUNDER;
+        // A tie sits exactly half an integer from `even` (the difference is
+        // exact); stepping half outwards from `c` rounds it away from zero.
+        let r = if (c - even).abs() == 0.5 { c + 0.5f32.copysign(c) } else { even };
+        let r = if r.is_nan() { 0.0 } else { r };
+        // `r + ROUNDER` holds the integer in its low mantissa bits.
+        ((r + ROUNDER).to_bits() as i32 - ROUNDER.to_bits() as i32) as i8
     }
 
     /// Maps an integer (possibly a wide accumulator value) back to the reals.
@@ -264,7 +290,126 @@ pub fn quantize_matrix_clipped(
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The rounding contract `quantize` implements without a `round` call.
+    fn round_then_clamp(p: &QuantParams, x: f32) -> i8 {
+        (x / p.scale()).round().clamp(f32::from(p.min_code()), f32::from(p.max_code())) as i8
+    }
+
+    /// Quantizes every `x` both ways and reports the first disagreement.
+    fn assert_matches_contract(p: &QuantParams, xs: &[f32]) {
+        for &x in xs {
+            let (got, want) = (p.quantize(x), round_then_clamp(p, x));
+            assert_eq!(
+                got,
+                want,
+                "{} bits, scale {:e}, x = {x:e} ({:#010x})",
+                p.bits(),
+                p.scale(),
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn quantize_rounds_halves_away_from_zero_and_nan_to_zero() {
+        let p = QuantParams::from_scale(1.0, 8).unwrap();
+        for (x, q) in [(2.5, 3), (-2.5, -3), (3.5, 4), (0.5, 1), (-0.5, -1), (126.5, 127)] {
+            assert_eq!(p.quantize(x), q, "x = {x}");
+        }
+        assert_eq!(p.quantize(f32::NAN), 0);
+        assert_eq!(p.quantize(f32::INFINITY), 127);
+        assert_eq!(p.quantize(f32::NEG_INFINITY), -128);
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            // NaNs whose payload reaches the low mantissa byte.
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFF80_00FF),
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007F_FFFF),
+            f32::from_bits(0x807F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for bits in 2..=8 {
+            // Unit and subnormal scales, so x / scale spans both ends.
+            for scale in [1.0, 1.0 / 127.0, f32::from_bits(0x0000_1000)] {
+                assert_matches_contract(&QuantParams::from_scale(scale, bits).unwrap(), &specials);
+            }
+            // Every half-integer in and just outside the range, ±3 ulps.
+            let p = QuantParams::from_scale(1.0, bits).unwrap();
+            let (lo, hi) = (i32::from(p.min_code()), i32::from(p.max_code()));
+            let halves: Vec<f32> = (lo - 3..=hi + 2)
+                .flat_map(|k| {
+                    let half = (k as f32 + 0.5).to_bits() as i32;
+                    (-3..=3).map(move |ulps| f32::from_bits((half + ulps) as u32))
+                })
+                .collect();
+            assert_matches_contract(&p, &halves);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn quantize_matches_round_then_clamp(
+            bits in 2u32..=8,
+            max_abs in 1e-4f32..1e4,
+            scale_bits in any::<u32>(),
+            xs in proptest::collection::vec(any::<u32>(), 64),
+            grid in proptest::collection::vec(-300.0f32..300.0, 64),
+        ) {
+            // A realistic scale with values near its grid, and an arbitrary
+            // bit-pattern scale with arbitrary bit-pattern values.
+            let p = QuantParams::from_max_abs(max_abs, bits);
+            let near_grid: Vec<f32> = grid.iter().map(|&g| g * p.scale()).collect();
+            assert_matches_contract(&p, &near_grid);
+            let p = QuantParams::from_scale(f32::from_bits(scale_bits), bits).unwrap();
+            let any_values: Vec<f32> = xs.iter().map(|&b| f32::from_bits(b)).collect();
+            assert_matches_contract(&p, &any_values);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "sweeps all 2^32 inputs; runs in release builds")]
+    fn quantize_matches_round_then_clamp_on_every_f32() {
+        // At unit scale `x / scale` is `x`, so sweeping every bit pattern
+        // sweeps every value the rounding can see. 8 bits take every
+        // input; the narrower widths take every 97th.
+        fn sweep(bits: u32, inputs: impl Iterator<Item = u32>) {
+            let p = QuantParams::from_scale(1.0, bits).unwrap();
+            let mut inputs = inputs.map(f32::from_bits);
+            let mut xs = Vec::with_capacity(1 << 16);
+            loop {
+                xs.clear();
+                xs.extend(inputs.by_ref().take(1 << 16));
+                if xs.is_empty() {
+                    return;
+                }
+                let got: Vec<i8> = xs.iter().map(|&x| p.quantize(x)).collect();
+                let want: Vec<i8> = xs.iter().map(|&x| round_then_clamp(&p, x)).collect();
+                if got != want {
+                    assert_matches_contract(&p, &xs);
+                }
+            }
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| sweep(8, 0..=u32::MAX / 2));
+            scope.spawn(|| sweep(8, u32::MAX / 2 + 1..=u32::MAX));
+        });
+        for bits in 2..8 {
+            sweep(bits, (0..=u32::MAX).step_by(97));
+        }
+    }
 
     #[test]
     fn round_trip_error_is_bounded_by_scale() {

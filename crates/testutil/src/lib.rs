@@ -39,6 +39,15 @@ pub fn mix(seed: u64, index: usize) -> u64 {
     splitmix64(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// FNV-1a hash of a byte stream: a stable fingerprint for golden tests
+/// that pin a generator's output bytes.
+#[must_use]
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+}
+
 /// A seeded `f32` vector with elements approximately uniform in
 /// `[-span, span]`.
 #[must_use]

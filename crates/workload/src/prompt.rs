@@ -498,6 +498,8 @@ pub fn generate_thrash_arrivals(config: &ThrashConfig) -> Vec<RequestArrival> {
 
 #[cfg(test)]
 mod tests {
+    use pade_testutil::fnv1a;
+
     use super::*;
 
     #[test]
@@ -687,5 +689,26 @@ mod tests {
             ..SharedPrefixConfig::small_demo()
         });
         assert!(all_decode.iter().all(|r| matches!(r.kind, RequestKind::Decode { .. })));
+    }
+
+    #[test]
+    fn key_rows_bytes_are_pinned() {
+        // The purity tests compare rows with each other; these hashes pin
+        // the bytes themselves, so a change to any byte of any row fails.
+        let ids: Vec<u32> =
+            (0..48).map(|i| i * 7919).chain([u32::MAX, 0, 1, 0x8000_0000]).collect();
+        let prompt = PromptTokens::new(ids);
+        let golden: [(usize, u32, u64); 4] = [
+            (64, 3, 0xa206_3280_fb19_357e),
+            (64, 8, 0xe499_e9d9_934e_9365),
+            (70, 3, 0x4322_965b_b5ed_503b),
+            (70, 8, 0x964c_8fca_8eb2_4c94),
+        ];
+        for (dims, bits, hash) in golden {
+            let rows = prompt.key_rows(dims, bits);
+            assert_eq!(rows.len(), prompt.len() * dims);
+            let got = fnv1a(rows.iter().map(|&x| x as u8));
+            assert_eq!(got, hash, "dims {dims}, {bits} bits: {got:#018x}");
+        }
     }
 }

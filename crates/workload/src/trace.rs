@@ -124,7 +124,7 @@ impl AttentionTrace {
         let mut basis: Vec<Vec<f32>> = Vec::with_capacity(2 + TAIL_FAMILIES);
         while basis.len() < 2 + TAIL_FAMILIES {
             let mut v: Vec<f32> = (0..h).map(|_| standard_normal(&mut rng)).collect();
-            project_out(&mut v, &basis);
+            project_out(&mut v, h, &basis);
             let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
             if norm > 1e-3 {
                 for x in &mut v {
@@ -138,37 +138,39 @@ impl AttentionTrace {
         let tail_dirs: Vec<Vec<f32>> = basis[2..2 + TAIL_FAMILIES].to_vec();
 
         // Keys: isotropic noise of unit expected norm plus structure flags.
+        // Each row's noise is drawn before its flags, as one stream; the
+        // projection draws nothing, so it runs over all rows afterwards.
         let inv_sqrt_h = 1.0 / (h as f32).sqrt();
         let mut k = MatF32::zeros(s, h);
-        let mut tail_family = vec![usize::MAX; s];
-        for j in 0..s {
-            let row = k.row_mut(j);
-            for x in row.iter_mut() {
+        let mut tail_family = vec![None; s];
+        for (j, family) in tail_family.iter_mut().enumerate() {
+            for x in k.row_mut(j) {
                 *x = standard_normal(&mut rng) * inv_sqrt_h;
             }
-            // Keep key noise out of the feature span so query subscriptions
-            // see exactly the configured boosts.
-            project_out(row, &basis);
             // Each token carries at most one structure (sink ≻ tail ≻
             // recency); stacking would create outlier logits no real score
             // row exhibits.
-            let is_sink = j < p.sink_tokens;
-            let is_tail = !is_sink && rng.gen::<f32>() < p.tail_rate;
-            if is_tail {
-                tail_family[j] = rng.gen_range(0..TAIL_FAMILIES);
+            if j >= p.sink_tokens && rng.gen::<f32>() < p.tail_rate {
+                *family = Some(rng.gen_range(0..TAIL_FAMILIES));
             }
-            // Recency ramp relative to the sequence end, decaying with
-            // distance over the locality window.
-            let dist = (s - 1 - j) as f32;
-            let ramp = (-dist / p.locality_window.max(1) as f32).exp();
-            for d in 0..h {
-                if is_sink {
-                    row[d] += sink_dir[d];
-                } else if is_tail {
-                    row[d] += tail_dirs[tail_family[j]][d];
-                } else {
-                    row[d] += ramp * recency_dir[d];
+        }
+        // Keep key noise out of the feature span so query subscriptions
+        // see exactly the configured boosts.
+        project_out(k.as_mut_slice(), h, &basis);
+        for (j, family) in tail_family.into_iter().enumerate() {
+            // A weight of 1 adds a direction exactly.
+            let (weight, dir) = match family {
+                _ if j < p.sink_tokens => (1.0, &sink_dir),
+                Some(f) => (1.0, &tail_dirs[f]),
+                // Recency ramp relative to the sequence end, decaying with
+                // distance over the locality window.
+                None => {
+                    let dist = (s - 1 - j) as f32;
+                    ((-dist / p.locality_window.max(1) as f32).exp(), &recency_dir)
                 }
+            };
+            for (x, &y) in k.row_mut(j).iter_mut().zip(dir) {
+                *x += weight * y;
             }
         }
 
@@ -182,7 +184,7 @@ impl AttentionTrace {
             for x in row.iter_mut() {
                 *x = standard_normal(&mut rng);
             }
-            project_out(row, &basis);
+            project_out(row, h, &basis);
             // |q_noise| = noise_sigma·√H makes q·k_noise ~ N(0, noise_sigma²).
             let target = p.noise_sigma * (h as f32).sqrt();
             let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
@@ -601,13 +603,37 @@ pub fn generate_tenant_mix(loads: &[TenantLoad]) -> Vec<RequestArrival> {
     out
 }
 
-/// Removes the components of `v` lying in the span of `basis` (which must
-/// be orthonormal).
-fn project_out(v: &mut [f32], basis: &[Vec<f32>]) {
+/// Removes from each `h`-wide row of `rows` its components in the span of
+/// `basis` (which must be orthonormal).
+fn project_out(rows: &mut [f32], h: usize, basis: &[Vec<f32>]) {
+    const BLOCK: usize = 8;
+    let mut blocks = rows.chunks_exact_mut(BLOCK * h);
+    for block in &mut blocks {
+        project_block::<BLOCK>(block, h, basis);
+    }
+    for row in blocks.into_remainder().chunks_exact_mut(h) {
+        project_block::<1>(row, h, basis);
+    }
+}
+
+/// [`project_out`] over `R` consecutive rows. The dot products walk the
+/// block dimension by dimension, so its `R` chains advance side by side,
+/// while each row still sums `x·y` in dimension order from −0.0 (as `Sum`
+/// does) and is bit-identical to a row projected alone.
+fn project_block<const R: usize>(block: &mut [f32], h: usize, basis: &[Vec<f32>]) {
     for b in basis {
-        let dot: f32 = v.iter().zip(b).map(|(x, y)| x * y).sum();
-        for (x, y) in v.iter_mut().zip(b) {
-            *x -= dot * y;
+        let b = &b[..h];
+        let mut dots = [-0.0f32; R];
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &block[r * h..][..h]);
+        for (d, &y) in b.iter().enumerate() {
+            for (dot, row) in dots.iter_mut().zip(rows) {
+                *dot += row[d] * y;
+            }
+        }
+        for (row, dot) in block.chunks_exact_mut(h).zip(dots) {
+            for (x, &y) in row.iter_mut().zip(b) {
+                *x -= dot * y;
+            }
         }
     }
 }
@@ -622,6 +648,8 @@ fn standard_normal(rng: &mut StdRng) -> f32 {
 
 #[cfg(test)]
 mod tests {
+    use pade_testutil::fnv1a;
+
     use super::*;
     use crate::profile::ScoreProfile;
 
@@ -633,6 +661,72 @@ mod tests {
     fn value_bits(t: &AttentionTrace) -> (Vec<i8>, Vec<u32>) {
         let f32_bits = t.values_f32().as_slice().iter().map(|x| x.to_bits()).collect();
         (t.values().as_slice().to_vec(), f32_bits)
+    }
+
+    /// One hash over every operand a trace exposes: Q and K bytes, both
+    /// quantization scales, the logit scale, and V's bytes and f32 bits.
+    fn operand_hash(t: &AttentionTrace) -> u64 {
+        let (v_bytes, v_bits) = value_bits(t);
+        let int_bytes = |m: &QuantizedMatrix| m.as_slice().iter().map(|&x| x as u8).collect();
+        let parts: [Vec<u8>; 7] = [
+            int_bytes(t.queries()),
+            int_bytes(t.keys()),
+            t.queries().params().scale().to_le_bytes().to_vec(),
+            t.keys().params().scale().to_le_bytes().to_vec(),
+            t.logit_scale().to_le_bytes().to_vec(),
+            v_bytes.iter().map(|&x| x as u8).collect(),
+            v_bits.iter().flat_map(|b| b.to_le_bytes()).collect(),
+        ];
+        fnv1a(parts.into_iter().flatten())
+    }
+
+    #[test]
+    fn generated_operands_are_pinned() {
+        // Any change to a drawn, projected or quantized value fails here.
+        // The shapes cover ragged head dims and row counts that are not a
+        // multiple of the projection block.
+        const SHAPES: [(usize, usize, usize); 5] =
+            [(512, 64, 8), (1088, 64, 2), (37, 7, 3), (513, 65, 1), (9, 199, 4)];
+        const GOLDEN: [[u64; 5]; 3] = [
+            [
+                0x4d0f_8e99_af87_f3ea,
+                0xba0a_9fa9_549b_04d4,
+                0x6d1f_0ec2_e994_cf5c,
+                0x1f66_f2ed_55d6_3078,
+                0x3943_4282_a5b5_18bf,
+            ],
+            [
+                0x5fdb_0978_f372_21d2,
+                0xfcb2_1c72_7b9b_8e58,
+                0xb84c_e98b_5fdf_e95a,
+                0x9942_93fb_e12b_e157,
+                0xc39c_bf51_b326_faab,
+            ],
+            [
+                0xfeda_dbec_cecd_44e5,
+                0x6b4c_1119_2c4c_2bb5,
+                0x5244_c254_324f_ac14,
+                0x9d77_b943_0c5f_1d9c,
+                0xb587_7155_6691_bf56,
+            ],
+        ];
+        for (bits, golden) in [2, 4, 8].into_iter().zip(GOLDEN) {
+            for ((seq_len, head_dim, n_queries), hash) in SHAPES.into_iter().zip(golden) {
+                let t = AttentionTrace::generate(&TraceConfig {
+                    seq_len,
+                    head_dim,
+                    n_queries,
+                    profile: ScoreProfile::standard(),
+                    bits,
+                    seed: 0x601D ^ seq_len as u64,
+                });
+                let got = operand_hash(&t);
+                assert_eq!(
+                    got, hash,
+                    "{bits} bits, shape ({seq_len}, {head_dim}, {n_queries}): {got:#018x}"
+                );
+            }
+        }
     }
 
     #[test]
