@@ -16,7 +16,7 @@ use pade_linalg::metrics::{cosine_similarity, retained_mass};
 use pade_mem::{HbmModel, QvLayout};
 use pade_quant::BitPlaneMatrix;
 use pade_sim::{Cycle, RunStats, UtilizationCounter};
-use pade_workload::model::{AttentionKind, ModelConfig};
+use pade_workload::model::ModelConfig;
 use pade_workload::trace::AttentionTrace;
 
 use crate::config::PadeConfig;
@@ -302,53 +302,20 @@ pub fn scale_to_model(
         None => seq_len.div_ceil(n_queries_simulated.max(1)) as u64,
     };
     let compute_scale = blocks_per_head * (model.heads * model.layers) as u64;
-    let kv_scale = blocks_per_head
-        * (model.kv_heads * model.layers) as u64
-        * match model.attention {
-            AttentionKind::Mha => 1,
-            AttentionKind::Gqa => 1, // kv_heads already captures the sharing
-        };
+    // `kv_heads` already captures GQA sharing.
+    let kv_scale = blocks_per_head * (model.kv_heads * model.layers) as u64;
 
-    let mut out = RunStats::new(block.label.clone());
-    for _ in 0..1 {
-        // ops and cycles scale with compute; traffic with KV streams.
-        out.ops = block.ops;
-        out.predictor_ops = block.predictor_ops;
-        out.traffic = block.traffic;
-        out.predictor_traffic = block.predictor_traffic;
-    }
-    let scale_ops = |v: &mut u64, s: u64| *v = v.saturating_mul(s);
-    macro_rules! scale_opcounts {
-        ($ops:expr, $s:expr) => {{
-            scale_ops(&mut $ops.int8_mac, $s);
-            scale_ops(&mut $ops.int4_mac, $s);
-            scale_ops(&mut $ops.bit_serial_acc, $s);
-            scale_ops(&mut $ops.shift_add, $s);
-            scale_ops(&mut $ops.fp_exp, $s);
-            scale_ops(&mut $ops.fp_mul, $s);
-            scale_ops(&mut $ops.fp_add, $s);
-            scale_ops(&mut $ops.compare, $s);
-            scale_ops(&mut $ops.lut_lookup, $s);
-        }};
-    }
-    scale_opcounts!(out.ops, compute_scale);
-    scale_opcounts!(out.predictor_ops, compute_scale);
-    let scale_traffic = |t: &mut pade_sim::TrafficCounts, s: u64| {
-        t.dram_read_bytes = t.dram_read_bytes.saturating_mul(s);
-        t.dram_write_bytes = t.dram_write_bytes.saturating_mul(s);
-        t.dram_row_activations = t.dram_row_activations.saturating_mul(s);
-        t.dram_bursts = t.dram_bursts.saturating_mul(s);
-        t.sram_read_bytes = t.sram_read_bytes.saturating_mul(s);
-        t.sram_write_bytes = t.sram_write_bytes.saturating_mul(s);
-    };
-    scale_traffic(&mut out.traffic, kv_scale);
-    scale_traffic(&mut out.predictor_traffic, kv_scale);
+    // Ops and cycles scale with compute; traffic with KV streams.
+    let mut out = block.clone();
+    out.ops.for_each_mut(|v| *v = v.saturating_mul(compute_scale));
+    out.predictor_ops.for_each_mut(|v| *v = v.saturating_mul(compute_scale));
+    out.traffic.for_each_mut(|v| *v = v.saturating_mul(kv_scale));
+    out.predictor_traffic.for_each_mut(|v| *v = v.saturating_mul(kv_scale));
     // Latency: blocks serialize within a head; heads/layers share the one
     // accelerator, so latency scales with total blocks.
     out.cycles = Cycle(block.cycles.0.saturating_mul(compute_scale));
     out.retained_keys = block.retained_keys.saturating_mul(compute_scale);
     out.total_keys = block.total_keys.saturating_mul(compute_scale);
-    out.pe_util = block.pe_util;
     out
 }
 
@@ -356,6 +323,7 @@ pub fn scale_to_model(
 mod tests {
     use super::*;
     use pade_workload::model;
+    use pade_workload::profile::ScoreProfile;
     use pade_workload::trace::{AttentionTrace, TraceConfig};
 
     fn small() -> AttentionTrace {
@@ -454,6 +422,39 @@ mod tests {
                 assert!((a - b).abs() < 1e-3);
             }
         }
+    }
+
+    #[test]
+    fn single_query_long_context_blocks_are_faithful_and_sparse() {
+        let decode_step = |seq_len: usize, seed: u64| {
+            AttentionTrace::generate(&TraceConfig {
+                seq_len,
+                head_dim: 32,
+                n_queries: 1,
+                profile: ScoreProfile::long_context(),
+                bits: 8,
+                seed,
+            })
+        };
+        let pade = PadeAccelerator::new(PadeConfig::standard());
+        let trace = decode_step(250, 23);
+        let sparse = pade.run_trace(&trace);
+        assert!(sparse.fidelity > 0.95, "fidelity {}", sparse.fidelity);
+        let dense =
+            PadeAccelerator::new(PadeConfig { enable_bui_gf: false, ..PadeConfig::standard() })
+                .run_trace(&trace);
+        assert!(
+            sparse.stats.traffic.dram_read_bytes < dense.stats.traffic.dram_read_bytes,
+            "{} vs {}",
+            sparse.stats.traffic.dram_read_bytes,
+            dense.stats.traffic.dram_read_bytes
+        );
+        let early = pade.run_trace(&decode_step(64, 29));
+        let late = pade.run_trace(&decode_step(500, 29));
+        assert!(
+            late.stats.traffic.dram_read_bytes > early.stats.traffic.dram_read_bytes,
+            "a longer cache must stream more keys"
+        );
     }
 
     #[test]

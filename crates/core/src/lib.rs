@@ -22,7 +22,7 @@
 //! | §V-A  | V-PU (systolic + APM) | [`vpu`] |
 //! | Table III | Full accelerator assembly | [`accelerator`] |
 //! | §VII (future work) | Multi-bit (digit-serial) stage fusion | [`multibit`] |
-//! | §V-B / Fig. 26(b) | Autoregressive decode sessions | [`decode`] |
+//! | §V-B / Fig. 26(b) | Decode steps: single-query blocks; serving sessions in `pade-serve` | [`accelerator`] |
 //!
 //! # Quickstart
 //!
@@ -46,7 +46,6 @@ pub mod accelerator;
 pub mod bitserial;
 pub mod bui;
 pub mod config;
-pub mod decode;
 pub mod engine;
 pub mod filter;
 pub mod gsat;

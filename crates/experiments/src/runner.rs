@@ -94,25 +94,10 @@ impl Workload {
 fn scale_stats_f(stats: &mut RunStats, f: f64) {
     let m = |v: &mut u64| *v = (*v as f64 * f).round() as u64;
     m(&mut stats.cycles.0);
-    for ops in [&mut stats.ops, &mut stats.predictor_ops] {
-        m(&mut ops.int8_mac);
-        m(&mut ops.int4_mac);
-        m(&mut ops.bit_serial_acc);
-        m(&mut ops.shift_add);
-        m(&mut ops.fp_exp);
-        m(&mut ops.fp_mul);
-        m(&mut ops.fp_add);
-        m(&mut ops.compare);
-        m(&mut ops.lut_lookup);
-    }
-    for t in [&mut stats.traffic, &mut stats.predictor_traffic] {
-        m(&mut t.dram_read_bytes);
-        m(&mut t.dram_write_bytes);
-        m(&mut t.dram_row_activations);
-        m(&mut t.dram_bursts);
-        m(&mut t.sram_read_bytes);
-        m(&mut t.sram_write_bytes);
-    }
+    stats.ops.for_each_mut(m);
+    stats.predictor_ops.for_each_mut(m);
+    stats.traffic.for_each_mut(m);
+    stats.predictor_traffic.for_each_mut(m);
     m(&mut stats.retained_keys);
     m(&mut stats.total_keys);
 }

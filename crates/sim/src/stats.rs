@@ -43,6 +43,35 @@ impl OpCounts {
         self.lut_lookup += other.lut_lookup;
     }
 
+    /// Applies `f` to every counter. The destructuring is exhaustive, so a
+    /// new field does not compile until it is handled here.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(&mut u64)) {
+        let OpCounts {
+            int8_mac,
+            int4_mac,
+            bit_serial_acc,
+            shift_add,
+            fp_exp,
+            fp_mul,
+            fp_add,
+            compare,
+            lut_lookup,
+        } = self;
+        for v in [
+            int8_mac,
+            int4_mac,
+            bit_serial_acc,
+            shift_add,
+            fp_exp,
+            fp_mul,
+            fp_add,
+            compare,
+            lut_lookup,
+        ] {
+            f(v);
+        }
+    }
+
     /// Total events normalized into *equivalent additions* using the
     /// arithmetic-complexity model the paper cites for Fig. 10(b)
     /// (multiplier ≈ 8 adds at INT8, exp ≈ 20 adds, bit-serial acc ≈ 1 add).
@@ -86,6 +115,29 @@ impl TrafficCounts {
         self.dram_bursts += other.dram_bursts;
         self.sram_read_bytes += other.sram_read_bytes;
         self.sram_write_bytes += other.sram_write_bytes;
+    }
+
+    /// Applies `f` to every counter. The destructuring is exhaustive, so a
+    /// new field does not compile until it is handled here.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(&mut u64)) {
+        let TrafficCounts {
+            dram_read_bytes,
+            dram_write_bytes,
+            dram_row_activations,
+            dram_bursts,
+            sram_read_bytes,
+            sram_write_bytes,
+        } = self;
+        for v in [
+            dram_read_bytes,
+            dram_write_bytes,
+            dram_row_activations,
+            dram_bursts,
+            sram_read_bytes,
+            sram_write_bytes,
+        ] {
+            f(v);
+        }
     }
 
     /// Total off-chip bytes moved.
@@ -254,5 +306,24 @@ mod tests {
         };
         assert_eq!(t.dram_total_bytes(), 15);
         assert_eq!(t.sram_total_bytes(), 5);
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_counter() {
+        let mut ops = OpCounts::default();
+        ops.for_each_mut(|v| *v = 1);
+        // Every field carries a nonzero weight, so a skipped one shows.
+        assert_eq!(ops.equivalent_adds(), 8 + 2 + 1 + 1 + 20 + 8 + 2 + 1 + 1);
+        let mut t = TrafficCounts::default();
+        t.for_each_mut(|v| *v = 1);
+        let ones = TrafficCounts {
+            dram_read_bytes: 1,
+            dram_write_bytes: 1,
+            dram_row_activations: 1,
+            dram_bursts: 1,
+            sram_read_bytes: 1,
+            sram_write_bytes: 1,
+        };
+        assert_eq!(t, ones);
     }
 }
