@@ -18,6 +18,7 @@ fn trace(seq_len: usize, seed: u64) -> AttentionTrace {
         profile: ScoreProfile::standard(),
         bits: 8,
         seed,
+        prompt_keys: false,
     })
 }
 

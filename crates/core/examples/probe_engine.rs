@@ -20,6 +20,7 @@ fn main() {
             profile: ScoreProfile::standard(),
             bits: 8,
             seed: 7,
+            prompt_keys: false,
         });
         for (name, cfg) in [
             ("std", PadeConfig::standard()),

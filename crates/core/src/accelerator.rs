@@ -434,6 +434,7 @@ mod tests {
                 profile: ScoreProfile::long_context(),
                 bits: 8,
                 seed,
+                prompt_keys: false,
             })
         };
         let pade = PadeAccelerator::new(PadeConfig::standard());

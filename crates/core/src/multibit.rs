@@ -45,18 +45,6 @@ pub struct MultiBitRowResult {
     pub add_equivalents: u64,
 }
 
-impl MultiBitRowResult {
-    /// Mean digit rounds absorbed per key.
-    #[must_use]
-    pub fn rounds_per_key(&self, n_keys: usize) -> f64 {
-        if n_keys == 0 {
-            0.0
-        } else {
-            self.rounds_executed as f64 / n_keys as f64
-        }
-    }
-}
-
 /// Runs the multi-bit guarded filter for one query row over all keys.
 ///
 /// Mirrors the mainline BSF loop (observe the lower bound, update the
@@ -146,14 +134,6 @@ impl MultiBitBlockResult {
         } else {
             1.0 - self.retained_keys as f64 / self.total_keys as f64
         }
-    }
-
-    /// Key bits a dense (no-pruning) run at this digit width would fetch.
-    #[must_use]
-    pub fn bits_dense(&self, dims: usize, bits: u32) -> u64 {
-        // Dense streams every key once per *row block*; the shared K buffer
-        // makes the stream row-independent, so count one full pass.
-        (self.total_keys / self.retained.len().max(1) as u64) * dims as u64 * u64::from(bits)
     }
 }
 

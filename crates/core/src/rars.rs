@@ -101,6 +101,12 @@ pub fn naive_schedule(rows: &[Vec<usize>], per_row: usize) -> Schedule {
 /// ```
 #[must_use]
 pub fn rars_schedule(rows: &[Vec<usize>], per_row: usize, buffer_capacity: usize) -> Schedule {
+    // With one row every pair covers that row alone and ties at demand 2,
+    // so the greedy loads the lowest pending ids each round: the naive
+    // schedule, without the greedy's pair scan.
+    if rows.len() <= 1 {
+        return naive_schedule(rows, per_row);
+    }
     // The FSM keeps the naive order as a fallback: if greedy reordering
     // does not reduce loads for this batch, execute left-to-right.
     let greedy = rars_greedy(rows, per_row, buffer_capacity);
@@ -541,6 +547,21 @@ mod tests {
             // and every per-row/buffer ratio including a clamped buffer.
             prop_assert_eq!(
                 rars_greedy(&rows, per_row, buffer_capacity),
+                rars_greedy_reference(&rows, per_row, buffer_capacity)
+            );
+        }
+
+        #[test]
+        fn prop_single_row_fast_path_matches_set_based_reference(
+            row in proptest::collection::vec(0usize..150, 0..40),
+            per_row in 1usize..=4,
+            extra_capacity in 0usize..6,
+        ) {
+            // Unsorted, with repeats; every buffer at least one row wide.
+            let rows = [row];
+            let buffer_capacity = per_row + extra_capacity;
+            prop_assert_eq!(
+                rars_schedule(&rows, per_row, buffer_capacity),
                 rars_greedy_reference(&rows, per_row, buffer_capacity)
             );
         }

@@ -116,17 +116,6 @@ impl H100Model {
         let activity = ((compute_s + memory_s) / latency).clamp(0.05, 1.0);
         latency * (c.idle_w + (c.tdp_w - c.idle_w) * activity)
     }
-
-    /// Dynamic power draw implied by a phase, watts (paper methodology:
-    /// active minus idle).
-    #[must_use]
-    pub fn dynamic_power_w(&self, phase: &GpuPhase) -> f64 {
-        let latency = self.latency_s(phase);
-        if latency == 0.0 {
-            return 0.0;
-        }
-        self.energy_j(phase) / latency - self.config.idle_w
-    }
 }
 
 /// Builds the GPU phase of one dense attention head-batch:

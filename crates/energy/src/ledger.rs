@@ -117,12 +117,6 @@ impl EnergyLedger {
         self.predictor.total_pj() + self.executor.total_pj()
     }
 
-    /// Total energy in millijoules.
-    #[must_use]
-    pub fn total_mj(&self) -> f64 {
-        self.total_pj() * 1e-9
-    }
-
     /// Fraction of the total spent in the predictor stage (Fig. 2(a)).
     #[must_use]
     pub fn predictor_fraction(&self) -> f64 {

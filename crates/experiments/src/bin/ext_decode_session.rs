@@ -47,6 +47,7 @@ fn main() {
                     profile: ScoreProfile::long_context(),
                     bits: 8,
                     seed: 71 + t as u64,
+                    prompt_keys: false,
                 });
                 (pade.run_trace(&trace), dense.run_trace(&trace))
             })

@@ -32,6 +32,7 @@ fn main() {
         profile,
         bits: 8,
         seed: 55,
+        prompt_keys: false,
     });
 
     let vpu = Vpu::default();

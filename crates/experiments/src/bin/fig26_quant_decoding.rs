@@ -8,7 +8,8 @@ use pade_core::accelerator::{scale_to_model, PadeAccelerator};
 use pade_core::config::PadeConfig;
 use pade_energy::{EnergyLedger, Tech};
 use pade_experiments::report::{banner, pct, Table};
-use pade_experiments::runner::{run_baseline, run_pade, Workload, DECODE_STEPS};
+use pade_experiments::runner::{run_baseline, run_pade, scale_stats_f, Workload, DECODE_STEPS};
+use pade_sim::RunStats;
 use pade_workload::profile::ScoreProfile;
 use pade_workload::trace::{AttentionTrace, TraceConfig};
 use pade_workload::{model, task};
@@ -36,6 +37,7 @@ fn main() {
                 },
                 bits,
                 seed: 3000,
+                prompt_keys: false,
             });
         }
         let sofa_design = sofa().with_exec_bits(bits);
@@ -71,26 +73,28 @@ fn main() {
     let mut dense4k = 0.0f64;
     for s in [4096usize, 8192, 16384] {
         let sim_seq = s.min(8192);
+        // Longer contexts are simulated at `sim_seq` and every counter is
+        // extrapolated linearly per key.
+        let scale = |stats: &mut RunStats| {
+            if s > sim_seq {
+                scale_stats_f(stats, s as f64 / sim_seq as f64);
+            }
+        };
+        let trace = AttentionTrace::generate(&TraceConfig {
+            seq_len: sim_seq,
+            head_dim: m.head_dim,
+            n_queries: 1,
+            profile: ScoreProfile::long_context(),
+            bits: 8,
+            seed: 3100,
+            prompt_keys: false,
+        });
         for (name, cfg) in
             [("Dense", PadeConfig::dense_baseline()), ("PADE", PadeConfig::standard())]
         {
-            let trace = AttentionTrace::generate(&TraceConfig {
-                seq_len: sim_seq,
-                head_dim: m.head_dim,
-                n_queries: 1,
-                profile: ScoreProfile::long_context(),
-                bits: 8,
-                seed: 3100,
-            });
             let block = PadeAccelerator::new(cfg).run_trace(&trace);
             let mut stats = scale_to_model(&block.stats, &m, s, 1, Some(DECODE_STEPS));
-            if s > sim_seq {
-                // Linear per-key extrapolation.
-                let f = s as f64 / sim_seq as f64;
-                stats.traffic.dram_read_bytes = (stats.traffic.dram_read_bytes as f64 * f) as u64;
-                stats.ops.bit_serial_acc = (stats.ops.bit_serial_acc as f64 * f) as u64;
-                stats.ops.int8_mac = (stats.ops.int8_mac as f64 * f) as u64;
-            }
+            scale(&mut stats);
             let e = EnergyLedger::from_stats(&stats, &Tech::cmos28());
             if name == "Dense" && s == 4096 {
                 dense4k = e.total_pj();
@@ -106,22 +110,9 @@ fn main() {
             ]);
         }
         // SOFA decode: predictor re-reads the full K every step.
-        let trace = AttentionTrace::generate(&TraceConfig {
-            seq_len: sim_seq,
-            head_dim: m.head_dim,
-            n_queries: 1,
-            profile: ScoreProfile::long_context(),
-            bits: 8,
-            seed: 3100,
-        });
         let r = sofa().run(&trace);
         let mut stats = scale_to_model(&r.stats, &m, s, 1, Some(DECODE_STEPS));
-        if s > sim_seq {
-            let f = s as f64 / sim_seq as f64;
-            stats.predictor_traffic.dram_read_bytes =
-                (stats.predictor_traffic.dram_read_bytes as f64 * f) as u64;
-            stats.traffic.dram_read_bytes = (stats.traffic.dram_read_bytes as f64 * f) as u64;
-        }
+        scale(&mut stats);
         let e = EnergyLedger::from_stats(&stats, &Tech::cmos28());
         let c = e.combined();
         table.row(vec![

@@ -1,9 +1,12 @@
 //! Runs every experiment binary in sequence (the full reproduction of the
 //! paper's evaluation section) and prints the Table III configuration.
+//! Each binary's wall time goes to standard error, so a slow experiment
+//! shows in a CI log while standard output stays deterministic.
 //!
 //! Usage: `cargo run --release -p pade-experiments --bin run_all`
 
 use std::process::Command;
+use std::time::Instant;
 
 const BINS: &[&str] = &[
     "tab1_feature_matrix",
@@ -61,6 +64,7 @@ fn main() {
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir").to_path_buf();
     let mut failed = Vec::new();
+    let run_start = Instant::now();
     for bin in BINS {
         let path = dir.join(bin);
         if !path.exists() {
@@ -68,7 +72,9 @@ fn main() {
             failed.push(*bin);
             continue;
         }
+        let start = Instant::now();
         let status = Command::new(&path).status();
+        eprintln!("[run_all] {bin}: {:.2} s", start.elapsed().as_secs_f64());
         match status {
             Ok(s) if s.success() => {}
             other => {
@@ -77,6 +83,7 @@ fn main() {
             }
         }
     }
+    eprintln!("[run_all] total: {:.2} s", run_start.elapsed().as_secs_f64());
     println!("\n================================================================");
     if failed.is_empty() {
         println!("All {} experiments completed.", BINS.len());

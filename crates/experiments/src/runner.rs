@@ -47,6 +47,7 @@ impl Workload {
             profile: ScoreProfile::for_task(&task),
             bits: 8,
             seed,
+            prompt_keys: false,
         });
         Self { model, task, trace, sim_seq }
     }
@@ -90,8 +91,9 @@ impl Workload {
     }
 }
 
-/// Multiplies every count in `stats` by `f` (context extrapolation).
-fn scale_stats_f(stats: &mut RunStats, f: f64) {
+/// Multiplies every count in `stats` by `f`, rounding to the nearest
+/// count (context extrapolation).
+pub fn scale_stats_f(stats: &mut RunStats, f: f64) {
     let m = |v: &mut u64| *v = (*v as f64 * f).round() as u64;
     m(&mut stats.cycles.0);
     stats.ops.for_each_mut(m);
@@ -259,6 +261,7 @@ pub fn pade_end_to_end(w: &Workload, config: &PadeConfig) -> (f64, f64, PadeRunR
         profile: ScoreProfile::for_task(&w.task),
         bits: 8,
         seed: 17,
+        prompt_keys: false,
     });
     let decode_block = PadeAccelerator::new(config.clone()).run_trace(&decode_trace);
     let mut decode_scaled =

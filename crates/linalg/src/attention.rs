@@ -71,30 +71,6 @@ pub fn dense_attention_into(
     }
 }
 
-/// Naive reference attention — the oracle for the blocked kernel (goes
-/// through [`MatF32::matmul_nt_naive`]).
-#[must_use]
-pub fn dense_attention_naive(q: &MatF32, k: &MatF32, v: &MatF32, scale: f32) -> MatF32 {
-    assert_eq!(q.cols(), k.cols(), "Q and K must share the hidden dimension");
-    assert_eq!(k.rows(), v.rows(), "one V row per key");
-    let mut scores = q.matmul_nt_naive(k);
-    let mut out = MatF32::zeros(q.rows(), v.cols());
-    for i in 0..q.rows() {
-        let row = scores.row_mut(i);
-        for s in row.iter_mut() {
-            *s *= scale;
-        }
-        softmax_in_place(row);
-        let out_row = out.row_mut(i);
-        for (j, &w) in row.iter().enumerate() {
-            for (o, &x) in out_row.iter_mut().zip(v.row(j)) {
-                *o += w * x;
-            }
-        }
-    }
-    out
-}
-
 /// Raw (pre-softmax) attention scores `Q·Kᵀ·scale`.
 ///
 /// # Panics

@@ -135,37 +135,14 @@ impl MatF32 {
         out
     }
 
-    /// Naive reference for `self · otherᵀ` — the oracle the blocked
-    /// kernel is property-tested against. Per-element `get`/`set`, no
-    /// blocking; kept intentionally simple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions differ.
-    #[must_use]
-    pub fn matmul_nt_naive(&self, other: &MatF32) -> MatF32 {
-        assert_eq!(self.cols, other.cols, "inner dimensions must match for A·Bᵀ");
-        let mut out = MatF32::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            for j in 0..other.rows {
-                let mut acc = 0.0f32;
-                for k in 0..self.cols {
-                    acc += self.get(i, k) * other.get(j, k);
-                }
-                out.set(i, j, acc);
-            }
-        }
-        out
-    }
-
     /// `self · otherᵀ` into a caller-owned output buffer (resized and
     /// zeroed in place, reusing its allocation).
     ///
     /// The kernel is blocked over `other`'s rows so a tile of B stays hot
     /// in cache while all of A streams past it, and works on row slices
     /// only — no per-element bounds checks survive in the inner loop. Each
-    /// dot product accumulates in the same order as the naive oracle, so
-    /// results are bit-identical.
+    /// dot product accumulates in the same order as a naive triple loop,
+    /// so results are bit-identical to it (pinned by a unit test).
     ///
     /// # Panics
     ///
@@ -213,6 +190,29 @@ mod tests {
         // a · bᵀ = [[1*5+2*6, 1*7+2*8], [3*5+4*6, 3*7+4*8]]
         let c = a.matmul_nt(&b);
         assert_eq!(c.as_slice(), &[17.0, 23.0, 39.0, 53.0]);
+    }
+
+    #[test]
+    fn blocked_matmul_nt_is_bit_identical_to_a_naive_loop() {
+        // Shapes straddle the row tile and include empty inner dims.
+        for (m, n, k) in [(3, 70, 5), (1, 33, 64), (5, 32, 0), (2, 1, 129)] {
+            let a = MatF32::from_fn(m, k, |i, j| ((i * 31 + j * 7) % 13) as f32 * 0.37 - 2.1);
+            let b = MatF32::from_fn(n, k, |i, j| ((i * 17 + j * 5) % 11) as f32 * -0.53 + 1.3);
+            let got = a.matmul_nt(&b);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for d in 0..k {
+                        acc += a.get(i, d) * b.get(j, d);
+                    }
+                    assert_eq!(
+                        got.get(i, j).to_bits(),
+                        acc.to_bits(),
+                        "({m}, {n}, {k}) at ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

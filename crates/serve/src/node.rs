@@ -814,6 +814,7 @@ mod tests {
                 head_dim: 64,
                 n_queries: steps,
                 seed: 1000 + id as u64,
+                prompt_keys: true,
                 ..TraceConfig::small_demo()
             },
             session: id as u64,

@@ -93,7 +93,8 @@ impl Session {
     ///
     /// Requests carrying a [`prompt`](RequestArrival::prompt) derive
     /// their key rows from the prompt token ids instead of the operand
-    /// trace, and — when a [`KvCacheManager`] is supplied — attach
+    /// trace, which is prompt-keyed and never draws its own keys, and —
+    /// when a [`KvCacheManager`] is supplied — attach
     /// through it: the longest cached prefix (shared index or the
     /// session's stored cache) is adopted without decomposition and only
     /// the unseen suffix is decomposed. With `cache` absent the same
@@ -112,8 +113,10 @@ impl Session {
     ///
     /// Panics if the request's trace cannot be decomposed under
     /// `config.bits`, `kv_chunk_tokens` is zero, the prompt length
-    /// differs from the trace context, or the manager's shape differs
-    /// from the request's.
+    /// differs from the trace context, the trace's
+    /// [`prompt_keys`](pade_workload::trace::TraceConfig::prompt_keys)
+    /// flag disagrees with whether the request carries a prompt, or the
+    /// manager's shape differs from the request's.
     #[must_use]
     pub fn admit(
         spec: &RequestArrival,
@@ -123,9 +126,8 @@ impl Session {
         admitted: Cycle,
         cache: Option<&mut KvCacheManager>,
     ) -> Self {
-        let trace = AttentionTrace::generate(&spec.trace);
-        let dims = trace.keys().cols();
-        let seq_len = trace.keys().rows();
+        let trace = generate_trace(spec);
+        let (dims, seq_len) = (spec.trace.head_dim, spec.trace.seq_len);
         // Prefill tiles by PE-row height, exactly as run_qk_batch tiles a
         // job, and slices each tile by the configured chunk; decode runs
         // one query row per step.
@@ -341,8 +343,8 @@ impl Session {
         self.next_block += 1;
         if let SessionKeys::Grown(cache) = &mut self.keys {
             if self.next_block < self.blocks.len() {
-                let dims = self.trace.keys().cols();
-                let target = self.spec.kind.context_len(self.trace.keys().rows(), self.next_block);
+                let dims = self.spec.trace.head_dim;
+                let target = self.spec.kind.context_len(self.spec.trace.seq_len, self.next_block);
                 while cache.tokens() < target {
                     let row = cache.tokens();
                     let values = match &self.prompt_rows {
@@ -401,6 +403,26 @@ impl Session {
     }
 }
 
+/// The operand trace of `spec`: prompt-keyed exactly when the request
+/// carries a prompt, so a prompt request's keys are never drawn (its key
+/// rows come from [`PromptTokens::key_rows`]).
+///
+/// # Panics
+///
+/// Panics if [`TraceConfig::prompt_keys`] disagrees with whether the
+/// request carries a prompt.
+///
+/// [`PromptTokens::key_rows`]: pade_workload::prompt::PromptTokens::key_rows
+/// [`TraceConfig::prompt_keys`]: pade_workload::trace::TraceConfig::prompt_keys
+fn generate_trace(spec: &RequestArrival) -> AttentionTrace {
+    assert_eq!(
+        spec.trace.prompt_keys,
+        spec.prompt.is_some(),
+        "a request's trace is prompt-keyed exactly when it carries a prompt"
+    );
+    AttentionTrace::generate(&spec.trace)
+}
+
 /// Serializes per-block retained outputs into a canonical byte string —
 /// the "per-request output bytes" the bit-identity property compares.
 ///
@@ -433,15 +455,15 @@ pub fn output_bytes(results: &[QkBlockResult]) -> Vec<u8> {
 /// [`run_qk_block_reference`]: pade_core::engine::run_qk_block_reference
 #[must_use]
 pub fn reference_outputs(spec: &RequestArrival, config: &PadeConfig) -> Vec<QkBlockResult> {
-    let trace = AttentionTrace::generate(&spec.trace);
-    let dims = trace.keys().cols();
+    let trace = generate_trace(spec);
+    let (dims, seq_len) = (spec.trace.head_dim, spec.trace.seq_len);
     let (rows_per_block, blocks_total) = match spec.kind {
         RequestKind::Prefill { rows } => (config.pe_rows, rows.div_ceil(config.pe_rows)),
         RequestKind::Decode { steps } => (1, steps),
     };
     let total = spec.kind.tokens();
     let prompt_rows: Option<Vec<i8>> = spec.prompt.as_ref().map(|p| {
-        assert_eq!(p.len(), trace.keys().rows(), "prompt must cover the whole key context");
+        assert_eq!(p.len(), seq_len, "prompt must cover the whole key context");
         p.key_rows(dims, config.bits)
     });
     let decompose_prefix = |prefix: usize| {
@@ -455,7 +477,7 @@ pub fn reference_outputs(spec: &RequestArrival, config: &PadeConfig) -> Vec<QkBl
     // Prefill blocks all attend the same full context — decompose once;
     // decode steps attend a growing prefix — re-decompose per step.
     let whole = match spec.kind {
-        RequestKind::Prefill { .. } => Some(decompose_prefix(trace.keys().rows())),
+        RequestKind::Prefill { .. } => Some(decompose_prefix(seq_len)),
         RequestKind::Decode { .. } => None,
     };
     (0..blocks_total)
@@ -464,7 +486,7 @@ pub fn reference_outputs(spec: &RequestArrival, config: &PadeConfig) -> Vec<QkBl
             let keys = match &whole {
                 Some(k) => k,
                 None => {
-                    grown = decompose_prefix(spec.kind.context_len(trace.keys().rows(), b));
+                    grown = decompose_prefix(spec.kind.context_len(seq_len, b));
                     &grown
                 }
             };
@@ -479,8 +501,10 @@ pub fn reference_outputs(spec: &RequestArrival, config: &PadeConfig) -> Vec<QkBl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pade_cache::CacheConfig;
     use pade_core::engine::run_qk_batch;
     use pade_quant::PlaneSource;
+    use pade_workload::prompt::{generate_shared_prefix_arrivals, SharedPrefixConfig};
     use pade_workload::trace::{generate_arrivals, ArrivalConfig};
 
     const KV_CHUNK: usize = 64;
@@ -632,6 +656,46 @@ mod tests {
         }
         let oracle = reference_outputs(&spec, &config);
         assert_eq!(output_bytes(session.results()), output_bytes(&oracle));
+    }
+
+    #[test]
+    fn prompt_sessions_never_draw_trace_keys() {
+        let config = PadeConfig::standard();
+        let arrivals = generate_shared_prefix_arrivals(&SharedPrefixConfig::small_demo());
+        assert!(arrivals.iter().any(|r| matches!(r.kind, RequestKind::Prefill { .. })));
+        assert!(arrivals.iter().any(|r| matches!(r.kind, RequestKind::Decode { .. })));
+        // Served from scratch, then through a cache manager whose later
+        // turns adopt cached prefixes and resume stored sessions.
+        for managed in [false, true] {
+            let mut manager = managed.then(|| {
+                KvCacheManager::new(CacheConfig::new(64, config.bits, KV_CHUNK))
+                    .expect("valid cache shape")
+            });
+            for spec in &arrivals {
+                let mut session =
+                    Session::admit(spec, &config, KV_CHUNK, None, Cycle::ZERO, manager.as_mut());
+                while !session.is_finished() {
+                    let result =
+                        session.next_job().map(|job| run_qk_batch(&config, &[job]).pop().unwrap());
+                    session.absorb(result);
+                }
+                assert!(!session.trace.keys_drawn(), "request {} drew K", spec.id);
+                let oracle = reference_outputs(spec, &config);
+                assert_eq!(output_bytes(session.results()), output_bytes(&oracle));
+                if let Some(manager) = manager.as_mut() {
+                    session.detach_cache(manager);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prompt-keyed exactly when it carries a prompt")]
+    fn admission_rejects_a_prompt_without_a_prompt_keyed_trace() {
+        let mut spec =
+            generate_shared_prefix_arrivals(&SharedPrefixConfig::small_demo()).swap_remove(0);
+        spec.trace.prompt_keys = false;
+        let _ = Session::admit(&spec, &PadeConfig::standard(), KV_CHUNK, None, Cycle::ZERO, None);
     }
 
     #[test]

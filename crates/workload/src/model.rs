@@ -1,15 +1,6 @@
 //! Model zoo: architectural parameters of the paper's seven benchmark
 //! models (§VI-A).
 
-/// Attention flavor of a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttentionKind {
-    /// Multi-head attention: one KV head per query head.
-    Mha,
-    /// Grouped-query attention: several query heads share a KV head.
-    Gqa,
-}
-
 /// Application domain of a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
@@ -32,8 +23,6 @@ pub struct ModelConfig {
     pub kv_heads: usize,
     /// Per-head hidden dimension.
     pub head_dim: usize,
-    /// Attention flavor.
-    pub attention: AttentionKind,
     /// Application domain.
     pub domain: Domain,
 }
@@ -62,7 +51,6 @@ pub fn llama2_7b() -> ModelConfig {
         heads: 32,
         kv_heads: 32,
         head_dim: 128,
-        attention: AttentionKind::Mha,
         domain: Domain::Language,
     }
 }
@@ -76,7 +64,6 @@ pub fn llama3_8b() -> ModelConfig {
         heads: 32,
         kv_heads: 8,
         head_dim: 128,
-        attention: AttentionKind::Gqa,
         domain: Domain::Language,
     }
 }
@@ -90,7 +77,6 @@ pub fn opt_1b3() -> ModelConfig {
         heads: 32,
         kv_heads: 32,
         head_dim: 64,
-        attention: AttentionKind::Mha,
         domain: Domain::Language,
     }
 }
@@ -104,7 +90,6 @@ pub fn bloom_1b7() -> ModelConfig {
         heads: 16,
         kv_heads: 16,
         head_dim: 128,
-        attention: AttentionKind::Mha,
         domain: Domain::Language,
     }
 }
@@ -118,7 +103,6 @@ pub fn qwen_7b() -> ModelConfig {
         heads: 32,
         kv_heads: 32,
         head_dim: 128,
-        attention: AttentionKind::Mha,
         domain: Domain::Language,
     }
 }
@@ -132,7 +116,6 @@ pub fn vit_l16() -> ModelConfig {
         heads: 16,
         kv_heads: 16,
         head_dim: 64,
-        attention: AttentionKind::Mha,
         domain: Domain::Vision,
     }
 }
@@ -146,7 +129,6 @@ pub fn pvt() -> ModelConfig {
         heads: 8,
         kv_heads: 8,
         head_dim: 64,
-        attention: AttentionKind::Mha,
         domain: Domain::Vision,
     }
 }
@@ -175,10 +157,8 @@ mod tests {
     fn llama3_is_the_only_gqa_model() {
         for m in zoo() {
             if m.name == "Llama3-8B" {
-                assert_eq!(m.attention, AttentionKind::Gqa);
                 assert_eq!(m.group_size(), 4);
             } else {
-                assert_eq!(m.attention, AttentionKind::Mha);
                 assert_eq!(m.group_size(), 1);
             }
         }

@@ -108,6 +108,29 @@ impl PromptTokens {
         }
         out
     }
+
+    /// The quantization scale of prompt-derived key rows: the real value
+    /// one integer step of a [`key_rows`](Self::key_rows) row stands for,
+    /// which a prompt-keyed [`AttentionTrace`](crate::trace::AttentionTrace)
+    /// folds into its `logit_scale` (and so into the guard margin the
+    /// engine derives from it).
+    ///
+    /// The rule is the 2.5σ clipping calibration drawn keys are quantized
+    /// with, applied to their nominal spread σ = 1/√`dims`:
+    /// `2.5 / (√dims · (2^(bits−1) − 1))`. At 1k-token h64 contexts the
+    /// drawn keys' own clipped scale is 1.02–1.03× this rule (pinned by
+    /// `prompt_key_scale_tracks_the_drawn_keys_scale`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` is zero or `bits` is outside `2..=8`.
+    #[must_use]
+    pub fn key_scale(dims: usize, bits: u32) -> f32 {
+        assert!(dims > 0, "key rows need at least one dimension");
+        assert!((2..=8).contains(&bits), "bit width {bits} outside 2..=8");
+        let levels = ((1i32 << (bits - 1)) - 1) as f32;
+        2.5 / (dims as f32).sqrt() / levels
+    }
 }
 
 /// SplitMix64-style finalizer (same constants as `pade-testutil`; kept
@@ -285,6 +308,7 @@ pub fn generate_shared_prefix_arrivals(config: &SharedPrefixConfig) -> Vec<Reque
                         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                         .wrapping_add((session as u64) << 16 | turn as u64),
                 ),
+                prompt_keys: true,
             };
             arrivals.push(RequestArrival {
                 id: 0, // assigned after the arrival-order sort below
@@ -486,6 +510,7 @@ pub fn generate_thrash_arrivals(config: &ThrashConfig) -> Vec<RequestArrival> {
                     profile: config.profile,
                     bits: config.bits,
                     seed: splitmix64(config.seed.wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ v as u64),
+                    prompt_keys: true,
                 },
                 session: v as u64,
                 prompt: Some(prompt),
@@ -689,6 +714,33 @@ mod tests {
             ..SharedPrefixConfig::small_demo()
         });
         assert!(all_decode.iter().all(|r| matches!(r.kind, RequestKind::Decode { .. })));
+    }
+
+    #[test]
+    fn prompt_arrivals_mark_their_traces_prompt_keyed() {
+        let prompted = [
+            generate_shared_prefix_arrivals(&SharedPrefixConfig::small_demo()),
+            generate_multi_tenant_arrivals(&MultiTenantConfig::small_demo()),
+            generate_thrash_arrivals(&ThrashConfig::small_demo()),
+        ];
+        for r in prompted.iter().flatten() {
+            assert!(r.prompt.is_some() && r.trace.prompt_keys, "request {}", r.id);
+        }
+        for r in crate::trace::generate_arrivals(&crate::trace::ArrivalConfig::small_demo()) {
+            assert!(r.prompt.is_none() && !r.trace.prompt_keys, "request {}", r.id);
+        }
+    }
+
+    #[test]
+    fn key_scale_is_the_nominal_clipping_rule() {
+        // 2.5 / (√64 · 127) and 2.5 / (√7 · 7), bit for bit.
+        assert_eq!(PromptTokens::key_scale(64, 8).to_bits(), 0x3b21_4285);
+        assert_eq!(PromptTokens::key_scale(7, 4).to_bits(), 0x3e0a_3a1d);
+        for bits in 2..=8u32 {
+            let levels = ((1i32 << (bits - 1)) - 1) as f32;
+            let want = 2.5 / 128f32.sqrt() / levels;
+            assert_eq!(PromptTokens::key_scale(128, bits), want, "{bits} bits");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A trace holds the quantized Q/K/V operands of one attention head plus
 //! the exact INT8 ground truth derived from them. Q and K are drawn when
 //! the trace is generated; V, which only the dense references read, is
-//! drawn on first read (see [`AttentionTrace`]). Score structure is
+//! drawn on first read, and so is K when the request's keys come from a
+//! prompt (see [`AttentionTrace`]). Score structure is
 //! injected through a small set of shared *feature directions* rather than
 //! per-token boosts: sink tokens carry a sink direction, recent tokens a
 //! ramped recency direction, and heavy-tail tokens one of a few retrieval
@@ -18,7 +19,7 @@ use std::sync::OnceLock;
 use pade_linalg::{attention, MatF32};
 use pade_quant::{quantize_matrix, quantize_matrix_clipped, QuantizedMatrix};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::profile::ScoreProfile;
 use crate::prompt::PromptTokens;
@@ -43,6 +44,15 @@ pub struct TraceConfig {
     pub bits: u32,
     /// RNG seed; equal seeds produce identical traces.
     pub seed: u64,
+    /// Whether the request's keys come from a prompt
+    /// ([`PromptTokens::key_rows`]) rather than from this trace. A
+    /// prompt-keyed trace skips K's draws in the seeded stream without
+    /// computing them, so Q and V are byte-identical to the drawn trace's,
+    /// and takes `logit_scale`'s key factor from
+    /// [`PromptTokens::key_scale`]. K is then drawn only if
+    /// [`AttentionTrace::keys`] is read. The prompt arrival generators set
+    /// it on every request that carries a prompt.
+    pub prompt_keys: bool,
 }
 
 impl TraceConfig {
@@ -56,6 +66,7 @@ impl TraceConfig {
             profile: ScoreProfile::standard(),
             bits: 8,
             seed: 7,
+            prompt_keys: false,
         }
     }
 }
@@ -69,6 +80,7 @@ impl Default for TraceConfig {
             profile: ScoreProfile::standard(),
             bits: 8,
             seed: 42,
+            prompt_keys: false,
         }
     }
 }
@@ -86,11 +98,19 @@ impl Default for TraceConfig {
 /// therefore bit-identical to an eager draw, whichever operand is read
 /// first, and traces that are only scored (the serving path reads Q and K
 /// alone) never pay for it.
+///
+/// A prompt-keyed trace ([`TraceConfig::prompt_keys`]) skips K's draws at
+/// generation and draws K from a fresh generator the first time
+/// [`keys`](Self::keys) or [`key_prefix`](Self::key_prefix) is read, so
+/// serving, whose prompt requests score against prompt-derived keys,
+/// never pays for it either.
 #[derive(Debug, Clone)]
 pub struct AttentionTrace {
     config: TraceConfig,
     q: QuantizedMatrix,
-    k: QuantizedMatrix,
+    /// Quantized keys: drawn at generation, or on first read for a
+    /// prompt-keyed trace.
+    k: OnceLock<QuantizedMatrix>,
     logit_scale: f32,
     /// The generator as it stands after the Q draws: the start of V's
     /// stream.
@@ -102,7 +122,8 @@ pub struct AttentionTrace {
 impl AttentionTrace {
     /// Generates a trace from a configuration: draws the feature basis,
     /// the keys and the queries, and quantizes Q and K. The values are
-    /// drawn on first read (see [`AttentionTrace`]).
+    /// drawn on first read, and so are a prompt-keyed trace's keys (see
+    /// [`AttentionTrace`]).
     ///
     /// # Panics
     ///
@@ -113,66 +134,16 @@ impl AttentionTrace {
     pub fn generate(config: &TraceConfig) -> Self {
         assert!(config.seq_len > 0 && config.head_dim > 0 && config.n_queries > 0);
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let s = config.seq_len;
         let h = config.head_dim;
         let p = &config.profile;
-
-        // Shared feature directions, made exactly orthonormal so structure
-        // logits are deterministic and cross-talk lives only in the
-        // configured noise floor.
-        assert!(h > 2 + TAIL_FAMILIES, "head_dim too small for the feature basis");
-        let mut basis: Vec<Vec<f32>> = Vec::with_capacity(2 + TAIL_FAMILIES);
-        while basis.len() < 2 + TAIL_FAMILIES {
-            let mut v: Vec<f32> = (0..h).map(|_| standard_normal(&mut rng)).collect();
-            project_out(&mut v, h, &basis);
-            let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 1e-3 {
-                for x in &mut v {
-                    *x /= norm;
-                }
-                basis.push(v);
-            }
-        }
-        let sink_dir = basis[0].clone();
-        let recency_dir = basis[1].clone();
-        let tail_dirs: Vec<Vec<f32>> = basis[2..2 + TAIL_FAMILIES].to_vec();
-
-        // Keys: isotropic noise of unit expected norm plus structure flags.
-        // Each row's noise is drawn before its flags, as one stream; the
-        // projection draws nothing, so it runs over all rows afterwards.
-        let inv_sqrt_h = 1.0 / (h as f32).sqrt();
-        let mut k = MatF32::zeros(s, h);
-        let mut tail_family = vec![None; s];
-        for (j, family) in tail_family.iter_mut().enumerate() {
-            for x in k.row_mut(j) {
-                *x = standard_normal(&mut rng) * inv_sqrt_h;
-            }
-            // Each token carries at most one structure (sink ≻ tail ≻
-            // recency); stacking would create outlier logits no real score
-            // row exhibits.
-            if j >= p.sink_tokens && rng.gen::<f32>() < p.tail_rate {
-                *family = Some(rng.gen_range(0..TAIL_FAMILIES));
-            }
-        }
-        // Keep key noise out of the feature span so query subscriptions
-        // see exactly the configured boosts.
-        project_out(k.as_mut_slice(), h, &basis);
-        for (j, family) in tail_family.into_iter().enumerate() {
-            // A weight of 1 adds a direction exactly.
-            let (weight, dir) = match family {
-                _ if j < p.sink_tokens => (1.0, &sink_dir),
-                Some(f) => (1.0, &tail_dirs[f]),
-                // Recency ramp relative to the sequence end, decaying with
-                // distance over the locality window.
-                None => {
-                    let dist = (s - 1 - j) as f32;
-                    ((-dist / p.locality_window.max(1) as f32).exp(), &recency_dir)
-                }
-            };
-            for (x, &y) in k.row_mut(j).iter_mut().zip(dir) {
-                *x += weight * y;
-            }
-        }
+        let basis = draw_basis(&mut rng, h);
+        let k = if config.prompt_keys {
+            skip_keys(&mut rng, config);
+            OnceLock::new()
+        } else {
+            OnceLock::from(draw_keys(&mut rng, config, &basis))
+        };
+        let (sink_dir, recency_dir, tail_dirs) = (&basis[0], &basis[1], &basis[2..]);
 
         // Queries: noise floor with configured logit sigma plus direction
         // subscriptions (every query sees sinks and recency; each query
@@ -198,16 +169,17 @@ impl AttentionTrace {
             }
         }
 
-        // Queries and keys are quantized with outlier clipping (3σ / 2.5σ),
-        // the calibration step of any practical INT8 PTQ pipeline; it keeps
-        // the integer scale representative of the bulk data, which is also
-        // what makes bit-serial early termination effective.
+        // Queries are quantized with 3σ outlier clipping, the calibration
+        // step of any practical INT8 PTQ pipeline (keys use 2.5σ, see
+        // `draw_keys`).
         let qq = quantize_matrix_clipped(q.as_slice(), config.n_queries, h, config.bits, 3.0)
             .expect("query quantization");
-        let kq = quantize_matrix_clipped(k.as_slice(), s, h, config.bits, 2.5)
-            .expect("key quantization");
-        let logit_scale = qq.params().scale() * kq.params().scale();
-        Self { config: *config, q: qq, k: kq, logit_scale, v_rng: rng, v: OnceLock::new() }
+        let key_scale = match k.get() {
+            Some(kq) => kq.params().scale(),
+            None => PromptTokens::key_scale(h, config.bits),
+        };
+        let logit_scale = qq.params().scale() * key_scale;
+        Self { config: *config, q: qq, k, logit_scale, v_rng: rng, v: OnceLock::new() }
     }
 
     /// The quantized and FP32 values, drawn on the first call.
@@ -240,10 +212,23 @@ impl AttentionTrace {
         &self.q
     }
 
-    /// Quantized keys (`S × H`).
+    /// Quantized keys (`S × H`), drawn on the first read for a
+    /// prompt-keyed trace.
     #[must_use]
     pub fn keys(&self) -> &QuantizedMatrix {
-        &self.k
+        self.k.get_or_init(|| {
+            let mut rng = StdRng::seed_from_u64(self.config.seed);
+            let basis = draw_basis(&mut rng, self.config.head_dim);
+            draw_keys(&mut rng, &self.config, &basis)
+        })
+    }
+
+    /// Whether K has been drawn: always for a trace drawn with its keys,
+    /// and for a prompt-keyed trace only once [`keys`](Self::keys) or
+    /// [`key_prefix`](Self::key_prefix) has been read.
+    #[must_use]
+    pub fn keys_drawn(&self) -> bool {
+        self.k.get().is_some()
     }
 
     /// Row-major slice of the first `tokens` quantized key rows — the key
@@ -254,8 +239,9 @@ impl AttentionTrace {
     /// Panics if `tokens > seq_len`.
     #[must_use]
     pub fn key_prefix(&self, tokens: usize) -> &[i8] {
-        assert!(tokens <= self.k.rows(), "prefix of {tokens} tokens exceeds the context");
-        &self.k.as_slice()[..tokens * self.k.cols()]
+        let k = self.keys();
+        assert!(tokens <= k.rows(), "prefix of {tokens} tokens exceeds the context");
+        &k.as_slice()[..tokens * k.cols()]
     }
 
     /// Quantized values (`S × H`), drawn on the first read.
@@ -287,10 +273,11 @@ impl AttentionTrace {
     #[must_use]
     pub fn exact_logits(&self, i: usize) -> Vec<f32> {
         let q = self.q.row(i);
-        (0..self.k.rows())
+        let k = self.keys();
+        (0..k.rows())
             .map(|j| {
                 let dot: i32 =
-                    q.iter().zip(self.k.row(j)).map(|(&a, &b)| i32::from(a) * i32::from(b)).sum();
+                    q.iter().zip(k.row(j)).map(|(&a, &b)| i32::from(a) * i32::from(b)).sum();
                 dot as f32 * self.logit_scale
             })
             .collect()
@@ -341,7 +328,8 @@ impl AttentionTrace {
     #[must_use]
     pub fn dense_reference_f32(&self) -> MatF32 {
         let qf = MatF32::from_vec(self.q.dequantize(), self.q.rows(), self.q.cols());
-        let kf = MatF32::from_vec(self.k.dequantize(), self.k.rows(), self.k.cols());
+        let k = self.keys();
+        let kf = MatF32::from_vec(k.dequantize(), k.rows(), k.cols());
         attention::dense_attention(&qf, &kf, self.values_f32(), 1.0)
     }
 }
@@ -530,6 +518,7 @@ pub fn generate_arrivals(config: &ArrivalConfig) -> Vec<RequestArrival> {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(id as u64)
                 .wrapping_mul(0xBF58_476D_1CE4_E5B9),
+            prompt_keys: false,
         };
         out.push(RequestArrival {
             id,
@@ -603,6 +592,89 @@ pub fn generate_tenant_mix(loads: &[TenantLoad]) -> Vec<RequestArrival> {
     out
 }
 
+/// Draws the shared feature directions (sink, recency, then one per tail
+/// family), made exactly orthonormal so structure logits are deterministic
+/// and cross-talk lives only in the configured noise floor.
+///
+/// # Panics
+///
+/// Panics if `h` is 6 or less, too small for the basis.
+fn draw_basis(rng: &mut StdRng, h: usize) -> Vec<Vec<f32>> {
+    assert!(h > 2 + TAIL_FAMILIES, "head_dim too small for the feature basis");
+    let mut basis: Vec<Vec<f32>> = Vec::with_capacity(2 + TAIL_FAMILIES);
+    while basis.len() < 2 + TAIL_FAMILIES {
+        let mut v: Vec<f32> = (0..h).map(|_| standard_normal(rng)).collect();
+        project_out(&mut v, h, &basis);
+        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 1e-3 {
+            for x in &mut v {
+                *x /= norm;
+            }
+            basis.push(v);
+        }
+    }
+    basis
+}
+
+/// Key `j`'s structure-flag draws: the tail family it carries, if any.
+/// Each token carries at most one structure (sink ≻ tail ≻ recency);
+/// stacking would create outlier logits no real score row exhibits.
+fn tail_family(rng: &mut StdRng, p: &ScoreProfile, j: usize) -> Option<usize> {
+    (j >= p.sink_tokens && rng.gen::<f32>() < p.tail_rate).then(|| rng.gen_range(0..TAIL_FAMILIES))
+}
+
+/// Draws the quantized keys from `rng`, which stands right after the
+/// feature basis: isotropic noise of unit expected norm plus the structure
+/// directions, quantized with 2.5σ outlier clipping. That clipping keeps
+/// the integer scale representative of the bulk data, which is also what
+/// makes bit-serial early termination effective.
+fn draw_keys(rng: &mut StdRng, config: &TraceConfig, basis: &[Vec<f32>]) -> QuantizedMatrix {
+    let (s, h, p) = (config.seq_len, config.head_dim, &config.profile);
+    // Each row's noise is drawn before its flags, as one stream; the
+    // projection draws nothing, so it runs over all rows afterwards.
+    let inv_sqrt_h = 1.0 / (h as f32).sqrt();
+    let mut k = MatF32::zeros(s, h);
+    let mut families = vec![None; s];
+    for (j, family) in families.iter_mut().enumerate() {
+        for x in k.row_mut(j) {
+            *x = standard_normal(rng) * inv_sqrt_h;
+        }
+        *family = tail_family(rng, p, j);
+    }
+    // Keep key noise out of the feature span so query subscriptions see
+    // exactly the configured boosts.
+    project_out(k.as_mut_slice(), h, basis);
+    for (j, family) in families.into_iter().enumerate() {
+        // A weight of 1 adds a direction exactly.
+        let (weight, dir) = match family {
+            _ if j < p.sink_tokens => (1.0, &basis[0]),
+            Some(f) => (1.0, &basis[2 + f]),
+            // Recency ramp relative to the sequence end, decaying with
+            // distance over the locality window.
+            None => {
+                let dist = (s - 1 - j) as f32;
+                ((-dist / p.locality_window.max(1) as f32).exp(), &basis[1])
+            }
+        };
+        for (x, &y) in k.row_mut(j).iter_mut().zip(dir) {
+            *x += weight * y;
+        }
+    }
+    quantize_matrix_clipped(k.as_slice(), s, h, config.bits, 2.5).expect("key quantization")
+}
+
+/// Advances `rng` past exactly the draws [`draw_keys`] makes, computing
+/// none of the keys: each noise value is one [`standard_normal`], two
+/// `next_u64` calls, and each row's structure flags are drawn as there.
+fn skip_keys(rng: &mut StdRng, config: &TraceConfig) {
+    for j in 0..config.seq_len {
+        for _ in 0..2 * config.head_dim {
+            rng.next_u64();
+        }
+        tail_family(rng, &config.profile, j);
+    }
+}
+
 /// Removes from each `h`-wide row of `rows` its components in the span of
 /// `basis` (which must be orthonormal).
 fn project_out(rows: &mut [f32], h: usize, basis: &[Vec<f32>]) {
@@ -639,7 +711,8 @@ fn project_block<const R: usize>(block: &mut [f32], h: usize, basis: &[Vec<f32>]
 }
 
 /// Standard normal sample via Box–Muller (keeps the dependency surface to
-/// `rand`'s uniform source only).
+/// `rand`'s uniform source only). Draws two uniforms, one `next_u64` each,
+/// which [`skip_keys`] relies on.
 fn standard_normal(rng: &mut StdRng) -> f32 {
     let u1: f32 = rng.gen_range(1e-7f32..1.0);
     let u2: f32 = rng.gen::<f32>();
@@ -719,12 +792,114 @@ mod tests {
                     profile: ScoreProfile::standard(),
                     bits,
                     seed: 0x601D ^ seq_len as u64,
+                    prompt_keys: false,
                 });
                 let got = operand_hash(&t);
                 assert_eq!(
                     got, hash,
                     "{bits} bits, shape ({seq_len}, {head_dim}, {n_queries}): {got:#018x}"
                 );
+            }
+        }
+    }
+
+    /// Configurations across ragged shapes, every profile and three
+    /// widths, drawn with their keys.
+    fn drawn_configs() -> Vec<TraceConfig> {
+        let profiles = [
+            ScoreProfile::standard(),
+            ScoreProfile::long_context(),
+            ScoreProfile::vision(),
+            ScoreProfile::reasoning(),
+            ScoreProfile::flattened(),
+        ];
+        let shapes = [(1088, 64, 2), (37, 7, 3), (513, 65, 1), (9, 199, 4), (300, 128, 8)];
+        let mut out = Vec::new();
+        for (i, profile) in profiles.into_iter().enumerate() {
+            for (j, (seq_len, head_dim, n_queries)) in shapes.into_iter().enumerate() {
+                out.push(TraceConfig {
+                    seq_len,
+                    head_dim,
+                    n_queries,
+                    profile,
+                    bits: [2, 4, 8][(i + j) % 3],
+                    seed: 0x5EED ^ (i * 8 + j) as u64,
+                    prompt_keys: false,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn prompt_keyed_traces_keep_the_drawn_queries_and_values() {
+        for config in drawn_configs() {
+            let drawn = AttentionTrace::generate(&config);
+            let keyed = AttentionTrace::generate(&TraceConfig { prompt_keys: true, ..config });
+            assert!(!keyed.keys_drawn(), "{config:?}: generate must not draw K");
+            assert_eq!(keyed.queries(), drawn.queries(), "{config:?}");
+            assert_eq!(value_bits(&keyed), value_bits(&drawn), "{config:?}");
+            let key_scale = PromptTokens::key_scale(config.head_dim, config.bits);
+            assert_eq!(
+                keyed.logit_scale().to_bits(),
+                (drawn.queries().params().scale() * key_scale).to_bits(),
+                "{config:?}"
+            );
+            assert!(!keyed.keys_drawn(), "{config:?}: reading Q, V and the scale drew K");
+        }
+    }
+
+    #[test]
+    fn lazy_keys_equal_the_drawn_keys() {
+        for config in drawn_configs() {
+            let drawn = AttentionTrace::generate(&config);
+            let keyed = AttentionTrace::generate(&TraceConfig { prompt_keys: true, ..config });
+            let tokens = config.seq_len / 2;
+            assert_eq!(keyed.key_prefix(tokens), drawn.key_prefix(tokens), "{config:?}");
+            assert!(keyed.keys_drawn());
+            assert_eq!(keyed.keys(), drawn.keys(), "{config:?}");
+            assert_eq!(keyed.exact_logits(0).len(), config.seq_len);
+        }
+    }
+
+    #[test]
+    fn prompt_keyed_logit_scale_is_pinned() {
+        // Any change to the key-scale rule or to the query draws fails here.
+        const GOLDEN: [(usize, usize, u32, u32); 4] = [
+            (1088, 64, 8, 0x391c_68bf),
+            (1152, 64, 8, 0x3922_3789),
+            (37, 7, 4, 0x3ea5_69e9),
+            (513, 65, 2, 0x401b_f73c),
+        ];
+        for (seq_len, head_dim, bits, golden) in GOLDEN {
+            let t = AttentionTrace::generate(&TraceConfig {
+                seq_len,
+                head_dim,
+                n_queries: 2,
+                profile: ScoreProfile::standard(),
+                bits,
+                seed: 0x601D ^ seq_len as u64,
+                prompt_keys: true,
+            });
+            let got = t.logit_scale().to_bits();
+            assert_eq!(got, golden, "({seq_len}, {head_dim}, {bits} bits): {got:#010x}");
+        }
+    }
+
+    #[test]
+    fn prompt_key_scale_tracks_the_drawn_keys_scale() {
+        // At the shared-prefix serving shapes the drawn keys' clipped scale
+        // sits a little above the nominal-σ rule, and close to it.
+        for seq_len in [1088, 1152] {
+            for seed in 1..=8 {
+                let t = AttentionTrace::generate(&TraceConfig {
+                    seq_len,
+                    seed,
+                    n_queries: 1,
+                    ..TraceConfig::small_demo()
+                });
+                let ratio = t.keys().params().scale() / PromptTokens::key_scale(64, 8);
+                assert!((1.0..1.05).contains(&ratio), "{seq_len} tokens, seed {seed}: {ratio}");
             }
         }
     }

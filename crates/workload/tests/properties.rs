@@ -10,7 +10,7 @@ use pade_workload::trace::{AttentionTrace, TraceConfig};
 use proptest::prelude::*;
 
 fn config(seq_len: usize, seed: u64, profile: ScoreProfile) -> TraceConfig {
-    TraceConfig { seq_len, head_dim: 32, n_queries: 4, profile, bits: 8, seed }
+    TraceConfig { seq_len, head_dim: 32, n_queries: 4, profile, bits: 8, seed, prompt_keys: false }
 }
 
 proptest! {

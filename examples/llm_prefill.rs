@@ -21,6 +21,7 @@ fn main() {
         profile: ScoreProfile::standard(),
         bits: 8,
         seed: 11,
+        prompt_keys: false,
     });
     let tech = Tech::cmos28();
 

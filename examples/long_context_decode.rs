@@ -26,6 +26,7 @@ fn main() {
             profile: ScoreProfile::long_context(),
             bits: 8,
             seed: 29,
+            prompt_keys: false,
         });
         let pade = PadeAccelerator::new(PadeConfig::standard()).run_trace(&trace);
         let pe = EnergyLedger::from_stats(&pade.stats, &tech).total_pj() * 1e-6;

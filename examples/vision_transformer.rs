@@ -25,6 +25,7 @@ fn main() {
             profile: ScoreProfile::vision(),
             bits: 8,
             seed: 31,
+            prompt_keys: false,
         });
         let pade = PadeAccelerator::new(PadeConfig::standard()).run_trace(&trace);
         let dense = PadeAccelerator::new(PadeConfig::dense_baseline()).run_trace(&trace);

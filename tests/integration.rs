@@ -18,6 +18,7 @@ fn mid_trace() -> AttentionTrace {
         profile: ScoreProfile::standard(),
         bits: 8,
         seed: 77,
+        prompt_keys: false,
     })
 }
 
@@ -88,6 +89,7 @@ fn pade_beats_every_stage_splitting_design_on_energy_at_scale() {
         profile: ScoreProfile::standard(),
         bits: 8,
         seed: 99,
+        prompt_keys: false,
     });
     let tech = Tech::cmos28();
     let pade = PadeAccelerator::new(PadeConfig::standard()).run_trace(&trace);
@@ -132,6 +134,7 @@ fn bitwave_is_exact_but_less_balanced() {
         profile: ScoreProfile::standard(),
         bits: 8,
         seed: 77,
+        prompt_keys: false,
     });
     let bw = BitWave::default().run(&trace);
     assert_eq!(bw.fidelity, 1.0);

@@ -24,6 +24,7 @@ fn tiny_trace(seq_len: usize, n_queries: usize, seed: u64) -> AttentionTrace {
         profile: ScoreProfile::standard(),
         bits: 8,
         seed,
+        prompt_keys: false,
     })
 }
 
@@ -127,6 +128,7 @@ fn int4_narrow_trace() {
         profile: ScoreProfile::standard(),
         bits: 4,
         seed: 6,
+        prompt_keys: false,
     });
     let config = PadeConfig { bits: 4, ..PadeConfig::standard() };
     let r = PadeAccelerator::new(config.clone()).run_trace(&trace);
