@@ -30,7 +30,9 @@ use crate::filter::{Decision, GuardFilter};
 use crate::gsat::Gsat;
 use crate::scoreboard::Scoreboard;
 
+mod calendar;
 mod wheel;
+use calendar::LaneCalendar;
 use wheel::EventWheel;
 
 /// Result of one QK block (up to `pe_rows` query rows over all keys).
@@ -68,7 +70,7 @@ struct Job {
 /// in place of a per-lane scoreboard entry.
 #[derive(Debug, Clone, Copy)]
 struct WalkJob {
-    token: usize,
+    token: u32,
     plane: u32,
     partial: i64,
 }
@@ -91,7 +93,8 @@ struct Lane {
 
 /// A lane of the production walk in [`run_qk_block`]: the oracle's
 /// [`Lane`] with its key list replaced by a cursor and a parked state, and
-/// its scoreboard replaced by the partial scores its jobs carry.
+/// its scoreboard replaced by the partial scores its jobs carry. The walk's
+/// lane calendar, not the lane, records when it is next due.
 #[derive(Debug)]
 struct WalkLane {
     row: usize,
@@ -102,13 +105,11 @@ struct WalkLane {
     outstanding: usize,
     inflight_keys: usize,
     resolved_keys: usize,
-    busy_until: Cycle,
     /// Set while the lane is parked — nothing ready, a plane outstanding —
-    /// to the cycle it parked at; delivery charges the wait as memory
-    /// stall, and the walk skips the lane until then.
+    /// to the cycle it parked at; the delivery that wakes it charges the
+    /// wait as memory stall.
     wait_since: Option<Cycle>,
     util: UtilizationCounter,
-    done: bool,
 }
 
 /// Shared K-buffer plane state: in flight from DRAM or already on chip.
@@ -133,23 +134,28 @@ enum PlaneState {
 ///   is resolved once per block, so an absorption reaches its
 ///   [`PlaneRow`](pade_quant::PlaneRow) through an index and a slice
 ///   offset and allocates nothing;
-/// - the shared K-buffer state lives in a flat `Vec` indexed by
-///   `(token, plane)`;
 /// - each query row gets one byte-lookup [`QRowLut`], so every plane
 ///   absorption is `⌈H/8⌉` table reads shared read-only by the row's lanes;
 /// - per-plane GSAT bookkeeping is [`Gsat::absorb_stats`], which at the
 ///   served shape (BS, sub-groups of 8) reads the selection count the
 ///   store cached when the key entered it and sweeps nothing;
-/// - the block walk makes one pass over the lanes per step, finding the
-///   next busy time on the way; a lane waiting on DRAM is parked and costs
-///   nothing until its plane lands, which charges it the whole wait;
-/// - a per-token slot table, built once per block, maps each plane request
-///   to its flat K-buffer slot;
+/// - the block walk visits only due lanes: a lane-visit calendar (a ring of
+///   per-cycle bitmasks, one bit per lane, as many cycles as the longest
+///   absorption) books a lane at the cycle its absorption ends and at the
+///   delivery that wakes it from a DRAM wait, and each step visits one
+///   bucket's lanes in ascending id; time jumps to the next booked cycle or
+///   plane arrival, and a parked lane is charged its whole wait on wake;
+/// - the shared K buffer is one flat `Vec` of availability cycles (0: not
+///   fetched), indexed through a per-token slot table built once per
+///   block; a request answers `max(available, now + 1)` whether the plane
+///   is in flight or on chip, so deliveries never touch it, and the K-SRAM
+///   fill is booked once per fetched burst;
 /// - the partial score rides the job: each plane request carries its key's
 ///   running partial, so a lane keeps no scoreboard to search (issue
 ///   still asserts the window fits the scoreboard's capacity);
 /// - plane arrivals go through an engine-local event wheel (per-cycle
-///   buckets threaded through one recycled node arena) in place of
+///   buckets threaded through one recycled node arena, each request a
+///   32-bit lane, token and plane plus its partial score) in place of
 ///   [`EventQueue`]'s binary heap, delivering in the same
 ///   `(time, insertion)` order.
 ///
@@ -234,17 +240,20 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let bits = keys.bits();
     let dims = keys.dims();
     let n_keys = keys.tokens();
+    assert!(u32::try_from(n_keys).is_ok(), "plane requests carry 32-bit token ids");
     let gsat = Gsat::new(config.gsat_width, config.subgroup);
     let window = if config.enable_ooe { config.scoreboard_entries } else { 1 };
 
     let mut hbm = HbmModel::new(config.hbm);
     let mut k_sram = SramBuffer::new("kv", config.kv_buffer_kb as u64 * 1024);
     let mut q_sram = SramBuffer::new("q", config.q_buffer_kb as u64 * 1024);
-    let mut events: EventWheel<(usize, WalkJob)> = EventWheel::new();
+    let mut events: EventWheel<(u32, WalkJob)> = EventWheel::new();
     let mut ops = OpCounts::default();
-    // Flat shared K-buffer state: slot `token_key·bits + plane_key` (the
-    // layout-dependent cache key always satisfies `token_key < n_keys`).
-    let mut plane_cache: Vec<SlotState> = vec![SlotState::Unfetched; n_keys * bits as usize];
+    // Flat shared K-buffer: slot `token_key·bits + plane_key` holds the
+    // cycle its plane is on chip, or 0 if it was never fetched (every
+    // arrival lies past the cycle that requests it). The layout-dependent
+    // cache key always satisfies `token_key < n_keys`.
+    let mut available: Vec<u64> = vec![0; n_keys * bits as usize];
     let mut planes_fetched = 0u64;
 
     // Per-row pruning state; every lane of a row borrows the row's
@@ -276,10 +285,8 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
                 outstanding: 0,
                 inflight_keys: 0,
                 resolved_keys: 0,
-                busy_until: Cycle::ZERO,
                 wait_since: None,
                 util: UtilizationCounter::new(),
-                done: false,
             });
         }
     }
@@ -295,7 +302,7 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         _ => 1,
     };
     // Slot table: each token's plane-0 slot in the flat K-buffer state,
-    // built once so a request or delivery costs an index, not divisions.
+    // built once so a request costs an index, not divisions.
     // Interleaved tokens `idx·c + channel` share the slot of their
     // coalescing group, `(idx / coalesce)·coalesce·c + channel`.
     let bits_us = bits as usize;
@@ -313,26 +320,27 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let plane_step = usize::from(config.layout != KeyLayout::ValueRowMajor);
     // Each token's planes, resolved once so an absorption costs an index.
     let views: Vec<TokenPlanes<'_>> = (0..n_keys).map(|token| keys.token(token)).collect();
-    let cache_slot = |token: usize, plane: u32| slot_base[token] + plane as usize * plane_step;
 
-    let request_plane = |token: usize,
+    // A request answers when its plane is on chip: one cycle after it at
+    // the earliest, whether the plane is still in flight or present.
+    let request_plane = |token: u32,
                          plane: u32,
                          now: Cycle,
                          hbm: &mut HbmModel,
-                         cache: &mut [SlotState],
+                         available: &mut [u64],
                          fetched: &mut u64|
      -> Cycle {
-        let slot = cache_slot(token, plane);
-        match cache[slot] {
-            SlotState::Present => now + Cycle(1),
-            SlotState::InFlight(t) => t.max(now + Cycle(1)),
-            SlotState::Unfetched => {
-                let fetch = config.layout.plane_fetch(token, plane, dims, bits, &config.hbm);
+        let slot = slot_base[token as usize] + plane as usize * plane_step;
+        match available[slot] {
+            0 => {
+                let fetch =
+                    config.layout.plane_fetch(token as usize, plane, dims, bits, &config.hbm);
                 let arrival = hbm.access(fetch.loc, fetch.bytes, now).complete;
-                cache[slot] = SlotState::InFlight(arrival);
+                available[slot] = arrival.0;
                 *fetched += 1;
                 arrival
             }
+            t => Cycle(t).max(now + Cycle(1)),
         }
     };
 
@@ -341,128 +349,126 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let extra_subs =
         if config.enable_bs { (config.gsat_width / config.subgroup) as u64 / 2 } else { 0 };
 
+    // Every lane is due at cycle 0; afterwards a lane is booked at the end
+    // of each absorption and when a delivery wakes it from a DRAM wait.
+    let mut calendar = LaneCalendar::new(lanes.len(), gsat.max_plane_cycles(dims));
+    for lane_id in 0..lanes.len() {
+        calendar.book(lane_id, now);
+    }
     let mut live = lanes.len();
     while live > 0 && now < hard_stop {
         // Deliver arrivals due this cycle; a parked lane is charged the
-        // memory stall of every cycle it waited.
+        // memory stall of every cycle it waited and becomes due now.
         while let Some((lane_id, job)) = events.pop_ready(now) {
-            let lane = &mut lanes[lane_id];
+            let lane = &mut lanes[lane_id as usize];
             lane.outstanding -= 1;
             lane.ready.push_back(job);
             if let Some(since) = lane.wait_since.take() {
                 lane.util.stall_mem((now - since).0);
-            }
-            let slot = cache_slot(job.token, job.plane);
-            if let SlotState::InFlight(_) = plane_cache[slot] {
-                plane_cache[slot] = SlotState::Present;
-                k_sram.write(config.hbm.burst_bytes);
+                calendar.book(lane_id as usize, now);
             }
         }
 
-        // One pass: visit every free lane and find the next busy time.
-        // Busy, parked and done lanes cost a branch each.
-        let mut next_busy = Cycle(u64::MAX);
-        // `lane_id` travels into the event queue alongside the borrow, so
-        // the indexed form is clearer than enumerate-with-reborrow here.
-        #[allow(clippy::needless_range_loop)]
-        for lane_id in 0..lanes.len() {
-            let lane = &mut lanes[lane_id];
-            if lane.done || lane.wait_since.is_some() {
-                continue;
-            }
-            if now < lane.busy_until {
-                next_busy = next_busy.min(lane.busy_until);
-                continue;
-            }
+        // Visit the due lanes in ascending id. Nothing books this cycle
+        // while they run: absorptions end and planes land after it.
+        for word in 0..calendar.words() {
+            let mut due = calendar.take(now, word);
+            while due != 0 {
+                let lane_id = word * 64 + due.trailing_zeros() as usize;
+                due &= due - 1;
+                let lane = &mut lanes[lane_id];
 
-            let dynamic_window =
-                if config.enable_ooe { window.min(2 + 2 * lane.resolved_keys) } else { 1 };
-            while lane.inflight_keys < dynamic_window && lane.next_token < n_keys {
-                let token = lane.next_token;
-                lane.next_token += stride;
-                lane.inflight_keys += 1;
-                assert!(
-                    lane.inflight_keys <= config.scoreboard_entries,
-                    "window bounds in-flight keys to scoreboard capacity"
-                );
-                lane.outstanding += 1;
-                let arrival =
-                    request_plane(token, 0, now, &mut hbm, &mut plane_cache, &mut planes_fetched);
-                events.schedule(arrival, (lane_id, WalkJob { token, plane: 0, partial: 0 }));
-                if !config.enable_ooe {
-                    break;
-                }
-            }
-
-            let Some(job) = lane.ready.pop_front() else {
-                if lane.outstanding > 0 {
-                    // Park until a plane lands: a waiting lane has nothing
-                    // to issue (the window was just refilled).
-                    lane.wait_since = Some(now);
-                } else {
-                    // Every in-flight key has exactly one pending job, and
-                    // the window refill above issued any key left.
+                let dynamic_window =
+                    if config.enable_ooe { window.min(2 + 2 * lane.resolved_keys) } else { 1 };
+                while lane.inflight_keys < dynamic_window && lane.next_token < n_keys {
+                    let token = lane.next_token as u32;
+                    lane.next_token += stride;
+                    lane.inflight_keys += 1;
                     assert!(
-                        lane.inflight_keys == 0 && lane.next_token >= n_keys,
-                        "lane {lane_id} idle with keys unresolved"
+                        lane.inflight_keys <= config.scoreboard_entries,
+                        "window bounds in-flight keys to scoreboard capacity"
                     );
-                    lane.done = true;
-                    live -= 1;
-                }
-                continue;
-            };
-            let plane = views[job.token].plane(job.plane);
-            k_sram.read(plane_sram_bytes);
-            let contrib = plane_contribution_lut(luts[lane.row], plane, job.plane, bits, false);
-            let stats = gsat.absorb_stats(plane, config.enable_bs);
-            if tr_active {
-                tr_popcounts += 1;
-                tr_absorb_cycles += stats.balanced;
-                tr_gsat_cycles += stats.cycles;
-            }
-            lane.util.busy(stats.balanced);
-            lane.util.stall_intra(stats.cycles - stats.balanced);
-            lane.busy_until = now + Cycle(stats.cycles);
-            next_busy = next_busy.min(lane.busy_until);
-            ops.bit_serial_acc += u64::from(stats.selected) + extra_subs;
-            ops.shift_add += 1; // plane-weight application
-
-            // Fold into the key's partial score and decide.
-            let partial = job.partial + contrib.value;
-            let f = &mut filters[lane.row];
-            let bui = &buis[lane.row];
-            f.observe_lower_bound(bui.lower_bound(partial, job.plane));
-            ops.lut_lookup += 1; // BUI LUT read
-            match f.decide(bui.upper_bound(partial, job.plane), job.plane) {
-                Decision::Prune => {
-                    lane.inflight_keys -= 1;
-                    lane.resolved_keys += 1;
-                }
-                Decision::Retain => {
-                    lane.inflight_keys -= 1;
-                    lane.resolved_keys += 1;
-                    retained[lane.row].push((job.token, partial));
-                }
-                Decision::NeedMore => {
                     lane.outstanding += 1;
-                    let arrival = request_plane(
-                        job.token,
-                        job.plane + 1,
-                        now,
-                        &mut hbm,
-                        &mut plane_cache,
-                        &mut planes_fetched,
+                    let arrival =
+                        request_plane(token, 0, now, &mut hbm, &mut available, &mut planes_fetched);
+                    events.schedule(
+                        arrival,
+                        (lane_id as u32, WalkJob { token, plane: 0, partial: 0 }),
                     );
-                    let next = WalkJob { token: job.token, plane: job.plane + 1, partial };
-                    events.schedule(arrival, (lane_id, next));
+                    if !config.enable_ooe {
+                        break;
+                    }
+                }
+
+                let Some(job) = lane.ready.pop_front() else {
+                    if lane.outstanding > 0 {
+                        // Park until a plane lands: a waiting lane has
+                        // nothing to issue (the window was just refilled).
+                        lane.wait_since = Some(now);
+                    } else {
+                        // Every in-flight key has exactly one pending job,
+                        // and the window refill above issued any key left.
+                        assert!(
+                            lane.inflight_keys == 0 && lane.next_token >= n_keys,
+                            "lane {lane_id} idle with keys unresolved"
+                        );
+                        live -= 1;
+                    }
+                    continue;
+                };
+                let plane = views[job.token as usize].plane(job.plane);
+                k_sram.read(plane_sram_bytes);
+                let contrib = plane_contribution_lut(luts[lane.row], plane, job.plane, bits, false);
+                let stats = gsat.absorb_stats(plane, config.enable_bs);
+                if tr_active {
+                    tr_popcounts += 1;
+                    tr_absorb_cycles += stats.balanced;
+                    tr_gsat_cycles += stats.cycles;
+                }
+                lane.util.busy(stats.balanced);
+                lane.util.stall_intra(stats.cycles - stats.balanced);
+                calendar.book(lane_id, now + Cycle(stats.cycles));
+                ops.bit_serial_acc += u64::from(stats.selected) + extra_subs;
+                ops.shift_add += 1; // plane-weight application
+
+                // Fold into the key's partial score and decide.
+                let partial = job.partial + contrib.value;
+                let f = &mut filters[lane.row];
+                let bui = &buis[lane.row];
+                f.observe_lower_bound(bui.lower_bound(partial, job.plane));
+                ops.lut_lookup += 1; // BUI LUT read
+                match f.decide(bui.upper_bound(partial, job.plane), job.plane) {
+                    Decision::Prune => {
+                        lane.inflight_keys -= 1;
+                        lane.resolved_keys += 1;
+                    }
+                    Decision::Retain => {
+                        lane.inflight_keys -= 1;
+                        lane.resolved_keys += 1;
+                        retained[lane.row].push((job.token as usize, partial));
+                    }
+                    Decision::NeedMore => {
+                        lane.outstanding += 1;
+                        let arrival = request_plane(
+                            job.token,
+                            job.plane + 1,
+                            now,
+                            &mut hbm,
+                            &mut available,
+                            &mut planes_fetched,
+                        );
+                        let next = WalkJob { token: job.token, plane: job.plane + 1, partial };
+                        events.schedule(arrival, (lane_id as u32, next));
+                    }
                 }
             }
         }
 
-        // Advance to the next interesting time (skip long memory waits);
-        // both candidates lie past `now`, and with neither, step a cycle.
-        let next_event = events.next_time().filter(|&t| t > now).unwrap_or(Cycle(u64::MAX));
-        now = match next_busy.min(next_event) {
+        // Advance to the next cycle with a lane due or a plane landing;
+        // with neither (every lane done), step a cycle.
+        let next_due = calendar.next_after(now).unwrap_or(Cycle(u64::MAX));
+        let next_event = events.next_time().unwrap_or(Cycle(u64::MAX));
+        now = match next_due.min(next_event) {
             Cycle(u64::MAX) => now + Cycle(1),
             t => t,
         };
@@ -479,6 +485,9 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         r.sort_unstable_by_key(|&(t, _)| t);
     }
 
+    // Every fetched burst fills the K buffer once, when its first request
+    // lands.
+    k_sram.write(planes_fetched * config.hbm.burst_bytes);
     let mut traffic = hbm.traffic();
     traffic.merge(&k_sram.traffic());
     traffic.merge(&q_sram.traffic());
@@ -523,14 +532,6 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         row_hit_rate: hbm.row_hit_rate(),
         bandwidth_utilization: hbm.bandwidth_utilization(horizon),
     }
-}
-
-/// Shared K-buffer slot state for the flat plane cache.
-#[derive(Debug, Clone, Copy)]
-enum SlotState {
-    Unfetched,
-    InFlight(Cycle),
-    Present,
 }
 
 /// A key bit-plane tensor shared across blocks, sessions and worker

@@ -95,6 +95,14 @@ impl Gsat {
         plane_len.div_ceil(self.width).max(1)
     }
 
+    /// The most cycles any plane of this width can take to absorb: every
+    /// pass at its worst, a whole sub-group selected on its muxes. The
+    /// engine's lane calendar is sized from it.
+    #[must_use]
+    pub(crate) fn max_plane_cycles(&self, plane_len: usize) -> u64 {
+        self.passes(plane_len) as u64 * u64::from((self.subgroup as u32).div_ceil(self.muxes))
+    }
+
     /// Cycles to absorb one plane: per pass, the slowest sub-group
     /// dominates (`⌈selected / muxes⌉`, minimum 1 — even an all-skip pass
     /// costs the pipeline beat that recognises it); passes serialize.
@@ -435,6 +443,7 @@ mod tests {
                         let case = format!("width {width} subgroup {subgroup} len {len}");
                         let bs = g.absorb_stats(p, true);
                         assert_eq!(bs.cycles, g.bs_plane_cycles(p), "{case}");
+                        assert!(bs.cycles <= g.max_plane_cycles(len), "{case}");
                         assert_eq!(bs.selected, g.bs_selected_total(p), "{case}");
                         assert_eq!(
                             bs.balanced,
@@ -443,6 +452,7 @@ mod tests {
                         );
                         let ones = g.absorb_stats(p, false);
                         assert_eq!(ones.cycles, g.plane_cycles(p, BsMode::Ones), "{case}");
+                        assert!(ones.cycles <= g.max_plane_cycles(len), "{case}");
                         assert_eq!(ones.selected, p.count_ones(), "{case}");
                         assert_eq!(
                             ones.balanced,

@@ -24,7 +24,8 @@ use proptest::prelude::*;
 /// A config whose width/pruning knobs are driven from hash bits so the
 /// differential sweep touches the restructured code paths (BS, OOE,
 /// layouts, narrow scoreboards, GSAT shapes on and off the SWAR byte path,
-/// lane counts) without enumerating them by hand.
+/// lane counts up to the 32 per row whose 8 rows fill four words of the
+/// walk's lane calendar) without enumerating them by hand.
 fn config_for(bits: u32, knobs: u64) -> PadeConfig {
     let layout = match knobs % 3 {
         0 => KeyLayout::BitPlaneInterleaved,
@@ -40,7 +41,7 @@ fn config_for(bits: u32, knobs: u64) -> PadeConfig {
         scoreboard_entries: if knobs & 32 != 0 { 4 } else { 16 },
         gsat_width: [32, 64, 128][(knobs >> 6) as usize % 3],
         subgroup: if knobs & 256 != 0 { 4 } else { 8 },
-        lanes_per_row: [1, 4, 16][(knobs >> 9) as usize % 3],
+        lanes_per_row: [1, 4, 16, 32][(knobs >> 9) as usize % 4],
         ..PadeConfig::standard()
     }
 }
@@ -49,13 +50,14 @@ proptest! {
     /// Optimized engine ≡ seed oracle over raw random operands: random
     /// context lengths (down to the degenerate S=1), dimensions, widths
     /// and feature knobs. Dimensions run past 128 so plane rows span
-    /// several `u64` words, as at head dim 128.
+    /// several `u64` words, as at head dim 128, and rows run up to all
+    /// `pe_rows` so the lane calendar spans several mask words.
     #[test]
     fn optimized_engine_matches_oracle_on_random_shapes(
         bits in prop_oneof![Just(2u32), Just(4), Just(8)],
         s in 1usize..48,
         dims in 1usize..200,
-        rows in 1usize..4,
+        rows in 1usize..=PadeConfig::standard().pe_rows,
         knobs in any::<u64>(),
         seed in any::<u64>(),
     ) {
@@ -71,16 +73,18 @@ proptest! {
         prop_assert_eq!(fast, oracle);
     }
 
-    /// The decode shape at serving length: one query row over a long
-    /// context, on 1, 2 or 16 HBM channels. Few channels queue hundreds
-    /// of plane fetches, so lanes wait on DRAM for hundreds of cycles and
-    /// arrivals land past the event wheel's ring; this pins the
-    /// parked-lane memory-stall accounting, the wheel's overflow path and
-    /// multi-word GSAT passes (dims 128) against the oracle.
+    /// The decode and prefill shapes at serving length: one query row or
+    /// all `pe_rows` over a long context, on 1, 2 or 16 HBM channels. Few
+    /// channels queue hundreds of plane fetches, so lanes wait on DRAM for
+    /// hundreds of cycles and arrivals land past the event wheel's ring;
+    /// this pins the parked-lane memory-stall accounting, the wheel's
+    /// overflow path, multi-word GSAT passes (dims 128) and, with every
+    /// row busy, the lane calendar's later mask words against the oracle.
     #[test]
-    fn one_row_long_context_matches_oracle(
+    fn long_context_blocks_match_oracle(
         s in 256usize..700,
         dims in prop_oneof![Just(64usize), Just(128)],
+        rows in prop_oneof![Just(1usize), Just(PadeConfig::standard().pe_rows)],
         knobs in any::<u64>(),
         seed in any::<u64>(),
     ) {
@@ -89,10 +93,12 @@ proptest! {
         let config = PadeConfig { hbm: HbmConfig { channels, ..base.hbm }, ..base };
         let keys_data = vec_i8_bits(s * dims, seed, 8);
         let keys = BitPlaneMatrix::from_rows(&keys_data, dims, 8).unwrap();
-        let query = vec_i8_bits(dims, !seed, 8);
+        let query_data: Vec<Vec<i8>> =
+            (0..rows).map(|r| vec_i8_bits(dims, !seed ^ mix(seed, r), 8)).collect();
+        let queries: Vec<&[i8]> = query_data.iter().map(Vec::as_slice).collect();
         let scale = 1.0 / 64.0;
-        let fast = run_qk_block(&config, &[&query], &keys, scale);
-        let oracle = run_qk_block_reference(&config, &[&query], &keys, scale);
+        let fast = run_qk_block(&config, &queries, &keys, scale);
+        let oracle = run_qk_block_reference(&config, &queries, &keys, scale);
         prop_assert_eq!(fast, oracle);
     }
 

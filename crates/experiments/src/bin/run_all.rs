@@ -8,33 +8,7 @@
 use std::process::Command;
 use std::time::Instant;
 
-const BINS: &[&str] = &[
-    "tab1_feature_matrix",
-    "fig02_predictor_overhead",
-    "fig04_bsf_reduction",
-    "fig05_tiling_pressure",
-    "fig10_interleave_updates",
-    "tab2_accuracy",
-    "fig14_comp_mem",
-    "fig15_software_methods",
-    "fig16_ablation",
-    "fig16_alpha_tradeoff",
-    "fig17_dse",
-    "fig18_gpu_comparison",
-    "fig19_gain_breakdown",
-    "fig20_area_power",
-    "fig21_sota_comparison",
-    "fig23_balance_bandwidth",
-    "fig24_system_integration",
-    "fig25_mxint",
-    "fig26_quant_decoding",
-    "hero_numbers",
-    "ext_multibit",
-    "ext_fp_formats",
-    "ext_distributed",
-    "ext_decode_session",
-    "ext_calibration_ablation",
-];
+use pade_experiments::FIGURE_BINS;
 
 fn print_table_iii() {
     use pade_core::config::PadeConfig;
@@ -65,7 +39,7 @@ fn main() {
     let dir = exe.parent().expect("bin dir").to_path_buf();
     let mut failed = Vec::new();
     let run_start = Instant::now();
-    for bin in BINS {
+    for bin in FIGURE_BINS {
         let path = dir.join(bin);
         if !path.exists() {
             eprintln!("[run_all] missing binary {bin} — build the workspace first");
@@ -86,9 +60,9 @@ fn main() {
     eprintln!("[run_all] total: {:.2} s", run_start.elapsed().as_secs_f64());
     println!("\n================================================================");
     if failed.is_empty() {
-        println!("All {} experiments completed.", BINS.len());
+        println!("All {} experiments completed.", FIGURE_BINS.len());
     } else {
-        println!("{} of {} experiments failed: {:?}", failed.len(), BINS.len(), failed);
+        println!("{} of {} experiments failed: {:?}", failed.len(), FIGURE_BINS.len(), failed);
         std::process::exit(1);
     }
 }
