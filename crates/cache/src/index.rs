@@ -124,19 +124,13 @@ impl PrefixIndex {
     }
 
     /// Walks the longest cached chunk-aligned prefix of `ids` **without
-    /// mutating any LRU state**, returning the number of matched chunks.
-    /// This is the read-only probe behind hit-aware admission ordering: a
-    /// scheduler may consult it on every enqueue without perturbing the
-    /// eviction clock (probing must never change what gets evicted).
-    #[must_use]
-    pub fn peek_hit_chunks(&self, ids: &[u32], chunk_tokens: usize) -> usize {
-        self.peek_hit_walk(ids, chunk_tokens).0
-    }
-
-    /// The read-only walk behind [`peek_hit_chunks`](Self::peek_hit_chunks),
-    /// also returning the last matched node key — the parent from which a
-    /// spill-tier probe continues the path-dependent key chain past the
-    /// resident prefix.
+    /// mutating any LRU state**, returning the number of matched chunks
+    /// and the last matched node key — the parent from which a spill-tier
+    /// probe continues the path-dependent key chain past the resident
+    /// prefix. This is the read-only probe behind hit-aware admission
+    /// ordering: a scheduler may consult it on every enqueue without
+    /// perturbing the eviction clock (probing must never change what gets
+    /// evicted).
     pub(crate) fn peek_hit_walk(&self, ids: &[u32], chunk_tokens: usize) -> (usize, Option<u128>) {
         let mut parent = None;
         let mut matched = 0usize;
@@ -383,13 +377,13 @@ mod tests {
         let ids: Vec<u32> = (0..8).collect();
         let a = put(&mut index, None, &ids[0..4], 1);
         put(&mut index, Some(a), &ids[4..8], 1);
-        assert_eq!(index.peek_hit_chunks(&ids, 4), 2);
-        assert_eq!(index.peek_hit_chunks(&ids[..6], 4), 1);
-        assert_eq!(index.peek_hit_chunks(&[9, 9, 9, 9], 4), 0);
+        assert_eq!(index.peek_hit_walk(&ids, 4).0, 2);
+        assert_eq!(index.peek_hit_walk(&ids[..6], 4).0, 1);
+        assert_eq!(index.peek_hit_walk(&[9, 9, 9, 9], 4).0, 0);
         // A second index with a later LRU touch diverges from this one's
         // eviction choice; peeking must not create such a divergence.
         let before = index.lru_evictable();
-        let _ = index.peek_hit_chunks(&ids, 4);
+        let _ = index.peek_hit_walk(&ids, 4);
         assert_eq!(index.lru_evictable(), before);
     }
 

@@ -724,13 +724,6 @@ impl KvCacheManager {
         self.evict_to_budget();
     }
 
-    /// Drops a stored session (e.g. an explicit end-of-conversation).
-    pub fn forget_session(&mut self, session: u64) {
-        if let Some(cache) = self.store.remove(session) {
-            self.residency.untrack_cache(&cache);
-        }
-    }
-
     /// LRU-evicts until resident bytes fit the budget: idle stored
     /// sessions first (each serves only its own session's next turn),
     /// then unleased childless index chunks (each may serve every future
@@ -946,8 +939,6 @@ mod tests {
             }
         }
         assert!(m.stats().evicted_sessions + m.stats().evicted_chunks > 0);
-        m.forget_session(0);
-        assert_eq!(m.resident_bytes(), m.recompute_resident_bytes());
     }
 
     #[test]

@@ -131,9 +131,11 @@ impl PadeConfig {
     /// # Panics
     ///
     /// Panics if the GSAT width is not divisible by the sub-group size, if
-    /// α is outside `[0, 1]`, or any structural parameter is zero.
+    /// α is outside `[0, 1]`, if any structural parameter is zero, or if
+    /// `pe_rows` exceeds 64 (RARS keeps a block's rows in one `u64` mask).
     pub fn validate(&self) {
         assert!(self.pe_rows > 0 && self.lanes_per_row > 0, "PE array must be non-empty");
+        assert!(self.pe_rows <= 64, "pe_rows must be at most 64, got {}", self.pe_rows);
         assert!(self.gsat_width > 0 && self.subgroup > 0, "GSAT must be non-empty");
         assert_eq!(
             self.gsat_width % self.subgroup,
@@ -196,6 +198,13 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn validate_rejects_bad_alpha() {
         let c = PadeConfig { alpha: 1.5, ..PadeConfig::standard() };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn validate_rejects_more_than_64_pe_rows() {
+        let c = PadeConfig { pe_rows: 65, ..PadeConfig::standard() };
         c.validate();
     }
 }

@@ -7,8 +7,19 @@
 //! toward *low-demand* vectors, saving high-demand ones for rounds where
 //! their sharers have free slots). On the paper's running example this
 //! recovers exactly the published 11 → 8 load reduction.
+//!
+//! The greedy keeps one `u64` row mask per V id: the rows that still want
+//! it. A V's demand is its mask's popcount, and a pair's cover is the
+//! popcount of the two masks' intersection over the rows with two free
+//! slots. Ids with the same mask score alike, so each selection compares
+//! only the distinct masks among unloaded ids, each class by its lowest
+//! ids. Its cost grows with the loads and the mask classes, not with the
+//! square of the retained keys. A block holds at most 64 score rows, the
+//! mask's width; [`PadeConfig::validate`](crate::config::PadeConfig::validate)
+//! caps `pe_rows` to match.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A V-fetch schedule: the V-vector ids loaded in each round, and the
 /// total number of loads.
@@ -99,6 +110,10 @@ pub fn naive_schedule(rows: &[Vec<usize>], per_row: usize) -> Schedule {
 /// let rows = vec![vec![0, 1, 2, 3], vec![2, 3, 4, 7], vec![4, 5, 6, 7], vec![2, 3, 4, 7]];
 /// assert_eq!(rars_schedule(&rows, 2, 4).total_loads, 8);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `rows` holds more than 64 score rows.
 #[must_use]
 pub fn rars_schedule(rows: &[Vec<usize>], per_row: usize, buffer_capacity: usize) -> Schedule {
     // With one row every pair covers that row alone and ties at demand 2,
@@ -118,204 +133,145 @@ pub fn rars_schedule(rows: &[Vec<usize>], per_row: usize, buffer_capacity: usize
     }
 }
 
-/// The greedy schedule of [`rars_schedule`] over dense structures indexed
-/// by V id: one pending bitset per row, per-V demand counts kept in step
-/// with every served load, and pair deduplication by the rows already
-/// enumerated. Enumeration order and tie-breaks are those of the
-/// set-based formulation kept as `rars_greedy_reference` in the tests,
-/// which pins identical schedules.
+/// The greedy schedule of [`rars_schedule`] over one row mask per V id:
+/// `mask[v]` holds the rows that still have `v` pending, so `v`'s demand
+/// is its popcount and a pair's cover is the popcount of `mask_a & mask_b`
+/// over the rows with two free slots. Ids sharing a mask score alike, so
+/// a selection weighs only the distinct masks among unloaded ids (see
+/// [`best_pair`]). Tie-breaks are those of the set-based formulation kept
+/// as `rars_greedy_reference` in the tests, which pins identical
+/// schedules.
 fn rars_greedy(rows: &[Vec<usize>], per_row: usize, buffer_capacity: usize) -> Schedule {
+    assert!(rows.len() <= 64, "RARS row masks hold at most 64 rows, got {}", rows.len());
     let per_row = per_row.max(1);
     let buffer_capacity = buffer_capacity.max(per_row);
     let n_v = rows.iter().flatten().max().map_or(0, |&v| v + 1);
-    let words = n_v.div_ceil(64);
-    // Row r's pending V ids are the set bits of `pending[r·words..][..words]`.
-    let mut pending = vec![0u64; rows.len() * words];
-    // Rows with each V id pending: the tie-break signal ("save high-demand
-    // vectors for rounds where their sharers have free slots", Fig. 13(d)).
-    let mut demand = vec![0usize; n_v];
+    // Rows with each V id pending. Its popcount is the tie-break demand
+    // ("save high-demand vectors for rounds where their sharers have free
+    // slots", Fig. 13(d)).
+    let mut mask = vec![0u64; n_v];
     for (r, row) in rows.iter().enumerate() {
         for &v in row {
-            if !has(&pending, r * words, v) {
-                flip(&mut pending, r * words, v);
-                demand[v] += 1;
-            }
+            mask[v] |= 1 << r;
         }
+    }
+    // Unloaded pending ids by mask, ascending within each class. Within a
+    // round only loaded ids' masks change, so the classes change only by
+    // losing the ids a round loads and regaining those it leaves pending.
+    let mut classes: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+    for (v, &m) in mask.iter().enumerate().filter(|&(_, &m)| m != 0) {
+        classes.entry(m).or_default().insert(v);
     }
     let mut rounds = Vec::new();
     let mut total = 0usize;
-    let mut loaded_bits = vec![0u64; words];
-    let mut free = vec![0u64; words];
-    let mut fresh = vec![0u64; words];
-    let (mut earlier, mut later) = (Vec::new(), Vec::new());
 
-    while pending.iter().any(|&w| w != 0) {
+    while !classes.is_empty() {
         let mut slots: Vec<usize> = vec![per_row; rows.len()];
-        // The round's loads in ascending order, and as a bitset.
-        let mut loaded: Vec<usize> = Vec::new();
-        loaded_bits.fill(0);
-        let round_start = pending.clone();
-
-        loop {
-            let remaining = buffer_capacity - loaded.len();
-            if remaining == 0 {
-                break;
-            }
-            let unloaded = |r: usize, w: usize| pending[r * words + w] & !loaded_bits[w];
-            let any_servable =
-                (0..rows.len()).any(|r| slots[r] > 0 && (0..words).any(|w| unloaded(r, w) != 0));
-            if !any_servable {
-                break;
-            }
-
-            // Candidate pairs: 2-subsets co-pending in some row with ≥2
-            // slots, each scored once — by the first such row holding both.
-            let mut best_pair: Option<(usize, usize)> = None;
-            let mut best_cover = 0usize;
-            let mut best_tie = usize::MAX;
-            if remaining >= 2 {
-                for r in (0..rows.len()).filter(|&r| slots[r] >= 2) {
-                    for (w, f) in free.iter_mut().enumerate() {
-                        *f = unloaded(r, w);
-                    }
-                    for a in set_bits(&free, 0) {
-                        earlier.clear();
-                        later.clear();
-                        for q in (0..rows.len()).filter(|&q| q != r && slots[q] >= 2) {
-                            if has(&pending, q * words, a) {
-                                if q < r { &mut earlier } else { &mut later }.push(q);
-                            }
-                        }
-                        // Partners of `a` no earlier row holds with it.
-                        for w in a / 64..words {
-                            fresh[w] =
-                                earlier.iter().fold(free[w], |f, &q| f & !pending[q * words + w]);
-                        }
-                        for b in set_bits(&fresh, a + 1) {
-                            let cover =
-                                1 + later.iter().filter(|&&q| has(&pending, q * words, b)).count();
-                            let tie = demand[a] + demand[b];
-                            if cover > best_cover || (cover == best_cover && tie < best_tie) {
-                                best_pair = Some((a, b));
-                                best_cover = cover;
-                                best_tie = tie;
-                            }
-                        }
-                    }
-                }
-            }
-
-            let (chosen, n_chosen) = match best_pair {
-                Some((a, b)) => ([a, b], 2),
+        // The round's loads in ascending order, each with its mask at load.
+        let mut loaded: Vec<(usize, u64)> = Vec::new();
+        while loaded.len() < buffer_capacity {
+            let rows_with = |free: usize| {
+                (0..slots.len()).filter(|&r| slots[r] >= free).fold(0u64, |m, r| m | 1 << r)
+            };
+            let pair = if buffer_capacity - loaded.len() >= 2 {
+                best_pair(&classes, rows_with(2))
+            } else {
+                None
+            };
+            let chosen = match pair {
+                Some((a, b)) => vec![a, b],
                 None => {
                     // Single loads: most-demanded unloaded V (lowest id on a
                     // tie) pending in a row that still has a free slot.
-                    free.fill(0);
-                    for r in (0..rows.len()).filter(|&r| slots[r] > 0) {
-                        for (w, f) in free.iter_mut().enumerate() {
-                            *f |= unloaded(r, w);
-                        }
-                    }
-                    let mut candidate: Option<usize> = None;
-                    for v in set_bits(&free, 0) {
-                        if candidate.is_none_or(|c| demand[v] > demand[c]) {
-                            candidate = Some(v);
-                        }
-                    }
-                    match candidate {
-                        Some(v) => ([v, v], 1),
+                    let one_free = rows_with(1);
+                    let single = classes
+                        .iter()
+                        .filter(|&(&m, _)| m & one_free != 0)
+                        .min_by_key(|&(&m, ids)| (Reverse(m.count_ones()), ids.first()));
+                    match single.and_then(|(_, ids)| ids.first()) {
+                        Some(&v) => vec![v],
                         None => break,
                     }
                 }
             };
-
-            for &v in &chosen[..n_chosen] {
-                let at = loaded.partition_point(|&l| l < v);
-                loaded.insert(at, v);
-                flip(&mut loaded_bits, 0, v);
-            }
-            // Serve rows immediately so coverage counts reflect consumption.
-            for (r, s) in slots.iter_mut().enumerate() {
-                for &v in &loaded {
-                    if *s == 0 {
-                        break;
-                    }
-                    if has(&pending, r * words, v) {
-                        flip(&mut pending, r * words, v);
-                        demand[v] -= 1;
-                        *s -= 1;
-                    }
+            for v in chosen {
+                let class = classes.get_mut(&mask[v]).expect("an unloaded pending id has a class");
+                class.remove(&v);
+                if class.is_empty() {
+                    classes.remove(&mask[v]);
                 }
+                let at = loaded.partition_point(|&(l, _)| l < v);
+                loaded.insert(at, (v, mask[v]));
+                // Serve rows immediately so coverage counts reflect consumption.
+                serve(&mut mask[v], &mut slots);
             }
         }
 
-        if loaded.is_empty() {
-            // Nothing was schedulable this round (all pending rows slotless
-            // can't happen since slots reset): defensive against livelock.
-            break;
-        }
         // Canonicalize the round's consumption: each row serves its pending
         // demands from the loaded set in ascending V order, up to per_row —
         // the same replay rule Schedule::covers applies.
-        for r in 0..rows.len() {
-            let base = r * words;
-            for v in (0..words)
-                .flat_map(|w| set_bits_of_word(round_start[base + w] & !pending[base + w], w))
-            {
-                demand[v] += 1;
-            }
-            pending[base..base + words].copy_from_slice(&round_start[base..base + words]);
-            let mut served = 0usize;
-            for &v in &loaded {
-                if served < per_row && has(&pending, base, v) {
-                    flip(&mut pending, base, v);
-                    demand[v] -= 1;
-                    served += 1;
-                }
+        slots.fill(per_row);
+        for &(v, at_load) in &loaded {
+            mask[v] = at_load;
+            serve(&mut mask[v], &mut slots);
+            if mask[v] != 0 {
+                classes.entry(mask[v]).or_default().insert(v);
             }
         }
         total += loaded.len();
-        rounds.push(loaded);
+        rounds.push(loaded.into_iter().map(|(v, _)| v).collect());
     }
 
     Schedule { rounds, total_loads: total }
 }
 
-/// Whether bit `v` of the bitset starting at `bits[base]` is set.
-fn has(bits: &[u64], base: usize, v: usize) -> bool {
-    bits[base + v / 64] >> (v % 64) & 1 == 1
-}
-
-/// Toggles bit `v` of the bitset starting at `bits[base]`.
-fn flip(bits: &mut [u64], base: usize, v: usize) {
-    bits[base + v / 64] ^= 1 << (v % 64);
-}
-
-/// Set bits of `word`, the `w`-th word of a bitset, as ascending indices.
-fn set_bits_of_word(mut word: u64, w: usize) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let i = word.trailing_zeros() as usize;
-            word &= word - 1;
-            w * 64 + i
+/// The pair a selection loads, over the rows in `two_free`: the highest
+/// cover, then the lowest total demand, then the lowest row holding both,
+/// then the lowest ids — the order in which a scan over rows, then `a`,
+/// then `b` first finds the best pair. A class offers its lowest id
+/// toward every other class and its lowest two toward itself.
+fn best_pair(classes: &BTreeMap<u64, BTreeSet<usize>>, two_free: u64) -> Option<(usize, usize)> {
+    let reps: Vec<(u64, usize, Option<usize>)> = classes
+        .iter()
+        .filter(|&(&m, _)| m & two_free != 0)
+        .map(|(&m, ids)| {
+            let mut ids = ids.iter().copied();
+            (m, ids.next().expect("classes are non-empty"), ids.next())
         })
-    })
+        .collect();
+    reps.iter()
+        .enumerate()
+        .flat_map(|(i, &(ma, a, a2))| {
+            let own = a2.map(|a2| (ma, ma, a, a2));
+            let cross = reps[i + 1..].iter().map(move |&(mb, b, _)| (ma, mb, a.min(b), a.max(b)));
+            own.into_iter().chain(cross)
+        })
+        .filter_map(|(ma, mb, a, b)| {
+            let both = ma & mb & two_free;
+            let demand = ma.count_ones() + mb.count_ones();
+            (both != 0).then(|| (Reverse(both.count_ones()), demand, both.trailing_zeros(), a, b))
+        })
+        .min()
+        .map(|(.., a, b)| (a, b))
 }
 
-/// Set bits of `bits` at index `start` or above, ascending.
-fn set_bits(bits: &[u64], start: usize) -> impl Iterator<Item = usize> + '_ {
-    let first = start / 64;
-    bits.iter().enumerate().skip(first).flat_map(move |(w, &word)| {
-        let word = if w == first { word & (!0u64 << (start % 64)) } else { word };
-        set_bits_of_word(word, w)
-    })
+/// Serves one loaded V id to every row in its `mask` with a free slot.
+fn serve(mask: &mut u64, slots: &mut [usize]) {
+    let mut rows = *mask;
+    while rows != 0 {
+        let r = rows.trailing_zeros() as usize;
+        rows &= rows - 1;
+        if slots[r] > 0 {
+            slots[r] -= 1;
+            *mask &= !(1 << r);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     /// The set-based greedy this module shipped first, kept as the
     /// reference [`rars_greedy`] must match schedule for schedule.
@@ -514,6 +470,16 @@ mod tests {
         assert!(n.covers(&rows, 2));
     }
 
+    #[test]
+    fn fully_retained_eight_row_block_takes_one_load_per_id() {
+        // Every row wants every id, so each round loads the same two ids
+        // for all eight rows: one load per id, never a reload.
+        let rows = vec![(0..4096).collect::<Vec<usize>>(); 8];
+        let s = rars_schedule(&rows, 2, 16);
+        assert!(s.covers(&rows, 2));
+        assert_eq!(s.total_loads, 4096);
+    }
+
     proptest! {
         #[test]
         fn prop_rars_covers_and_never_exceeds_naive(
@@ -545,6 +511,21 @@ mod tests {
         ) {
             // Unsorted rows with repeats, ids across three bitset words,
             // and every per-row/buffer ratio including a clamped buffer.
+            prop_assert_eq!(
+                rars_greedy(&rows, per_row, buffer_capacity),
+                rars_greedy_reference(&rows, per_row, buffer_capacity)
+            );
+        }
+
+        #[test]
+        fn prop_mask_class_ties_match_set_based_reference(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(0usize..24, 0..=24), 1..=8),
+            per_row in 1usize..=4,
+            buffer_capacity in 0usize..=16,
+        ) {
+            // Few ids over many rows: most ids share a row mask with
+            // others, so selections hinge on the class tie-breaks.
             prop_assert_eq!(
                 rars_greedy(&rows, per_row, buffer_capacity),
                 rars_greedy_reference(&rows, per_row, buffer_capacity)

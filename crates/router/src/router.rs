@@ -45,6 +45,15 @@ use pade_workload::trace::RequestArrival;
 use crate::metrics::{merge_node_reports, RouterSummary};
 use crate::policy::{RouteDecision, RoutePolicy, RouteReason};
 
+/// Leading prompt chunks (of `kv_chunk_tokens` tokens each) hashed into
+/// the affinity shard key: the first chunk, so every prompt sharing one
+/// system prompt maps to one key.
+const AFFINITY_CHUNKS: usize = 1;
+
+/// Most chunks one fleet-tier transfer moves (prefix-leading chunks
+/// first). Without a fleet tier, a drain migration moves every chunk.
+const FETCH_CHUNKS: usize = 64;
+
 /// Configuration of one routed fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
@@ -55,11 +64,6 @@ pub struct RouterConfig {
     pub nodes: Vec<ServeConfig>,
     /// The placement policy.
     pub policy: RoutePolicy,
-    /// Leading prompt chunks (of `kv_chunk_tokens` tokens each) hashed
-    /// into the affinity shard key. Small values cluster more
-    /// aggressively (every prompt sharing one system prompt maps to one
-    /// key); the default 1 clusters on the first chunk.
-    pub affinity_chunks: usize,
     /// Fleet tier behavior: the interconnect model chunk-record
     /// transfers are costed against, and the hot-shard replication
     /// threshold. `None` disables replication and books transfers
@@ -88,17 +92,11 @@ pub struct FleetTierConfig {
     /// after which residency-aware placement picks the least-loaded
     /// resident. `0` disables replication.
     pub replicate_hot_after: u64,
-    /// Most chunks moved per transfer (prefix-leading chunks first).
-    pub fetch_chunks: usize,
 }
 
 impl Default for FleetTierConfig {
     fn default() -> Self {
-        Self {
-            interconnect: InterconnectConfig::wafer_ring(),
-            replicate_hot_after: 3,
-            fetch_chunks: 64,
-        }
+        Self { interconnect: InterconnectConfig::wafer_ring(), replicate_hot_after: 3 }
     }
 }
 
@@ -141,7 +139,7 @@ impl RouterConfig {
                 node
             })
             .collect();
-        Self { nodes, policy, affinity_chunks: 1, tier: None, drain: None }
+        Self { nodes, policy, tier: None, drain: None }
     }
 }
 
@@ -258,7 +256,7 @@ pub fn route_traced(
     let mut shard_routed: HashMap<u64, u64> = HashMap::new();
     let mut shard_replicas: HashMap<u64, Vec<usize>> = HashMap::new();
     let mut ledger = TransferLedger::default();
-    let fetch_chunks = config.tier.as_ref().map_or(usize::MAX, |t| t.fetch_chunks.max(1));
+    let fetch_chunks = if config.tier.is_some() { FETCH_CHUNKS } else { usize::MAX };
     let replicate_after = config.tier.as_ref().map_or(0, |t| t.replicate_hot_after);
     let mut decisions: Vec<RouteDecision> = Vec::with_capacity(sorted.len());
 
@@ -298,7 +296,7 @@ pub fn route_traced(
                 let shard_key = spec
                     .prompt
                     .as_ref()
-                    .and_then(|p| prefix_shard_key(p.ids(), chunk_tokens, config.affinity_chunks));
+                    .and_then(|p| prefix_shard_key(p.ids(), chunk_tokens, AFFINITY_CHUNKS));
                 let (mut target, mut reason) = if let Some(&home) = session_home.get(&spec.session)
                 {
                     (home, RouteReason::SessionAffinity)
@@ -584,7 +582,6 @@ mod tests {
         let fleet = RouterConfig {
             nodes: vec![node.clone(), node],
             policy: RoutePolicy::Affinity,
-            affinity_chunks: 1,
             tier: None,
             drain: None,
         };

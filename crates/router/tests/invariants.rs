@@ -125,7 +125,6 @@ proptest! {
             let fleet = RouterConfig {
                 nodes: vec![healthy.clone(), degraded.clone(), healthy.clone()],
                 policy,
-                affinity_chunks: 1,
                 tier: None,
                 drain: None,
             };

@@ -5,7 +5,6 @@
 //!
 //! * [`Cycle`] — the simulation time base (one tick of the 800 MHz core
 //!   clock from Table III),
-//! * [`BoundedFifo`] — backpressure-capable queues between pipeline stages,
 //! * [`EventQueue`] — completion scheduling (DRAM responses, systolic array
 //!   drains),
 //! * [`UtilizationCounter`] — per-unit busy/stall accounting used by the
@@ -20,13 +19,8 @@
 //! # Example
 //!
 //! ```
-//! use pade_sim::{BoundedFifo, Cycle};
+//! use pade_sim::Cycle;
 //!
-//! let mut fifo = BoundedFifo::new(2);
-//! assert!(fifo.push(1).is_ok());
-//! assert!(fifo.push(2).is_ok());
-//! assert!(fifo.push(3).is_err()); // backpressure
-//! assert_eq!(fifo.pop(), Some(1));
 //! let t = Cycle(40) + Cycle(2);
 //! assert_eq!(t.0, 42);
 //! ```
@@ -37,13 +31,11 @@
 mod counters;
 mod cycle;
 mod event;
-mod fifo;
 mod latency;
 mod stats;
 
 pub use counters::UtilizationCounter;
 pub use cycle::{Cycle, Frequency};
 pub use event::EventQueue;
-pub use fifo::{BoundedFifo, FifoFullError};
 pub use latency::{LatencyStats, LatencySummary, TimeWeightedGauge};
 pub use stats::{OpCounts, RunStats, TrafficCounts};

@@ -1,50 +1,11 @@
-//! Crate-level property tests for the simulation kernel: FIFO ordering and
-//! accounting, event-queue time ordering, cycle/frequency arithmetic and
-//! statistic merging — the bookkeeping every higher-level result trusts.
+//! Crate-level property tests for the simulation kernel: event-queue time
+//! ordering, cycle/frequency arithmetic and statistic merging — the
+//! bookkeeping every higher-level result trusts.
 
-use pade_sim::{
-    BoundedFifo, Cycle, EventQueue, Frequency, OpCounts, TrafficCounts, UtilizationCounter,
-};
+use pade_sim::{Cycle, EventQueue, Frequency, OpCounts, TrafficCounts, UtilizationCounter};
 use proptest::prelude::*;
 
 proptest! {
-    /// FIFO order is preserved and accounting (pushed/rejected/high-water)
-    /// matches a reference simulation.
-    #[test]
-    fn fifo_is_fifo_and_counts_right(
-        cap in 1usize..16,
-        ops in proptest::collection::vec(proptest::option::of(0u32..1000), 1..80),
-    ) {
-        let mut fifo = BoundedFifo::new(cap);
-        let mut reference = std::collections::VecDeque::new();
-        let mut pushed = 0u64;
-        let mut rejected = 0u64;
-        let mut high = 0usize;
-        for op in ops {
-            match op {
-                Some(v) => {
-                    if reference.len() < cap {
-                        reference.push_back(v);
-                        pushed += 1;
-                        prop_assert!(fifo.push(v).is_ok());
-                    } else {
-                        rejected += 1;
-                        prop_assert!(fifo.push(v).is_err());
-                    }
-                    high = high.max(reference.len());
-                }
-                None => {
-                    prop_assert_eq!(fifo.pop(), reference.pop_front());
-                }
-            }
-            prop_assert_eq!(fifo.len(), reference.len());
-            prop_assert_eq!(fifo.front().copied(), reference.front().copied());
-        }
-        prop_assert_eq!(fifo.total_pushed(), pushed);
-        prop_assert_eq!(fifo.rejected(), rejected);
-        prop_assert_eq!(fifo.high_water(), high);
-    }
-
     /// Events pop in non-decreasing time order and only once ready.
     #[test]
     fn event_queue_orders_by_time(

@@ -165,34 +165,6 @@ impl StageBreakdown {
     pub fn get(&self, name: &str) -> Option<&StageStat> {
         self.stages.iter().find(|s| s.name == name)
     }
-
-    /// Hand-rolled JSON object (the workspace ships no serde), suitable
-    /// for embedding in a larger report.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"stages\":[");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"spans\":{},\"total_cycles\":{},\"total_wall_nanos\":{}}}",
-                crate::chrome::escape(&s.name),
-                s.spans,
-                s.total_cycles,
-                s.total_wall_nanos
-            ));
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", crate::chrome::escape(name), value));
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 impl TraceSnapshot {
@@ -276,8 +248,5 @@ mod tests {
         assert_eq!(bd.get("outer").unwrap().total_cycles, 10);
         assert_eq!(bd.counters, vec![("n".to_string(), 5)]);
         assert_eq!(snap.registry().counter("n"), 5);
-        let json = bd.to_json();
-        assert!(json.contains("\"inner\""));
-        assert!(json.contains("\"n\":5"));
     }
 }

@@ -16,7 +16,7 @@
 
 use std::sync::OnceLock;
 
-use pade_linalg::{attention, MatF32};
+use pade_linalg::MatF32;
 use pade_quant::{quantize_matrix, quantize_matrix_clipped, QuantizedMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -92,9 +92,8 @@ impl Default for TraceConfig {
 /// the trace keeps the generator as it stands after the Q draws and draws
 /// V from it the first time [`values`](Self::values),
 /// [`values_f32`](Self::values_f32),
-/// [`reference_output`](Self::reference_output),
-/// [`subset_output`](Self::subset_output) or
-/// [`dense_reference_f32`](Self::dense_reference_f32) is called. V is
+/// [`reference_output`](Self::reference_output) or
+/// [`subset_output`](Self::subset_output) is called. V is
 /// therefore bit-identical to an eager draw, whichever operand is read
 /// first, and traces that are only scored (the serving path reads Q and K
 /// alone) never pay for it.
@@ -321,16 +320,6 @@ impl AttentionTrace {
     #[must_use]
     pub fn dense_macs(&self) -> u64 {
         2 * self.config.n_queries as u64 * self.config.seq_len as u64 * self.config.head_dim as u64
-    }
-
-    /// Convenience: exact dense attention via the `pade-linalg` reference
-    /// (FP32 path; used by cross-checks only).
-    #[must_use]
-    pub fn dense_reference_f32(&self) -> MatF32 {
-        let qf = MatF32::from_vec(self.q.dequantize(), self.q.rows(), self.q.cols());
-        let k = self.keys();
-        let kf = MatF32::from_vec(k.dequantize(), k.rows(), k.cols());
-        attention::dense_attention(&qf, &kf, self.values_f32(), 1.0)
     }
 }
 
